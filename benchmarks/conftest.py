@@ -8,8 +8,7 @@ callables are the evaluations that produce the reported numbers.
 The scale is deliberately small (synthetic data, reduced SimpleNet, few
 epochs) so the whole harness runs on two CPU cores in minutes.  Absolute
 numbers therefore differ from the paper; what the benchmarks check and print
-is the *shape* of each result (orderings, trends, crossovers), recorded in
-EXPERIMENTS.md.
+is the *shape* of each result (orderings, trends, crossovers).
 """
 
 from __future__ import annotations

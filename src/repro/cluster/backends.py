@@ -99,8 +99,14 @@ class QueueBackend(abc.ABC):
         """Atomically create-or-replace the item; restarts its heartbeat."""
 
     @abc.abstractmethod
-    def move(self, src: str, dst: str, item_id: str) -> bool:
-        """Atomically transition the item; ``False`` = lost the race."""
+    def move(self, src: str, dst: str, item_id: str, touch: bool = False) -> bool:
+        """Atomically transition the item; ``False`` = lost the race.
+
+        With ``touch`` the item arrives in ``dst`` with a fresh heartbeat, as
+        part of the same atomic step: a claim's lease must be live the moment
+        the item is visible as leased, or a concurrent expiry scan can take
+        it back before the claimant's rewrite.
+        """
 
     @abc.abstractmethod
     def touch(self, state: str, item_id: str, ts: Optional[float] = None) -> bool:
@@ -163,9 +169,12 @@ class FilesystemQueueBackend(QueueBackend):
         # Atomic replace; the fresh file's mtime doubles as the heartbeat.
         atomic_write_json(self._path(state, item_id), payload)
 
-    def move(self, src: str, dst: str, item_id: str) -> bool:
+    def move(self, src: str, dst: str, item_id: str, touch: bool = False) -> bool:
+        source = self._path(src, item_id)
         try:
-            os.rename(self._path(src, item_id), self._path(dst, item_id))
+            if touch:
+                os.utime(source)  # the rename keeps the fresh mtime
+            os.rename(source, self._path(dst, item_id))
         except (FileNotFoundError, PermissionError):
             # Lost the rename race (or a racing network filesystem); the
             # False return *is* the signal the scheduler acts on.
@@ -332,8 +341,10 @@ class KVQueueBackend(QueueBackend):
 
     def _document(self, state: str, item_id: str) -> Optional[Dict[str, object]]:
         blob = self.store.get(self._key(state, item_id))
-        if blob is None:
-            return None
+        return None if blob is None else self._decode(blob)
+
+    @staticmethod
+    def _decode(blob: bytes) -> Optional[Dict[str, object]]:
         try:
             doc = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
@@ -366,11 +377,19 @@ class KVQueueBackend(QueueBackend):
         doc = {"hb": time.time(), "payload": payload}
         self.store.put(self._key(state, item_id), self._encode(doc))
 
-    def move(self, src: str, dst: str, item_id: str) -> bool:
+    def move(self, src: str, dst: str, item_id: str, touch: bool = False) -> bool:
         src_key = self._key(src, item_id)
         blob = self.store.get(src_key)
         if blob is None:
             return False
+        if touch:
+            # Stamp the heartbeat into the copy the put-if-absent places.  A
+            # separate read-modify-write touch of the source could bring back
+            # an item a concurrent mover already took.
+            doc = self._decode(blob)
+            if doc is not None:
+                doc["hb"] = time.time()
+                blob = self._encode(doc)
         if not self.store.put(self._key(dst, item_id), blob, if_absent=True):
             return False  # another mover already placed the destination
         if not self.store.delete(src_key):

@@ -244,9 +244,11 @@ class JobQueue:
 
         Candidates are tried in random order so a fleet of workers doesn't
         stampede the same file; each attempt is one rename, and losing a
-        race just moves on to the next candidate.  The winner stamps the
-        incremented attempt count into the item (atomically — the rewrite
-        also starts the lease clock) before returning, so even a worker that
+        race just moves on to the next candidate.  The move into ``leased``
+        starts the lease clock, so a concurrent :meth:`requeue_expired`
+        never mistakes a just-claimed item's queue time for a stale
+        heartbeat.  The winner then stamps the incremented attempt count
+        into the item (atomically) before returning, so even a worker that
         is SIGKILLed one instruction later has burned an attempt.
 
         Two retry-policy gates apply per candidate: an item whose
@@ -264,7 +266,7 @@ class JobQueue:
         # content key, so claim order can never affect sweep output.
         random.shuffle(candidates)
         for item_id in candidates:
-            if not self.backend.move(PENDING, LEASED, item_id):
+            if not self.backend.move(PENDING, LEASED, item_id, touch=True):
                 rec.count("queue.claim_races")
                 continue  # lost the race (or racing filesystem); next
             payload = self.backend.read(LEASED, item_id)
@@ -305,7 +307,7 @@ class JobQueue:
             # can ever share a fence with an earlier one.
             fence = int(payload.get("fence") or 0) + 1
             payload["fence"] = fence
-            # Atomic rewrite doubles as the lease-start touch.
+            # Atomic rewrite; refreshes the heartbeat the move started.
             self.backend.write(LEASED, item_id, payload)
             rec.count("queue.claims")
             return WorkItem(

@@ -14,6 +14,8 @@ __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Identity"]
 class ReLU(Module):
     """Rectified linear unit, ``max(0, x)``."""
 
+    _forward_caches = ("_mask",)
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: Optional[np.ndarray] = None
@@ -31,6 +33,8 @@ class ReLU(Module):
 
 class LeakyReLU(Module):
     """Leaky ReLU with configurable negative slope."""
+
+    _forward_caches = ("_mask",)
 
     def __init__(self, negative_slope: float = 0.01):
         super().__init__()
@@ -52,6 +56,8 @@ class LeakyReLU(Module):
 class Sigmoid(Module):
     """Logistic sigmoid."""
 
+    _forward_caches = ("_output",)
+
     def __init__(self) -> None:
         super().__init__()
         self._output: Optional[np.ndarray] = None
@@ -71,6 +77,8 @@ class Sigmoid(Module):
 
 class Tanh(Module):
     """Hyperbolic tangent."""
+
+    _forward_caches = ("_output",)
 
     def __init__(self) -> None:
         super().__init__()

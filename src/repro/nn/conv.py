@@ -1,18 +1,19 @@
 """2D convolution implemented via im2col / col2im.
 
-The im2col transformation unrolls every receptive field into a column so that
-convolution becomes a single matrix multiplication — the standard vectorized
-NumPy formulation.  ``im2col`` / ``col2im`` are exposed as module-level
-functions so pooling layers and tests can reuse them.
+The im2col transformation unrolls every receptive field of the whole batch
+into one ``(C * kh * kw, N * OH * OW)`` column matrix, so a convolution is a
+single matrix multiplication — the standard vectorized NumPy formulation.
+``im2col`` / ``col2im`` are exposed as module-level functions so pooling
+layers and tests can reuse them.
 
 Two hot-path choices are configurable for validation and benchmarking:
 
-* ``im2col`` builds its window view with ``np.lib.stride_tricks.as_strided``
-  (one gather copy) by default; ``method="loop"`` keeps the original
-  per-kernel-offset slice loop as the reference implementation.
-* The three tensor contractions of ``Conv2d.forward``/``backward`` run as
-  reshaped ``np.matmul`` calls that dispatch to BLAS by default;
-  :func:`set_conv_contraction` switches back to the original ``np.einsum``
+* ``im2col`` gathers an ``np.lib.stride_tricks.as_strided`` window view
+  straight into the column matrix (one copy) by default; ``method="loop"``
+  keeps the per-kernel-offset slice loop as the reference implementation.
+* The tensor contractions of ``Conv2d.forward``/``backward`` run as
+  ``np.matmul`` calls that dispatch to BLAS by default;
+  :func:`set_conv_contraction` switches back to the ``np.einsum``
   reference.  Both are validated against each other in the test suite.
 """
 
@@ -87,23 +88,29 @@ def im2col(
     padding: int,
     method: str = "strided",
 ) -> Tuple[np.ndarray, int, int]:
-    """Unroll sliding windows of ``x`` into columns.
+    """Unroll the sliding windows of a whole batch into one column matrix.
+
+    Row ``(c, i, j)`` of the result holds input channel ``c`` at kernel offset
+    ``(i, j)``; column ``(n, oh, ow)`` is output position ``(oh, ow)`` of
+    sample ``n``.  With every sample's windows side by side, a convolution
+    over the whole batch is a single ``(O, K) @ (K, N * P)`` GEMM.
 
     Parameters
     ----------
     x:
         Input of shape ``(N, C, H, W)``.
     method:
-        ``"strided"`` (default) builds a zero-copy ``as_strided`` window view
-        of the padded input and materializes it with one reshape/gather;
-        ``"loop"`` fills the window tensor with one strided slice copy per
-        kernel offset (the reference implementation).  Both produce
-        bit-identical columns.
+        ``"strided"`` (default) gathers an ``as_strided`` window view of the
+        padded input straight into the result, one copy in total;
+        ``"loop"`` fills it with one strided slice copy per kernel offset
+        (the reference implementation).  Both produce bit-identical columns.
 
     Returns
     -------
     cols:
-        Array of shape ``(N, C * kernel_h * kernel_w, out_h * out_w)``.
+        C-contiguous array of shape
+        ``(C * kernel_h * kernel_w, N * out_h * out_w)``, sharing no memory
+        with ``x``.
     out_h, out_w:
         Spatial output size.
     """
@@ -120,29 +127,23 @@ def im2col(
     x_padded = np.pad(
         x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
     )
+    cols = np.empty((c, kernel_h, kernel_w, n, out_h, out_w), dtype=x.dtype)
     if method == "strided":
         sn, sc, sh, sw = x_padded.strides
-        windows = np.lib.stride_tricks.as_strided(
+        cols[...] = np.lib.stride_tricks.as_strided(
             x_padded,
-            shape=(n, c, kernel_h, kernel_w, out_h, out_w),
-            strides=(sn, sc, sh, sw, stride * sh, stride * sw),
+            shape=cols.shape,
+            strides=(sc, sh, sw, sn, stride * sh, stride * sw),
             writeable=False,
         )
-        cols = windows.reshape(n, c * kernel_h * kernel_w, out_h * out_w)
-        if cols.base is not None:
-            # For overlapping windows the reshape gathers into a fresh array;
-            # for the degenerate 1x1 stride-1 case it stays a (read-only)
-            # view of the padded input, so materialize the ownership the
-            # contract promises.
-            cols = cols.copy()
-        return cols, out_h, out_w
-    cols = np.empty((n, c, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
-    for i in range(kernel_h):
-        i_max = i + stride * out_h
-        for j in range(kernel_w):
-            j_max = j + stride * out_w
-            cols[:, :, i, j, :, :] = x_padded[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.reshape(n, c * kernel_h * kernel_w, out_h * out_w), out_h, out_w
+    else:
+        for i in range(kernel_h):
+            i_max = i + stride * out_h
+            for j in range(kernel_w):
+                j_max = j + stride * out_w
+                window = x_padded[:, :, i:i_max:stride, j:j_max:stride]
+                cols[:, i, j] = window.transpose(1, 0, 2, 3)
+    return cols.reshape(c * kernel_h * kernel_w, n * out_h * out_w), out_h, out_w
 
 
 def col2im(
@@ -153,17 +154,22 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col` (scatter-add of overlapping windows)."""
+    """Inverse of :func:`im2col` (scatter-add of overlapping windows).
+
+    ``cols`` has :func:`im2col`'s ``(C * kernel_h * kernel_w, N * out_h *
+    out_w)`` layout; windows are accumulated kernel offset by kernel offset.
+    """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
-    cols = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
+    cols = cols.reshape(c, kernel_h, kernel_w, n, out_h, out_w)
     padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     for i in range(kernel_h):
         i_max = i + stride * out_h
         for j in range(kernel_w):
             j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
+            window = cols[:, i, j].transpose(1, 0, 2, 3)
+            padded[:, :, i:i_max:stride, j:j_max:stride] += window
     if padding == 0:
         return padded
     return padded[:, :, padding:-padding, padding:-padding]
@@ -185,6 +191,8 @@ class Conv2d(Module):
     rng:
         Generator used for He initialization.
     """
+
+    _forward_caches = ("_cache",)
 
     def __init__(
         self,
@@ -222,12 +230,19 @@ class Conv2d(Module):
         n = x.shape[0]
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
         if _contraction == "matmul":
-            # (O, K) @ (N, K, P) broadcasts to a batched BLAS gemm -> (N, O, P).
-            out = np.matmul(weight_mat, cols)
+            # One (O, K) @ (K, N * P) BLAS gemm for the whole batch.
+            out_mat = weight_mat @ cols
         else:
-            out = np.einsum("ok,nkp->nop", weight_mat, cols)
+            out_mat = np.einsum("ok,kq->oq", weight_mat, cols)
+        # Bias add and (O, N, P) -> (N, O, P) transpose in one pass, into a
+        # C-contiguous output: downstream reductions sum in memory order, so a
+        # transposed view would change their last bits.
+        by_sample = out_mat.reshape(self.out_channels, n, out_h * out_w).transpose(1, 0, 2)
+        out = np.empty((n, self.out_channels, out_h * out_w))
         if self.has_bias:
-            out = out + self.bias.data[None, :, None]
+            np.add(by_sample, self.bias.data[None, :, None], out=out)
+        else:
+            out[...] = by_sample
         self._cache = (cols, x.shape)
         return out.reshape(n, self.out_channels, out_h, out_w)
 
@@ -236,25 +251,34 @@ class Conv2d(Module):
             raise RuntimeError("backward() called before forward()")
         cols, input_shape = self._cache
         n, _, out_h, out_w = grad_output.shape
-        grad_mat = np.asarray(grad_output, dtype=np.float64).reshape(
-            n, self.out_channels, out_h * out_w
+        p = out_h * out_w
+        grad_by_sample = np.asarray(grad_output, dtype=np.float64).reshape(
+            n, self.out_channels, p
         )
+        # (O, N * P), the layout of the forward gemm's output (reshaping the
+        # transposed view copies it into C order).
+        grad_mat = grad_by_sample.transpose(1, 0, 2).reshape(self.out_channels, n * p)
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
         # Parameter gradients.
         if _contraction == "matmul":
-            # Per-sample (O, P) @ (P, K) gemms, summed over the batch.
-            grad_weight = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
+            # Per-sample (O, P) @ (P, K) gemms over strided views of the
+            # shared columns, summed over the batch in sample order: one
+            # (O, N * P) @ (N * P, K) gemm would sum in another order and
+            # change the gradient's last bits.
+            grad_weight = np.matmul(
+                grad_by_sample, cols.reshape(-1, n, p).transpose(1, 2, 0)
+            ).sum(axis=0)
         else:
-            grad_weight = np.einsum("nop,nkp->ok", grad_mat, cols)
+            grad_weight = np.einsum("oq,kq->ok", grad_mat, cols)
         self.weight.grad += grad_weight.reshape(self.weight.data.shape)
         if self.has_bias:
-            self.bias.grad += grad_mat.sum(axis=(0, 2))
+            self.bias.grad += grad_by_sample.sum(axis=(0, 2))
         # Input gradient.
         if _contraction == "matmul":
-            # (K, O) @ (N, O, P) broadcasts to a batched gemm -> (N, K, P).
-            grad_cols = np.matmul(weight_mat.T, grad_mat)
+            # One (K, O) @ (O, N * P) gemm for the whole batch.
+            grad_cols = weight_mat.T @ grad_mat
         else:
-            grad_cols = np.einsum("ok,nop->nkp", weight_mat, grad_mat)
+            grad_cols = np.einsum("ok,oq->kq", weight_mat, grad_mat)
         return col2im(
             grad_cols,
             input_shape,

@@ -14,6 +14,8 @@ __all__ = ["Flatten"]
 class Flatten(Module):
     """Reshape all non-batch dimensions into one."""
 
+    _forward_caches = ("_input_shape",)
+
     def __init__(self) -> None:
         super().__init__()
         self._input_shape: Optional[Tuple[int, ...]] = None

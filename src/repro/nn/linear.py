@@ -25,6 +25,8 @@ class Linear(Module):
         Generator used for He initialization of the weight.
     """
 
+    _forward_caches = ("_cache_input",)
+
     def __init__(
         self,
         in_features: int,

@@ -65,6 +65,11 @@ class Parameter:
 class Module:
     """Base class for layers and models."""
 
+    #: Attributes ``forward`` fills for ``backward``.  Pickling resets them to
+    #: ``None``, their value at construction, so a pickled model never carries
+    #: its last forward pass's activations.
+    _forward_caches: Tuple[str, ...] = ()
+
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
@@ -178,6 +183,13 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
+
+    # -- pickling ------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        for name in self._forward_caches:
+            state[name] = None
+        return state
 
 
 class Sequential(Module):

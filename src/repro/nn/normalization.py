@@ -42,6 +42,8 @@ class GroupNorm(Module):
         ``1 + scale`` so the stored parameter can be clipped around zero.
     """
 
+    _forward_caches = ("_cache",)
+
     def __init__(
         self,
         num_groups: int,
@@ -81,16 +83,25 @@ class GroupNorm(Module):
             raise ValueError(f"expected {self.num_channels} channels, got {c}")
         g = self.num_groups
         grouped = x.reshape(n, g, -1)
-        mean = grouped.mean(axis=2, keepdims=True)
-        var = grouped.var(axis=2, keepdims=True)
+        m = grouped.shape[2]
+        # The reductions ``mean()`` and ``var()`` run, each done once, so the
+        # statistics are bit-identical to theirs.  The centered buffer turns
+        # into x_hat in place; the squares buffer takes the affine output.
+        mean = grouped.sum(axis=2, keepdims=True) / m
+        centered = grouped - mean
+        squares = centered * centered
+        var = squares.sum(axis=2, keepdims=True) / m
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = ((grouped - mean) * inv_std).reshape(n, c, h, w)
+        centered *= inv_std
+        x_hat = centered.reshape(n, c, h, w)
         self._cache = (x_hat, inv_std, x.shape)
         if not self.affine:
             return x_hat
         gamma = self.effective_scale()[None, :, None, None]
         beta = self.bias.data[None, :, None, None]
-        return gamma * x_hat + beta
+        out = np.multiply(gamma, x_hat, out=squares.reshape(n, c, h, w))
+        out += beta
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -133,6 +144,8 @@ class BatchNorm2d(Module):
         If ``True`` the layer normalizes with the current batch statistics
         even in evaluation mode (Table 10 of the paper).
     """
+
+    _forward_caches = ("_cache",)
 
     def __init__(
         self,

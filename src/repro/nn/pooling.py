@@ -22,6 +22,8 @@ def _check_divisible(h: int, w: int, kernel: int) -> None:
 class MaxPool2d(Module):
     """Non-overlapping max pooling (``stride == kernel_size``)."""
 
+    _forward_caches = ("_cache",)
+
     def __init__(self, kernel_size: int = 2):
         super().__init__()
         self.kernel_size = kernel_size
@@ -57,6 +59,8 @@ class MaxPool2d(Module):
 class AvgPool2d(Module):
     """Non-overlapping average pooling (``stride == kernel_size``)."""
 
+    _forward_caches = ("_input_shape",)
+
     def __init__(self, kernel_size: int = 2):
         super().__init__()
         self.kernel_size = kernel_size
@@ -82,6 +86,8 @@ class AvgPool2d(Module):
 
 class GlobalAvgPool2d(Module):
     """Average over all spatial positions, producing ``(N, C, 1, 1)``."""
+
+    _forward_caches = ("_input_shape",)
 
     def __init__(self) -> None:
         super().__init__()

@@ -68,6 +68,18 @@ def test_prepare_refuses_conflicting_context_with_live_items(grid, tmp_path):
         prepare_run_dir(run_dir, other.context(), group_jobs(other.jobs))
 
 
+def test_resubmit_after_an_in_process_forward_is_accepted(grid, blob_data, tmp_path):
+    """A forward pass fills the layers' caches; they must not leak into the
+    pickled context, or the unchanged spec would look like a different one."""
+    run_dir = str(tmp_path)
+    spec = grid()
+    first = submit_spec(run_dir, spec)
+    spec.models["m"].model(blob_data[1].inputs[:20])
+    again = submit_spec(run_dir, grid())
+    assert not again.enqueued
+    assert set(again.skipped) == set(first.enqueued)
+
+
 def test_manifest_records_run_parameters(grid, tmp_path):
     run_dir = str(tmp_path)
     spec = grid()

@@ -5,11 +5,14 @@ blob-store protocol must honor every lease/retry/fence invariant the
 ``filesystem`` rename protocol does.
 """
 
+import json
+import os
 import time
 
 import pytest
 
 from repro.cluster import JobQueue, RetryPolicy
+from repro.cluster.integrity import verify_run_dir
 
 BACKENDS = ["filesystem", "kv"]
 
@@ -250,3 +253,29 @@ def test_retry_policy_manifest_round_trip():
     )
     with pytest.raises(ValueError, match="max_attempts"):
         RetryPolicy(max_attempts=0)
+
+
+# -- claim vs. lease expiry ---------------------------------------------------
+
+
+@pytest.mark.parametrize("step", ["read", "write"])
+def test_claim_starts_the_lease_before_an_expiry_scan_can_see_it(queue, monkeypatch, step):
+    """An item queued longer ago than the lease timeout must not look like a
+    stale lease the moment it is claimed: an expiry scan between the claim's
+    move and its read (or its rewrite) must leave the claim intact."""
+    queue.enqueue("a", {"item": "a", "jobs": []})
+    queue.backend.touch("pending", "a", ts=time.time() - 10 * queue.lease_timeout)
+    real = getattr(queue.backend, step)
+
+    def scan_first(state, item_id, *args):
+        if state == "leased":
+            assert queue.requeue_expired() == []
+        return real(state, item_id, *args)
+
+    monkeypatch.setattr(queue.backend, step, scan_first)
+    item = queue.claim("w1")
+    assert item is not None and item.item_id == "a" and item.attempt == 1
+    assert queue.counts() == {"pending": 0, "leased": 1, "done": 0, "failed": 0}
+    with open(os.path.join(queue.run_dir, "manifest.json"), "w") as handle:
+        json.dump({"queue_backend": queue.backend.name}, handle)
+    assert verify_run_dir(queue.run_dir, lease_timeout=queue.lease_timeout).counts() == {}

@@ -1,7 +1,11 @@
 """Tests for Conv2d and the im2col/col2im primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import check_layer_gradients
 from repro.nn import Conv2d
@@ -27,6 +31,27 @@ def naive_conv2d(x, weight, bias, stride, padding):
     return out
 
 
+def naive_conv2d_backward(x, weight, grad_out, stride, padding):
+    """Reference input, weight and bias gradients with explicit loops."""
+    n, _, h, w = x.shape
+    c_out, _, kh, kw = weight.shape
+    _, _, out_h, out_w = grad_out.shape
+    x_padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    grad_padded = np.zeros_like(x_padded)
+    grad_weight = np.zeros_like(weight)
+    for b in range(n):
+        for o in range(c_out):
+            for i in range(out_h):
+                for j in range(out_w):
+                    rows = slice(i * stride, i * stride + kh)
+                    columns = slice(j * stride, j * stride + kw)
+                    g = grad_out[b, o, i, j]
+                    grad_weight[o] += g * x_padded[b, :, rows, columns]
+                    grad_padded[b, :, rows, columns] += g * weight[o]
+    grad_x = grad_padded[:, :, padding : padding + h, padding : padding + w]
+    return grad_x, grad_weight, grad_out.sum(axis=(0, 2, 3))
+
+
 def test_conv_output_size():
     assert conv_output_size(8, 3, 1, 1) == 8
     assert conv_output_size(8, 3, 2, 1) == 4
@@ -34,10 +59,15 @@ def test_conv_output_size():
 
 
 def test_im2col_shapes(rng):
+    # One (C * kh * kw, N * OH * OW) matrix for the whole batch: row
+    # (c, i, j), column (n, oh, ow).
     x = rng.normal(size=(2, 3, 8, 8))
     cols, out_h, out_w = im2col(x, 3, 3, 1, 1)
-    assert cols.shape == (2, 3 * 9, out_h * out_w)
+    assert cols.shape == (3 * 9, 2 * out_h * out_w)
     assert (out_h, out_w) == (8, 8)
+    assert cols.flags.c_contiguous
+    # Row (c=1, i=0, j=2), column (n=1, oh=3, ow=4) reads x[1, 1, 3 - 1 + 0, 4 - 1 + 2].
+    assert cols[1 * 9 + 0 * 3 + 2, 1 * 64 + 3 * 8 + 4] == x[1, 1, 2, 5]
 
 
 def test_im2col_col2im_adjoint(rng):
@@ -142,7 +172,7 @@ def test_matmul_gradients_match_finite_differences(rng):
 
 
 def test_im2col_strided_1x1_kernel_owns_its_memory(rng):
-    # Degenerate 1x1 stride-1 windows reshape to a *view*; im2col must still
+    # Degenerate 1x1 stride-1 windows are the input itself; im2col must still
     # hand back writable, unaliased columns (ResNet 1x1 projection shortcuts).
     x = rng.normal(size=(2, 3, 5, 5))
     cols, _, _ = im2col(x, 1, 1, 1, 0, method="strided")
@@ -153,3 +183,74 @@ def test_im2col_strided_1x1_kernel_owns_its_memory(rng):
     np.testing.assert_array_equal(x, x)  # input untouched
     again, _, _ = im2col(x, 1, 1, 1, 0, method="strided")
     np.testing.assert_array_equal(again + 1.0, cols)
+
+
+# -- differential and allocation checks over random shapes ------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    c=st.integers(1, 3),
+    o=st.integers(1, 3),
+    kernel=st.sampled_from([1, 2, 3, 5]),
+    stride=st.sampled_from([1, 2, 3]),
+    padding=st.sampled_from([0, 1, 2]),
+    bias=st.booleans(),
+    extra_h=st.integers(0, 5),
+    extra_w=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_matches_naive_loops_over_random_shapes(
+    n, c, o, kernel, stride, padding, bias, extra_h, extra_w, seed
+):
+    rng = np.random.default_rng(seed)
+    h = max(1, kernel - 2 * padding) + extra_h
+    w = max(1, kernel - 2 * padding) + extra_w
+    layer = Conv2d(c, o, kernel, stride=stride, padding=padding, bias=bias, rng=rng)
+    bias_values = rng.normal(size=o) if bias else np.zeros(o)
+    if bias:
+        layer.bias.data[:] = bias_values
+    x = rng.normal(size=(n, c, h, w))
+
+    out = layer(x)
+    np.testing.assert_allclose(
+        out, naive_conv2d(x, layer.weight.data, bias_values, stride, padding), atol=1e-10
+    )
+    grad_out = rng.normal(size=out.shape)
+    grad_x = layer.backward(grad_out)
+    want_x, want_w, want_b = naive_conv2d_backward(
+        x, layer.weight.data, grad_out, stride, padding
+    )
+    np.testing.assert_allclose(grad_x, want_x, atol=1e-10)
+    np.testing.assert_allclose(layer.weight.grad, want_w, atol=1e-10)
+    if bias:
+        np.testing.assert_allclose(layer.bias.grad, want_b, atol=1e-10)
+
+    cols, _, _ = im2col(x, kernel, kernel, stride, padding, method="strided")
+    loop, _, _ = im2col(x, kernel, kernel, stride, padding, method="loop")
+    np.testing.assert_array_equal(cols, loop)
+    y = rng.normal(size=cols.shape)
+    back = col2im(y, x.shape, kernel, kernel, stride, padding)
+    assert np.isclose(float((cols * y).sum()), float((x * back).sum()))
+
+
+@pytest.mark.parametrize(
+    "shape,kernel,stride,padding",
+    [((16, 16, 32, 32), 3, 1, 1), ((8, 32, 16, 16), 3, 1, 1), ((4, 8, 19, 21), 5, 2, 2)],
+)
+def test_im2col_allocates_only_its_output_and_the_padded_input(
+    rng, shape, kernel, stride, padding
+):
+    x = rng.normal(size=shape)
+    n, c, h, w = shape
+    padded_bytes = x.itemsize * n * c * (h + 2 * padding) * (w + 2 * padding)
+    tracemalloc.start()
+    try:
+        cols, _, _ = im2col(x, kernel, kernel, stride, padding)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A few KiB of interpreter objects ride along; a second column-sized
+    # copy would not fit.
+    assert peak <= cols.nbytes + padded_bytes + 4096

@@ -1,9 +1,25 @@
 """Tests for the Module/Parameter base classes."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Module, Parameter, ReLU, Sequential
+from repro.models import SimpleNet
+from repro.nn import (
+    AvgPool2d,
+    BatchNorm2d,
+    Conv2d,
+    Flatten,
+    LeakyReLU,
+    Linear,
+    Module,
+    Parameter,
+    ReLU,
+    Sequential,
+    Sigmoid,
+    Tanh,
+)
 
 
 class ToyModule(Module):
@@ -111,3 +127,37 @@ def test_named_modules_includes_nested():
     names = [name for name, _ in module.named_modules()]
     assert "" in names
     assert "child" in names
+
+
+# -- pickling drops per-forward caches ----------------------------------------
+
+
+def _simplenet():
+    return SimpleNet(widths=(4, 8), rng=np.random.default_rng(0)), (3, 3, 8, 8)
+
+
+def _every_cached_layer():
+    model = Sequential(
+        Conv2d(3, 4, kernel_size=3, padding=1, rng=np.random.default_rng(0)),
+        BatchNorm2d(4),
+        LeakyReLU(),
+        AvgPool2d(2),
+        Sigmoid(),
+        Flatten(),
+        Linear(16, 5, rng=np.random.default_rng(1)),
+        Tanh(),
+    )
+    return model.eval(), (3, 3, 4, 4)
+
+
+@pytest.mark.parametrize("build", [_simplenet, _every_cached_layer])
+def test_pickle_is_unchanged_by_a_forward_pass(build):
+    model, shape = build()
+    x = np.random.default_rng(2).normal(size=shape)
+    before = pickle.dumps(model)
+    logits = model(x)
+    assert pickle.dumps(model) == before  # no activations travel
+    restored = pickle.loads(before)
+    np.testing.assert_array_equal(restored(x), logits)
+    # Pickling leaves the live model's caches alone: backward still works.
+    model.backward(np.ones_like(logits))
