@@ -8,7 +8,7 @@ states, refresh or read its heartbeat.  This module extracts the storage
 half behind :class:`QueueBackend` so non-POSIX stores can slot in without
 touching a line of scheduler logic:
 
-* :class:`FilesystemQueueBackend` — today's protocol, bit-identical: one
+* :class:`FilesystemQueueBackend` — the historical on-disk layout: one
   ``<run_dir>/queue/<state>/<item>.json`` file per item, ``os.rename`` for
   moves, the file's mtime as the heartbeat.
 * :class:`KVQueueBackend` — the same contract over a minimal blob-store
@@ -29,7 +29,9 @@ one from nothing but the run directory.
 Move semantics: ``move(src, dst, item_id)`` returns ``False`` when this
 caller *lost the race* — another process moved the item first.  Exactly one
 concurrent mover wins; the scheduler layer builds every exactly-once
-guarantee on that.
+guarantee on that.  A move starts a fresh heartbeat as part of the same
+atomic step, so an item is never visible as leased with the stale heartbeat
+of the time it was queued.
 """
 
 from __future__ import annotations
@@ -99,13 +101,13 @@ class QueueBackend(abc.ABC):
         """Atomically create-or-replace the item; restarts its heartbeat."""
 
     @abc.abstractmethod
-    def move(self, src: str, dst: str, item_id: str, touch: bool = False) -> bool:
+    def move(self, src: str, dst: str, item_id: str) -> bool:
         """Atomically transition the item; ``False`` = lost the race.
 
-        With ``touch`` the item arrives in ``dst`` with a fresh heartbeat, as
-        part of the same atomic step: a claim's lease must be live the moment
-        the item is visible as leased, or a concurrent expiry scan can take
-        it back before the claimant's rewrite.
+        The item arrives in ``dst`` with a fresh heartbeat, as part of the
+        same atomic step: a claim's lease must be live the moment the item is
+        visible as leased, or a concurrent expiry scan can take it back
+        before the claimant's rewrite.
         """
 
     @abc.abstractmethod
@@ -124,7 +126,7 @@ class QueueBackend(abc.ABC):
 class FilesystemQueueBackend(QueueBackend):
     """The historical POSIX protocol: one file per item, rename to move.
 
-    Layout, byte format and every syscall are identical to the pre-seam
+    Layout and byte format are identical to the pre-seam
     :class:`~repro.cluster.queue.JobQueue` — a run directory written by an
     old fleet is claimable by a new one and vice versa.
     """
@@ -169,11 +171,10 @@ class FilesystemQueueBackend(QueueBackend):
         # Atomic replace; the fresh file's mtime doubles as the heartbeat.
         atomic_write_json(self._path(state, item_id), payload)
 
-    def move(self, src: str, dst: str, item_id: str, touch: bool = False) -> bool:
+    def move(self, src: str, dst: str, item_id: str) -> bool:
         source = self._path(src, item_id)
         try:
-            if touch:
-                os.utime(source)  # the rename keeps the fresh mtime
+            os.utime(source)  # the rename keeps the fresh mtime
             os.rename(source, self._path(dst, item_id))
         except (FileNotFoundError, PermissionError):
             # Lost the rename race (or a racing network filesystem); the
@@ -317,10 +318,10 @@ class KVQueueBackend(QueueBackend):
     expose no trustworthy mtime, so the heartbeat travels inside the
     document; ``touch`` rewrites it in place.
 
-    A move copies the source blob to the destination with ``if_absent``
-    (losing that put = another mover already placed it), then *commits* by
-    deleting the source; a failed delete means a concurrent mover committed
-    first, so the copy is rolled back.  The item may transiently appear in
+    A move copies the source blob, with a fresh heartbeat, to the
+    destination with ``if_absent`` (losing that put = another mover already
+    placed it), then *commits* by deleting the source; a failed delete means
+    a concurrent mover committed first, so the copy is rolled back.  The item may transiently appear in
     two states between put and delete — counts are snapshots here, as they
     are under concurrent renames — but exactly one mover ever returns
     ``True``.
@@ -377,19 +378,18 @@ class KVQueueBackend(QueueBackend):
         doc = {"hb": time.time(), "payload": payload}
         self.store.put(self._key(state, item_id), self._encode(doc))
 
-    def move(self, src: str, dst: str, item_id: str, touch: bool = False) -> bool:
+    def move(self, src: str, dst: str, item_id: str) -> bool:
         src_key = self._key(src, item_id)
         blob = self.store.get(src_key)
         if blob is None:
             return False
-        if touch:
-            # Stamp the heartbeat into the copy the put-if-absent places.  A
-            # separate read-modify-write touch of the source could bring back
-            # an item a concurrent mover already took.
-            doc = self._decode(blob)
-            if doc is not None:
-                doc["hb"] = time.time()
-                blob = self._encode(doc)
+        # Stamp the heartbeat into the copy the put-if-absent places.  A
+        # separate read-modify-write touch of the source could bring back an
+        # item a concurrent mover already took.
+        doc = self._decode(blob)
+        if doc is not None:
+            doc["hb"] = time.time()
+            blob = self._encode(doc)
         if not self.store.put(self._key(dst, item_id), blob, if_absent=True):
             return False  # another mover already placed the destination
         if not self.store.delete(src_key):

@@ -13,9 +13,10 @@ atomic on POSIX filesystems — so exactly one claimant wins a race and a
 crash can never leave an item in two states or in none:
 
 * **claim**: ``pending/x.json -> leased/x.json``.  Losers get
-  ``FileNotFoundError`` and move on to the next candidate.  The winner
-  immediately touches the file, starting its lease, and stamps the item's
-  **fence epoch** — a per-item counter that increments at every claim and
+  ``FileNotFoundError`` and move on to the next candidate.  Every move
+  refreshes the file's mtime before the rename, so the item arrives in
+  ``leased/`` with its lease already started.  The winner then stamps the
+  item's **fence epoch** — a per-item counter that increments at every claim and
   never resets.  Workers tag each shard line they publish with their fence;
   the merger rejects lines whose fence is stale for that item, so a zombie
   worker that resumes after losing its lease cannot contaminate the
@@ -50,8 +51,8 @@ atomically so readers on other hosts never observe partial files.
 
 The storage primitives behind all of the above — list/read/write/move/
 touch — live behind the pluggable :class:`~repro.cluster.backends.QueueBackend`
-seam: ``filesystem`` (this module's historical protocol, bit-identical) is
-the default, and ``kv`` speaks the same contract over a minimal blob-store
+seam: ``filesystem`` (this module's historical on-disk layout) is the
+default, and ``kv`` speaks the same contract over a minimal blob-store
 interface so S3-style object stores can host the queue without a shared
 POSIX filesystem.  The scheduling semantics above are backend-independent.
 """
@@ -266,7 +267,7 @@ class JobQueue:
         # content key, so claim order can never affect sweep output.
         random.shuffle(candidates)
         for item_id in candidates:
-            if not self.backend.move(PENDING, LEASED, item_id, touch=True):
+            if not self.backend.move(PENDING, LEASED, item_id):
                 rec.count("queue.claim_races")
                 continue  # lost the race (or racing filesystem); next
             payload = self.backend.read(LEASED, item_id)

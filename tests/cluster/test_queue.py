@@ -258,6 +258,18 @@ def test_retry_policy_manifest_round_trip():
 # -- claim vs. lease expiry ---------------------------------------------------
 
 
+def test_every_move_starts_a_fresh_heartbeat(queue):
+    backend = queue.backend
+    queue.enqueue("a", {"item": "a", "jobs": []})
+    stale = time.time() - 10 * queue.lease_timeout
+    for src, dst in [("pending", "leased"), ("leased", "done"), ("done", "pending")]:
+        assert backend.touch(src, "a", ts=stale)
+        before = time.time()
+        assert backend.move(src, dst, "a")
+        assert backend.mtime(dst, "a") >= before - 1.0  # second granularity
+        assert backend.read(dst, "a") == {"item": "a", "jobs": []}
+
+
 @pytest.mark.parametrize("step", ["read", "write"])
 def test_claim_starts_the_lease_before_an_expiry_scan_can_see_it(queue, monkeypatch, step):
     """An item queued longer ago than the lease timeout must not look like a
