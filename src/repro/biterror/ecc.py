@@ -15,12 +15,11 @@ and compared against RandBET (which needs no ECC).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
-
 
 __all__ = [
     "SECDEDConfig",
@@ -60,6 +59,11 @@ class SECDEDConfig:
         return self.check_bits / self.word_bits
 
 
+def _binomial_pmf(k: int, n: int, p: float) -> float:
+    """``P(X = k)`` for ``X ~ Binomial(n, p)``, in closed form."""
+    return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+
+
 def probability_multi_bit_error(p: float, config: SECDEDConfig = SECDEDConfig()) -> float:
     """Probability that a protected word suffers 2 or more bit errors.
 
@@ -70,8 +74,9 @@ def probability_multi_bit_error(p: float, config: SECDEDConfig = SECDEDConfig())
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     n = config.total_bits
-    # P(X >= 2) = 1 - P(0) - P(1) for X ~ Binomial(n, p).
-    return float(1.0 - stats.binom.cdf(1, n, p))
+    # P(X >= 2) for X ~ Binomial(n, p), summed term by term: 1 - P(0) - P(1)
+    # cancels catastrophically at small p.
+    return math.fsum(_binomial_pmf(k, n, p) for k in range(2, n + 1))
 
 
 def residual_bit_error_rate(p: float, config: SECDEDConfig = SECDEDConfig()) -> float:
@@ -85,10 +90,7 @@ def residual_bit_error_rate(p: float, config: SECDEDConfig = SECDEDConfig()) -> 
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     n = config.total_bits
-    ks = np.arange(0, n + 1)
-    pmf = stats.binom.pmf(ks, n, p)
-    expected_uncorrected = float((ks[2:] * pmf[2:]).sum())
-    return expected_uncorrected / n
+    return math.fsum(k * _binomial_pmf(k, n, p) for k in range(2, n + 1)) / n
 
 
 def apply_secded_to_codes(

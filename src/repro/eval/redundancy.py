@@ -56,10 +56,10 @@ def relu_relevance(model: Module, dataset: ArrayDataset, batch_size: int = 64) -
         index = np.arange(start, min(start + batch_size, len(dataset)))
         inputs, _ = dataset[index]
         model(inputs)
-        mask = final_relu._mask
-        if mask is not None:
-            total_nonzero += int(mask.sum())
-            total_count += int(mask.size)
+        activations = final_relu._input
+        if activations is not None:
+            total_nonzero += int(np.count_nonzero(activations > 0))
+            total_count += int(activations.size)
     model.train(was_training)
     if total_count == 0:
         return float("nan")

@@ -14,21 +14,23 @@ __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Identity"]
 class ReLU(Module):
     """Rectified linear unit, ``max(0, x)``."""
 
-    _forward_caches = ("_mask",)
+    _forward_caches = ("_input",)
 
     def __init__(self) -> None:
         super().__init__()
-        self._mask: Optional[np.ndarray] = None
+        self._input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._input = x
+        # One pass, bit-identical to np.where(x > 0, x, 0.0): fmax ignores
+        # NaN (NaN -> 0.0) and returns its second operand for -0.0 (-> +0.0).
+        return np.fmax(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._input is None:
             raise RuntimeError("backward() called before forward()")
-        return np.where(self._mask, np.asarray(grad_output, dtype=np.float64), 0.0)
+        return np.where(self._input > 0, np.asarray(grad_output, dtype=np.float64), 0.0)
 
 
 class LeakyReLU(Module):

@@ -1,10 +1,21 @@
 """2D convolution implemented via im2col / col2im.
 
-The im2col transformation unrolls every receptive field of the whole batch
-into one ``(C * kh * kw, N * OH * OW)`` column matrix, so a convolution is a
-single matrix multiplication — the standard vectorized NumPy formulation.
+The im2col transformation unrolls every receptive field of a batch into one
+``(C * kh * kw, N * OH * OW)`` column matrix, so a convolution is a single
+matrix multiplication — the standard vectorized NumPy formulation.
 ``im2col`` / ``col2im`` are exposed as module-level functions so pooling
 layers and tests can reuse them.
+
+``Conv2d.forward`` walks the batch in tiles of whole samples whose columns
+fit a fixed byte budget (half of a typical 2 MiB per-core L2; at least one
+sample).  Each tile is gathered into a per-layer scratch buffer, multiplied
+by one ``(O, K) @ (K, m * P)`` GEMM into a second tile-sized buffer, and
+written with the bias add and the ``(O, m, P) -> (m, O, P)`` transpose into
+its slice of the C-contiguous output.  Forward scratch memory therefore
+scales with the tile, not with ``N * K * P``; the layer caches its input,
+and backward gathers the tiles again for the per-sample weight-gradient
+GEMMs.  Every output element is the same dot product over ``K`` in the same
+order as with one batch-wide GEMM, so tiling changes no bit.
 
 Two hot-path choices are configurable for validation and benchmarking:
 
@@ -49,6 +60,10 @@ IM2COL_METHODS = ("strided", "loop")
 
 _contraction = "matmul"
 
+#: Column bytes one ``Conv2d`` tile may hold: half of a typical 2 MiB
+#: per-core L2, so a tile's columns are still cached when its GEMM reads them.
+_TILE_BYTES = 1 << 20
+
 
 def set_conv_contraction(mode: str) -> str:
     """Select the global Conv2d contraction engine; returns the previous one."""
@@ -80,6 +95,19 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _output_hw(
+    shape: Tuple[int, ...], kernel_h: int, kernel_w: int, stride: int, padding: int
+) -> Tuple[int, int]:
+    out_h = conv_output_size(shape[2], kernel_h, stride, padding)
+    out_w = conv_output_size(shape[3], kernel_w, stride, padding)
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"im2col produced non-positive output size for input {tuple(shape)} "
+            f"with kernel ({kernel_h},{kernel_w}), stride {stride}, padding {padding}"
+        )
+    return out_h, out_w
+
+
 def im2col(
     x: np.ndarray,
     kernel_h: int,
@@ -87,6 +115,8 @@ def im2col(
     stride: int,
     padding: int,
     method: str = "strided",
+    *,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int, int]:
     """Unroll the sliding windows of a whole batch into one column matrix.
 
@@ -104,30 +134,38 @@ def im2col(
         padded input straight into the result, one copy in total;
         ``"loop"`` fills it with one strided slice copy per kernel offset
         (the reference implementation).  Both produce bit-identical columns.
+    out:
+        Optional C-contiguous array of the result's shape and dtype to
+        gather into (a caller's scratch buffer); a new one otherwise.
 
     Returns
     -------
     cols:
         C-contiguous array of shape
         ``(C * kernel_h * kernel_w, N * out_h * out_w)``, sharing no memory
-        with ``x``.
+        with ``x`` (``out`` itself when given).
     out_h, out_w:
         Spatial output size.
     """
     if method not in IM2COL_METHODS:
         raise ValueError(f"unknown im2col method {method!r}; choose from {IM2COL_METHODS}")
     n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel_h, stride, padding)
-    out_w = conv_output_size(w, kernel_w, stride, padding)
-    if out_h <= 0 or out_w <= 0:
+    out_h, out_w = _output_hw(x.shape, kernel_h, kernel_w, stride, padding)
+    shape = (c * kernel_h * kernel_w, n * out_h * out_w)
+    if out is None:
+        out = np.empty(shape, dtype=x.dtype)
+    elif out.shape != shape or out.dtype != x.dtype or not out.flags.c_contiguous:
         raise ValueError(
-            f"im2col produced non-positive output size for input {x.shape} "
-            f"with kernel ({kernel_h},{kernel_w}), stride {stride}, padding {padding}"
+            f"im2col out= must be a C-contiguous {x.dtype} array of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
         )
-    x_padded = np.pad(
-        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-    )
-    cols = np.empty((c, kernel_h, kernel_w, n, out_h, out_w), dtype=x.dtype)
+    # Zeros plus one interior copy: np.pad's bookkeeping costs more than the
+    # copy on a tile of a few samples.
+    x_padded = x
+    if padding:
+        x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        x_padded[:, :, padding : padding + h, padding : padding + w] = x
+    cols = out.reshape(c, kernel_h, kernel_w, n, out_h, out_w)
     if method == "strided":
         sn, sc, sh, sw = x_padded.strides
         cols[...] = np.lib.stride_tricks.as_strided(
@@ -143,7 +181,7 @@ def im2col(
                 j_max = j + stride * out_w
                 window = x_padded[:, :, i:i_max:stride, j:j_max:stride]
                 cols[:, i, j] = window.transpose(1, 0, 2, 3)
-    return cols.reshape(c * kernel_h * kernel_w, n * out_h * out_w), out_h, out_w
+    return out, out_h, out_w
 
 
 def col2im(
@@ -192,7 +230,7 @@ class Conv2d(Module):
         Generator used for He initialization.
     """
 
-    _forward_caches = ("_cache",)
+    _forward_caches = ("_cache", "_scratch")
 
     def __init__(
         self,
@@ -217,6 +255,31 @@ class Conv2d(Module):
         if bias:
             self.bias = Parameter(init.zeros((out_channels,)))
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
+        self._scratch: Optional[np.ndarray] = None
+
+    def _tiles(
+        self, x: np.ndarray, positions: int
+    ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """Yield ``(start, stop, columns, product)`` per tile of whole samples.
+
+        ``columns`` holds the tile's im2col matrix and ``product`` has room
+        for its GEMM output; both are views of one scratch buffer that the
+        layer keeps across calls, so a fixed batch shape allocates it once.
+        """
+        n = x.shape[0]
+        k = self.kernel_size
+        rows = self.in_channels * k * k
+        tile = max(1, _TILE_BYTES // (rows * positions * x.itemsize))
+        size = min(tile, n) * (rows + self.out_channels) * positions
+        if self._scratch is None or self._scratch.size < size:
+            self._scratch = np.empty(size)
+        for start in range(0, n, tile):
+            stop = min(start + tile, n)
+            width = (stop - start) * positions
+            cols = self._scratch[: rows * width].reshape(rows, width)
+            product = self._scratch[rows * width : (rows + self.out_channels) * width]
+            im2col(x[start:stop], k, k, self.stride, self.padding, out=cols)
+            yield start, stop, cols, product.reshape(self.out_channels, width)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -224,56 +287,57 @@ class Conv2d(Module):
             raise ValueError(
                 f"Conv2d expected input (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        cols, out_h, out_w = im2col(
-            x, self.kernel_size, self.kernel_size, self.stride, self.padding
-        )
-        n = x.shape[0]
+        k = self.kernel_size
+        out_h, out_w = _output_hw(x.shape, k, k, self.stride, self.padding)
+        n, p = x.shape[0], out_h * out_w
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
-        if _contraction == "matmul":
-            # One (O, K) @ (K, N * P) BLAS gemm for the whole batch.
-            out_mat = weight_mat @ cols
-        else:
-            out_mat = np.einsum("ok,kq->oq", weight_mat, cols)
-        # Bias add and (O, N, P) -> (N, O, P) transpose in one pass, into a
-        # C-contiguous output: downstream reductions sum in memory order, so a
-        # transposed view would change their last bits.
-        by_sample = out_mat.reshape(self.out_channels, n, out_h * out_w).transpose(1, 0, 2)
-        out = np.empty((n, self.out_channels, out_h * out_w))
-        if self.has_bias:
-            np.add(by_sample, self.bias.data[None, :, None], out=out)
-        else:
-            out[...] = by_sample
-        self._cache = (cols, x.shape)
+        out = np.empty((n, self.out_channels, p))
+        for start, stop, cols, product in self._tiles(x, p):
+            if _contraction == "matmul":
+                # One (O, K) @ (K, m * P) BLAS gemm per tile of m samples.
+                np.matmul(weight_mat, cols, out=product)
+            else:
+                np.einsum("ok,kq->oq", weight_mat, cols, out=product)
+            # Bias add and (O, m, P) -> (m, O, P) transpose in one pass, into
+            # the tile's slice of the C-contiguous output: downstream
+            # reductions sum in memory order, so a transposed view would
+            # change their last bits.
+            by_sample = product.reshape(self.out_channels, stop - start, p).transpose(1, 0, 2)
+            if self.has_bias:
+                np.add(by_sample, self.bias.data[None, :, None], out=out[start:stop])
+            else:
+                out[start:stop] = by_sample
+        self._cache = (x, x.shape)
         return out.reshape(n, self.out_channels, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
-        cols, input_shape = self._cache
+        x, input_shape = self._cache
         n, _, out_h, out_w = grad_output.shape
         p = out_h * out_w
         grad_by_sample = np.asarray(grad_output, dtype=np.float64).reshape(
             n, self.out_channels, p
         )
-        # (O, N * P), the layout of the forward gemm's output (reshaping the
-        # transposed view copies it into C order).
-        grad_mat = grad_by_sample.transpose(1, 0, 2).reshape(self.out_channels, n * p)
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
-        # Parameter gradients.
-        if _contraction == "matmul":
-            # Per-sample (O, P) @ (P, K) gemms over strided views of the
-            # shared columns, summed over the batch in sample order: one
-            # (O, N * P) @ (N * P, K) gemm would sum in another order and
-            # change the gradient's last bits.
-            grad_weight = np.matmul(
-                grad_by_sample, cols.reshape(-1, n, p).transpose(1, 2, 0)
-            ).sum(axis=0)
-        else:
-            grad_weight = np.einsum("oq,kq->ok", grad_mat, cols)
-        self.weight.grad += grad_weight.reshape(self.weight.data.shape)
+        # Parameter gradients: per-sample (O, P) @ (P, K) gemms over strided
+        # views of each tile's columns, summed over the batch in sample
+        # order: one (O, N * P) @ (N * P, K) gemm would sum in another order
+        # and change the gradient's last bits.
+        per_sample = np.empty((n,) + weight_mat.shape)
+        for start, stop, cols, _ in self._tiles(x, p):
+            grads = grad_by_sample[start:stop]
+            columns = cols.reshape(-1, stop - start, p)
+            if _contraction == "matmul":
+                np.matmul(grads, columns.transpose(1, 2, 0), out=per_sample[start:stop])
+            else:
+                np.einsum("nop,knp->nok", grads, columns, out=per_sample[start:stop])
+        self.weight.grad += per_sample.sum(axis=0).reshape(self.weight.data.shape)
         if self.has_bias:
             self.bias.grad += grad_by_sample.sum(axis=(0, 2))
-        # Input gradient.
+        # Input gradient: (O, N * P), the layout of a batch-wide gemm's
+        # output (reshaping the transposed view copies it into C order).
+        grad_mat = grad_by_sample.transpose(1, 0, 2).reshape(self.out_channels, n * p)
         if _contraction == "matmul":
             # One (K, O) @ (O, N * P) gemm for the whole batch.
             grad_cols = weight_mat.T @ grad_mat

@@ -23,6 +23,10 @@ from repro.nn.module import Module, Parameter
 
 __all__ = ["GroupNorm", "BatchNorm2d"]
 
+#: Input bytes one ``GroupNorm`` tile may hold, so its centered values and
+#: squares stay cached between the statistics and the output.
+_TILE_BYTES = 1 << 19
+
 
 class GroupNorm(Module):
     """Group normalization over ``(N, C, H, W)`` inputs.
@@ -66,7 +70,7 @@ class GroupNorm(Module):
         if affine:
             self.scale = Parameter(np.zeros(num_channels) if reparameterize else np.ones(num_channels))
             self.bias = Parameter(np.zeros(num_channels))
-        self._cache: Optional[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]] = None
+        self._cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def effective_scale(self) -> np.ndarray:
         """Return the scale actually applied to the normalized activations."""
@@ -84,32 +88,46 @@ class GroupNorm(Module):
         g = self.num_groups
         grouped = x.reshape(n, g, -1)
         m = grouped.shape[2]
-        # The reductions ``mean()`` and ``var()`` run, each done once, so the
-        # statistics are bit-identical to theirs.  The centered buffer turns
-        # into x_hat in place; the squares buffer takes the affine output.
-        mean = grouped.sum(axis=2, keepdims=True) / m
-        centered = grouped - mean
-        squares = centered * centered
-        var = squares.sum(axis=2, keepdims=True) / m
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        centered *= inv_std
-        x_hat = centered.reshape(n, c, h, w)
-        self._cache = (x_hat, inv_std, x.shape)
-        if not self.affine:
-            return x_hat
-        gamma = self.effective_scale()[None, :, None, None]
-        beta = self.bias.data[None, :, None, None]
-        out = np.multiply(gamma, x_hat, out=squares.reshape(n, c, h, w))
-        out += beta
+        mean = np.empty((n, g, 1))
+        inv_std = np.empty((n, g, 1))
+        out = np.empty((n, c, h, w))
+        if self.affine:
+            gamma = self.effective_scale()[None, :, None, None]
+            beta = self.bias.data[None, :, None, None]
+        # Statistics are per sample, so tiles of whole samples that stay in
+        # cache change no bit.  Per tile, the reductions ``mean()`` and
+        # ``var()`` run (sum / count, squares sum / count), then x_hat goes
+        # straight into the output and the affine map is applied in place.
+        # Only the output is batch-sized: backward recomputes x_hat from the
+        # cached input with the same two operations.
+        tile = max(1, _TILE_BYTES // max(c * h * w * x.itemsize, 1))
+        centered_buffer, squares_buffer = np.empty((2, min(tile, n), g, m))
+        for start in range(0, n, tile):
+            stop = min(start + tile, n)
+            block, size = grouped[start:stop], stop - start
+            block_mean = np.divide(block.sum(axis=2, keepdims=True), m, out=mean[start:stop])
+            centered = np.subtract(block, block_mean, out=centered_buffer[:size])
+            squares = np.multiply(centered, centered, out=squares_buffer[:size])
+            var = squares.sum(axis=2, keepdims=True) / m
+            block_inv_std = np.divide(1.0, np.sqrt(var + self.eps), out=inv_std[start:stop])
+            block_out = out[start:stop]
+            np.multiply(centered, block_inv_std, out=block_out.reshape(size, g, m))
+            if self.affine:
+                block_out *= gamma
+                block_out += beta
+        self._cache = (x, mean, inv_std)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
-        x_hat, inv_std, input_shape = self._cache
-        n, c, h, w = input_shape
+        x, mean, inv_std = self._cache
+        n, c, h, w = x.shape
         g = self.num_groups
         grad_output = np.asarray(grad_output, dtype=np.float64)
+        x_hat_g = x.reshape(n, g, -1) - mean
+        x_hat_g *= inv_std
+        x_hat = x_hat_g.reshape(n, c, h, w)
 
         if self.affine:
             self.scale.grad += (grad_output * x_hat).sum(axis=(0, 2, 3))
@@ -120,7 +138,6 @@ class GroupNorm(Module):
             grad_x_hat = grad_output
 
         grad_x_hat = grad_x_hat.reshape(n, g, -1)
-        x_hat_g = x_hat.reshape(n, g, -1)
         m = grad_x_hat.shape[2]
         sum_grad = grad_x_hat.sum(axis=2, keepdims=True)
         sum_grad_xhat = (grad_x_hat * x_hat_g).sum(axis=2, keepdims=True)

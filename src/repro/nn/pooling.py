@@ -27,26 +27,34 @@ class MaxPool2d(Module):
     def __init__(self, kernel_size: int = 2):
         super().__init__()
         self.kernel_size = kernel_size
-        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...]]] = None
+        self._cache: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         n, c, h, w = x.shape
         k = self.kernel_size
         _check_divisible(h, w, k)
-        reshaped = x.reshape(n, c, h // k, k, w // k, k)
-        windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // k, w // k, k * k)
-        argmax = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
-        self._cache = (argmax, x.shape)
+        windows = x.reshape(n, c, h // k, k, w // k, k)
+        # A running maximum over the k * k window offsets in argmax order.
+        # On x86, numpy's vectorized np.maximum returns its second operand
+        # when +0.0 meets -0.0, so the earlier value wins, as argmax picks
+        # it (test_conv_parity pins this); NaN propagates.
+        out = windows[:, :, :, 0, :, 0].copy()
+        for i in range(k):
+            for j in range(k):
+                if i or j:
+                    np.maximum(windows[:, :, :, i, :, j], out, out=out)
+        self._cache = x
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
-        argmax, input_shape = self._cache
-        n, c, h, w = input_shape
+        x = self._cache
+        n, c, h, w = x.shape
         k = self.kernel_size
+        windows = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
+        argmax = windows.reshape(n, c, h // k, w // k, k * k).argmax(axis=-1)
         grad_windows = np.zeros((n, c, h // k, w // k, k * k), dtype=np.float64)
         np.put_along_axis(
             grad_windows, argmax[..., None], np.asarray(grad_output)[..., None], axis=-1

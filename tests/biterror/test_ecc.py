@@ -1,5 +1,11 @@
 """Tests for the SECDED ECC mitigation baseline."""
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -94,3 +100,29 @@ def test_secded_reduces_error_rate_at_low_p_but_not_high_p(rng):
 
 def test_ecc_energy_overhead():
     assert np.isclose(ecc_energy_overhead(SECDEDConfig(64, 8)), 0.125)
+
+
+def _exact_tail_sums(p, n):
+    """``sum P(X = k)`` and ``sum k P(X = k)`` over ``k >= 2``, exactly."""
+    p = Fraction(p)
+    pmf = [comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(2, n + 1)]
+    return sum(pmf), sum(k * q for k, q in zip(range(2, n + 1), pmf))
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-4, 1e-3, 0.01, 0.05, 0.5, 1.0])
+def test_binomial_formulas_match_exact_rational_arithmetic(p):
+    config = SECDEDConfig()
+    tail, weighted = _exact_tail_sums(p, config.total_bits)
+    np.testing.assert_allclose(probability_multi_bit_error(p, config), float(tail), rtol=1e-12)
+    np.testing.assert_allclose(
+        residual_bit_error_rate(p, config),
+        float(weighted / config.total_bits),
+        rtol=1e-12,
+    )
+
+
+def test_import_repro_does_not_load_scipy():
+    code = "import sys, repro; assert 'scipy' not in sys.modules"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

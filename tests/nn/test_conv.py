@@ -1,12 +1,14 @@
 """Tests for Conv2d and the im2col/col2im primitives."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.nn.conv as conv_module
 from helpers import check_layer_gradients
 from repro.nn import Conv2d
 from repro.nn.conv import col2im, conv_output_size, im2col
@@ -188,8 +190,7 @@ def test_im2col_strided_1x1_kernel_owns_its_memory(rng):
 # -- differential and allocation checks over random shapes ------------------
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+RANDOM_CONVS = dict(
     n=st.integers(1, 3),
     c=st.integers(1, 3),
     o=st.integers(1, 3),
@@ -201,7 +202,9 @@ def test_im2col_strided_1x1_kernel_owns_its_memory(rng):
     extra_w=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_conv_matches_naive_loops_over_random_shapes(
+
+
+def check_conv_against_naive_loops(
     n, c, o, kernel, stride, padding, bias, extra_h, extra_w, seed
 ):
     rng = np.random.default_rng(seed)
@@ -233,6 +236,49 @@ def test_conv_matches_naive_loops_over_random_shapes(
     y = rng.normal(size=cols.shape)
     back = col2im(y, x.shape, kernel, kernel, stride, padding)
     assert np.isclose(float((cols * y).sum()), float((x * back).sum()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RANDOM_CONVS)
+def test_conv_matches_naive_loops_over_random_shapes(**case):
+    check_conv_against_naive_loops(**case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RANDOM_CONVS)
+def test_conv_matches_naive_loops_in_one_sample_tiles(**case):
+    # A one-byte budget still takes one whole sample per tile, so every
+    # batch of 2 or 3 runs forward and backward over several tiles.
+    with mock.patch.object(conv_module, "_TILE_BYTES", 1):
+        check_conv_against_naive_loops(**case)
+
+
+def test_im2col_fills_a_caller_buffer(rng):
+    x = rng.normal(size=(2, 3, 5, 5))
+    want, _, _ = im2col(x, 3, 3, 1, 1)
+    buffer = np.empty_like(want)
+    got, out_h, out_w = im2col(x, 3, 3, 1, 1, out=buffer)
+    assert got is buffer and (out_h, out_w) == (5, 5)
+    np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError, match="out="):
+        im2col(x, 3, 3, 1, 1, out=np.empty((want.shape[1], want.shape[0])))
+
+
+def test_eval_forward_allocates_its_output_and_one_tile(rng):
+    layer = Conv2d(16, 16, 3, padding=1, rng=rng).eval()
+    x = rng.normal(size=(64, 16, 32, 32))
+    k_rows, positions = 16 * 3 * 3, 32 * 32
+    # One tile: its columns (one sample's here, as they exceed the budget),
+    # its GEMM output and its padded input.
+    tile = (k_rows + 16) * positions * 8 + 16 * 34 * 34 * 8
+    tracemalloc.start()
+    try:
+        out = layer(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A batch-wide column matrix alone would be 9x the output.
+    assert peak <= out.nbytes + x.nbytes + tile + 64 * 1024
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,24 @@
-"""Bit parity of Conv2d and GroupNorm with a test-local oracle of the per-sample math.
+"""Bit parity of the SimpleNet layers with test-local oracles of the plain math.
 
-The oracle is the formulation the batch-wide layout replaced: loop-built
+The conv oracle is the formulation the batch-wide layout replaced: loop-built
 ``(N, K, P)`` columns, one ``W @ cols[n]`` GEMM per sample plus the bias,
 per-sample weight- and input-gradient GEMMs, a per-sample-layout
 ``col2im``, and a GroupNorm that takes its statistics from
 ``mean()``/``var()``.  The library must reproduce it bit for bit at every
-SimpleNet layer shape, at the full batch of 64 and at the short last batch
-of 4 that a 260-image plan ends with.
+SimpleNet layer shape, at the full batch of 64, at the short last batch of
+4 that a 260-image plan ends with, and at 1 and 37 samples, which end
+Conv2d's and GroupNorm's cache-sized tiles part-way at every shape.
+
+The ReLU oracle is ``np.where(x > 0, x, 0.0)`` with an ``x > 0`` mask, and
+the max-pool oracle gathers each window into a trailing axis and takes its
+argmax.  Both must be matched bit for bit, signed zeros included, on
+inputs full of signed zeros, NaN, infinities and tied windows.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, GroupNorm
+from repro.nn import Conv2d, GroupNorm, MaxPool2d, ReLU
 from repro.nn.conv import conv_output_size
 
 #: SimpleNet(widths=(16, 32, 64)) conv layers: (in, out, spatial side).
@@ -87,7 +93,7 @@ def oracle_groupnorm(layer, x, grad_output):
     return out, grad_input.reshape(n, c, h, w), grad_scale, grad_bias
 
 
-@pytest.mark.parametrize("batch", [64, 4])
+@pytest.mark.parametrize("batch", [64, 4, 1, 37])
 @pytest.mark.parametrize("in_channels,out_channels,side", SIMPLENET_CONVS)
 def test_conv_and_groupnorm_match_the_per_sample_oracle_bit_for_bit(
     batch, in_channels, out_channels, side
@@ -121,3 +127,70 @@ def test_conv_and_groupnorm_match_the_per_sample_oracle_bit_for_bit(
     ]
     for got, want in pairs:
         np.testing.assert_array_equal(got, want)
+
+
+def oracle_relu(x, grad_output):
+    mask = x > 0
+    return np.where(mask, x, 0.0), np.where(mask, grad_output, 0.0)
+
+
+def oracle_maxpool(x, k, grad_output):
+    n, c, h, w = x.shape
+    windows = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
+    windows = windows.reshape(n, c, h // k, w // k, k * k)
+    argmax = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    grad_windows = np.zeros(windows.shape)
+    np.put_along_axis(grad_windows, argmax[..., None], grad_output[..., None], axis=-1)
+    grad_windows = grad_windows.reshape(n, c, h // k, w // k, k, k)
+    return out, grad_windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+
+
+#: Every awkward float a layer can meet.  NaNs share one bit pattern: which
+#: of two different NaNs a maximum propagates is not specified.
+SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, -5e-324])
+
+
+def special_input(rng, shape):
+    """Mostly special values, with runs of repeats so windows tie."""
+    x = rng.choice(SPECIAL, size=shape)
+    x[..., 1::2] = x[..., :-1:2]
+    return x
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 6), (1, 1, 1, 1), (3, 2, 5, 17)])
+def test_relu_matches_the_where_oracle_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = special_input(rng, shape)
+    grad_output = special_input(rng, shape)
+    layer = ReLU()
+    out = layer(x)
+    grad_x = layer.backward(grad_output)
+    want_out, want_grad = oracle_relu(x, grad_output)
+    assert_bits_equal(out, want_out)
+    assert_bits_equal(grad_x, want_grad)
+    assert not np.signbit(out).any()  # -0.0 and NaN come out as +0.0
+
+
+@pytest.mark.parametrize("kernel,shape", [(2, (2, 3, 4, 6)), (2, (5, 4, 8, 8)), (3, (2, 2, 9, 6))])
+def test_maxpool_matches_the_argmax_oracle_bit_for_bit(kernel, shape):
+    rng = np.random.default_rng(kernel * 100 + sum(shape))
+    x = special_input(rng, shape)
+    # Whole windows of +0.0 and -0.0 in both orders: argmax keeps the first.
+    x[0, 0, :kernel, :kernel] = 0.0
+    x[0, 0, 0, 0] = -0.0
+    x[-1, -1, -kernel:, -kernel:] = -0.0
+    x[-1, -1, -1, -1] = 0.0
+    layer = MaxPool2d(kernel)
+    out = layer(x)
+    grad_output = rng.normal(size=out.shape)
+    grad_x = layer.backward(grad_output)
+    want_out, want_grad = oracle_maxpool(x, kernel, grad_output)
+    assert np.isnan(want_out).any() and (want_out == 0).any()
+    assert_bits_equal(out, want_out)
+    assert_bits_equal(grad_x, want_grad)

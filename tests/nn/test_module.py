@@ -13,6 +13,7 @@ from repro.nn import (
     Flatten,
     LeakyReLU,
     Linear,
+    MaxPool2d,
     Module,
     Parameter,
     ReLU,
@@ -140,6 +141,8 @@ def _every_cached_layer():
     model = Sequential(
         Conv2d(3, 4, kernel_size=3, padding=1, rng=np.random.default_rng(0)),
         BatchNorm2d(4),
+        ReLU(),
+        MaxPool2d(2),
         LeakyReLU(),
         AvgPool2d(2),
         Sigmoid(),
@@ -147,7 +150,7 @@ def _every_cached_layer():
         Linear(16, 5, rng=np.random.default_rng(1)),
         Tanh(),
     )
-    return model.eval(), (3, 3, 4, 4)
+    return model.eval(), (3, 3, 8, 8)
 
 
 @pytest.mark.parametrize("build", [_simplenet, _every_cached_layer])
