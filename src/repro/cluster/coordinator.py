@@ -13,7 +13,9 @@ other change.  ``run``:
    directory's canonical store already answers;
 2. spawns local worker daemons (``python -m repro.cluster worker``) unless
    live workers are already attached to the directory or
-   ``spawn_workers=False``;
+   ``spawn_workers=False``; each gets an equal share of this host's CPUs
+   as its BLAS thread count, unless the user set one of
+   ``OPENBLAS/OMP/MKL_NUM_THREADS``;
 3. polls: incrementally merges worker shards into the canonical store
    (idempotent, content keys dedupe), requeues expired leases so crashed
    workers' groups are retried, restarts dead local daemons within a
@@ -55,6 +57,7 @@ from repro.cluster.merge import (
 )
 from repro.cluster.backends import DEFAULT_QUEUE_BACKEND
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, RetryPolicy
+from repro.nn import _threads
 from repro.runtime.executors import GroupOutput, register_executor
 from repro.runtime.spec import EvalJob, SweepContext
 from repro.runtime.store import ResultStore
@@ -438,6 +441,7 @@ class ClusterExecutor:
                         run_dir,
                         worker_id=f"local-{os.getpid()}-{index}",
                         poll_interval=self.poll_interval,
+                        extra_env=_threads.worker_env(self.max_workers),
                     )
                 )
             # repro: ignore[REP008] spawn refusal *is* the degradation signal
@@ -472,6 +476,7 @@ class ClusterExecutor:
                             run_dir,
                             worker_id=f"local-{os.getpid()}-r{restarts_left}",
                             poll_interval=self.poll_interval,
+                            extra_env=_threads.worker_env(self.max_workers),
                         )
                     )
                 except OSError:

@@ -6,9 +6,15 @@ from typing import Optional
 
 import numpy as np
 
+from repro.nn import _threads
 from repro.nn.module import Module
 
 __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Identity"]
+
+#: Input bytes one ``ReLU`` tile may hold.
+_TILE_BYTES = 1 << 18
+
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 class ReLU(Module):
@@ -23,14 +29,39 @@ class ReLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._input = x
-        # One pass, bit-identical to np.where(x > 0, x, 0.0): fmax ignores
-        # NaN (NaN -> 0.0) and returns its second operand for -0.0 (-> +0.0).
-        return np.fmax(x, 0.0)
+        out = np.empty_like(x)
+
+        def run(first: int, last: int) -> None:
+            # One pass, bit-identical to np.where(x > 0, x, 0.0): fmax ignores
+            # NaN (NaN -> 0.0) and returns its second operand for -0.0 (-> +0.0).
+            np.fmax(x[first:last], 0.0, out=out[first:last])
+
+        _threads.spread(len(x), _threads.sample_tile(x, _TILE_BYTES), run)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward() called before forward()")
-        return np.where(self._input > 0, np.asarray(grad_output, dtype=np.float64), 0.0)
+        x = self._input
+        grad_output = np.asarray(grad_output, dtype=np.float64)
+        grad_input = np.empty_like(grad_output)
+        grad_bits, input_bits = grad_output.view(np.uint64), grad_input.view(np.uint64)
+        tile = _threads.sample_tile(x, _TILE_BYTES)
+
+        def run(first: int, last: int) -> None:
+            # np.where(x > 0, grad, 0.0) as bit operations, which take no
+            # branch per element: the gradient's bits ANDed with all ones
+            # where x > 0 and with zeros (+0.0) elsewhere.  Cache-sized
+            # tiles keep the masks cached between the passes.
+            ones = _threads.scratch(x[first : first + tile].size).view(np.uint64)
+            for start in range(first, last, tile):
+                block = slice(start, min(start + tile, last))
+                mask = np.greater(x[block], 0.0)
+                bits = np.multiply(mask, _ALL_ONES, out=ones[: mask.size].reshape(mask.shape))
+                np.bitwise_and(grad_bits[block], bits, out=input_bits[block])
+
+        _threads.spread(len(x), tile, run)
+        return grad_input
 
 
 class LeakyReLU(Module):

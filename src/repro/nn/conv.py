@@ -6,16 +6,22 @@ matrix multiplication — the standard vectorized NumPy formulation.
 ``im2col`` / ``col2im`` are exposed as module-level functions so pooling
 layers and tests can reuse them.
 
-``Conv2d.forward`` walks the batch in tiles of whole samples whose columns
-fit a fixed byte budget (half of a typical 2 MiB per-core L2; at least one
-sample).  Each tile is gathered into a per-layer scratch buffer, multiplied
-by one ``(O, K) @ (K, m * P)`` GEMM into a second tile-sized buffer, and
-written with the bias add and the ``(O, m, P) -> (m, O, P)`` transpose into
-its slice of the C-contiguous output.  Forward scratch memory therefore
-scales with the tile, not with ``N * K * P``; the layer caches its input,
-and backward gathers the tiles again for the per-sample weight-gradient
-GEMMs.  Every output element is the same dot product over ``K`` in the same
-order as with one batch-wide GEMM, so tiling changes no bit.
+``Conv2d`` walks the batch in tiles of whole samples whose columns fit a
+fixed byte budget (half of a typical 2 MiB per-core L2; at least one
+sample), spread over the process's thread budget (see
+:mod:`repro.nn._threads`).  Forward gathers each tile into the running
+thread's scratch buffer, multiplies it by one ``(O, K) @ (K, m * P)`` GEMM
+into a second tile-sized buffer, and writes it with the bias add and the
+``(O, m, P) -> (m, O, P)`` transpose into its slice of the C-contiguous
+output.  The layer caches its input, not its columns.  Backward gathers
+each tile again, runs the per-sample weight-gradient GEMMs into one
+``(N, O, K)`` buffer, runs one ``(K, O) @ (O, m * P)`` input-gradient GEMM
+into the columns' scratch and scatters it with :func:`col2im` into the
+tile's slice of the input gradient; the ``(N, O, K)`` buffer is summed over
+the batch in sample order after the tiles.  Scratch memory therefore scales
+with the tile, not with ``N * K * P``.  Every output element is the same
+dot product over ``K`` (or ``O``) in the same order as with per-sample
+GEMMs, so neither tiling nor threads change a bit.
 
 Two hot-path choices are configurable for validation and benchmarking:
 
@@ -35,7 +41,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.nn import init
+from repro.nn import _threads, init
 from repro.nn.module import Module, Parameter
 
 __all__ = [
@@ -230,7 +236,7 @@ class Conv2d(Module):
         Generator used for He initialization.
     """
 
-    _forward_caches = ("_cache", "_scratch")
+    _forward_caches = ("_cache",)
 
     def __init__(
         self,
@@ -255,31 +261,33 @@ class Conv2d(Module):
         if bias:
             self.bias = Parameter(init.zeros((out_channels,)))
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
-        self._scratch: Optional[np.ndarray] = None
+
+    def _samples_per_tile(self, positions: int) -> int:
+        """Whole samples per tile: their columns fit ``_TILE_BYTES`` (at least 1)."""
+        rows = self.in_channels * self.kernel_size * self.kernel_size
+        return max(1, _TILE_BYTES // (rows * positions * 8))
 
     def _tiles(
-        self, x: np.ndarray, positions: int
+        self, x: np.ndarray, positions: int, first: int, last: int
     ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
-        """Yield ``(start, stop, columns, product)`` per tile of whole samples.
+        """Yield ``(start, stop, columns, spare)`` per tile of samples ``[first, last)``.
 
-        ``columns`` holds the tile's im2col matrix and ``product`` has room
-        for its GEMM output; both are views of one scratch buffer that the
-        layer keeps across calls, so a fixed batch shape allocates it once.
+        ``columns`` holds the tile's im2col matrix and ``spare`` has room for
+        an ``(O, m * P)`` matrix; both are views of this thread's scratch.
         """
-        n = x.shape[0]
         k = self.kernel_size
         rows = self.in_channels * k * k
-        tile = max(1, _TILE_BYTES // (rows * positions * x.itemsize))
-        size = min(tile, n) * (rows + self.out_channels) * positions
-        if self._scratch is None or self._scratch.size < size:
-            self._scratch = np.empty(size)
-        for start in range(0, n, tile):
-            stop = min(start + tile, n)
+        tile = self._samples_per_tile(positions)
+        buffer = _threads.scratch(
+            min(tile, last - first) * (rows + self.out_channels) * positions
+        )
+        for start in range(first, last, tile):
+            stop = min(start + tile, last)
             width = (stop - start) * positions
-            cols = self._scratch[: rows * width].reshape(rows, width)
-            product = self._scratch[rows * width : (rows + self.out_channels) * width]
+            cols = buffer[: rows * width].reshape(rows, width)
+            spare = buffer[rows * width : (rows + self.out_channels) * width]
             im2col(x[start:stop], k, k, self.stride, self.padding, out=cols)
-            yield start, stop, cols, product.reshape(self.out_channels, width)
+            yield start, stop, cols, spare.reshape(self.out_channels, width)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -292,21 +300,25 @@ class Conv2d(Module):
         n, p = x.shape[0], out_h * out_w
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
         out = np.empty((n, self.out_channels, p))
-        for start, stop, cols, product in self._tiles(x, p):
-            if _contraction == "matmul":
-                # One (O, K) @ (K, m * P) BLAS gemm per tile of m samples.
-                np.matmul(weight_mat, cols, out=product)
-            else:
-                np.einsum("ok,kq->oq", weight_mat, cols, out=product)
-            # Bias add and (O, m, P) -> (m, O, P) transpose in one pass, into
-            # the tile's slice of the C-contiguous output: downstream
-            # reductions sum in memory order, so a transposed view would
-            # change their last bits.
-            by_sample = product.reshape(self.out_channels, stop - start, p).transpose(1, 0, 2)
-            if self.has_bias:
-                np.add(by_sample, self.bias.data[None, :, None], out=out[start:stop])
-            else:
-                out[start:stop] = by_sample
+
+        def run(first: int, last: int) -> None:
+            for start, stop, cols, product in self._tiles(x, p, first, last):
+                if _contraction == "matmul":
+                    # One (O, K) @ (K, m * P) BLAS gemm per tile of m samples.
+                    np.matmul(weight_mat, cols, out=product)
+                else:
+                    np.einsum("ok,kq->oq", weight_mat, cols, out=product)
+                # Bias add and (O, m, P) -> (m, O, P) transpose in one pass,
+                # into the tile's slice of the C-contiguous output: downstream
+                # reductions sum in memory order, so a transposed view would
+                # change their last bits.
+                by_sample = product.reshape(self.out_channels, stop - start, p).transpose(1, 0, 2)
+                if self.has_bias:
+                    np.add(by_sample, self.bias.data[None, :, None], out=out[start:stop])
+                else:
+                    out[start:stop] = by_sample
+
+        _threads.spread(n, self._samples_per_tile(p), run)
         self._cache = (x, x.shape)
         return out.reshape(n, self.out_channels, out_h, out_w)
 
@@ -320,34 +332,38 @@ class Conv2d(Module):
             n, self.out_channels, p
         )
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
-        # Parameter gradients: per-sample (O, P) @ (P, K) gemms over strided
-        # views of each tile's columns, summed over the batch in sample
-        # order: one (O, N * P) @ (N * P, K) gemm would sum in another order
-        # and change the gradient's last bits.
+        k = self.kernel_size
         per_sample = np.empty((n,) + weight_mat.shape)
-        for start, stop, cols, _ in self._tiles(x, p):
-            grads = grad_by_sample[start:stop]
-            columns = cols.reshape(-1, stop - start, p)
-            if _contraction == "matmul":
-                np.matmul(grads, columns.transpose(1, 2, 0), out=per_sample[start:stop])
-            else:
-                np.einsum("nop,knp->nok", grads, columns, out=per_sample[start:stop])
+        grad_input = np.empty(input_shape)
+
+        def run(first: int, last: int) -> None:
+            for start, stop, cols, grad_mat in self._tiles(x, p, first, last):
+                grads = grad_by_sample[start:stop]
+                columns = cols.reshape(-1, stop - start, p)
+                # Per-sample (O, P) @ (P, K) weight-gradient gemms over strided
+                # views of the tile's columns, summed over the batch below.
+                if _contraction == "matmul":
+                    np.matmul(grads, columns.transpose(1, 2, 0), out=per_sample[start:stop])
+                else:
+                    np.einsum("nop,knp->nok", grads, columns, out=per_sample[start:stop])
+                # Input gradient: the tile's (O, m * P) gradients, one
+                # (K, O) @ (O, m * P) gemm into the columns' scratch, then
+                # col2im into the tile's slice of the input gradient.
+                np.copyto(grad_mat.reshape(self.out_channels, stop - start, p),
+                          grads.transpose(1, 0, 2))
+                if _contraction == "matmul":
+                    np.matmul(weight_mat.T, grad_mat, out=cols)
+                else:
+                    np.einsum("ok,oq->kq", weight_mat, grad_mat, out=cols)
+                grad_input[start:stop] = col2im(
+                    cols, (stop - start,) + input_shape[1:], k, k, self.stride, self.padding
+                )
+
+        _threads.spread(n, self._samples_per_tile(p), run)
+        # Summed over the batch in sample order after the region: one
+        # (O, N * P) @ (N * P, K) gemm would sum in another order and change
+        # the gradient's last bits.
         self.weight.grad += per_sample.sum(axis=0).reshape(self.weight.data.shape)
         if self.has_bias:
             self.bias.grad += grad_by_sample.sum(axis=(0, 2))
-        # Input gradient: (O, N * P), the layout of a batch-wide gemm's
-        # output (reshaping the transposed view copies it into C order).
-        grad_mat = grad_by_sample.transpose(1, 0, 2).reshape(self.out_channels, n * p)
-        if _contraction == "matmul":
-            # One (K, O) @ (O, N * P) gemm for the whole batch.
-            grad_cols = weight_mat.T @ grad_mat
-        else:
-            grad_cols = np.einsum("ok,oq->kq", weight_mat, grad_mat)
-        return col2im(
-            grad_cols,
-            input_shape,
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            self.padding,
-        )
+        return grad_input

@@ -19,6 +19,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.nn import _threads
 from repro.nn.module import Module, Parameter
 
 __all__ = ["GroupNorm", "BatchNorm2d"]
@@ -94,27 +95,32 @@ class GroupNorm(Module):
         if self.affine:
             gamma = self.effective_scale()[None, :, None, None]
             beta = self.bias.data[None, :, None, None]
+        tile = _threads.sample_tile(x, _TILE_BYTES)
+
         # Statistics are per sample, so tiles of whole samples that stay in
         # cache change no bit.  Per tile, the reductions ``mean()`` and
         # ``var()`` run (sum / count, squares sum / count), then x_hat goes
         # straight into the output and the affine map is applied in place.
         # Only the output is batch-sized: backward recomputes x_hat from the
         # cached input with the same two operations.
-        tile = max(1, _TILE_BYTES // max(c * h * w * x.itemsize, 1))
-        centered_buffer, squares_buffer = np.empty((2, min(tile, n), g, m))
-        for start in range(0, n, tile):
-            stop = min(start + tile, n)
-            block, size = grouped[start:stop], stop - start
-            block_mean = np.divide(block.sum(axis=2, keepdims=True), m, out=mean[start:stop])
-            centered = np.subtract(block, block_mean, out=centered_buffer[:size])
-            squares = np.multiply(centered, centered, out=squares_buffer[:size])
-            var = squares.sum(axis=2, keepdims=True) / m
-            block_inv_std = np.divide(1.0, np.sqrt(var + self.eps), out=inv_std[start:stop])
-            block_out = out[start:stop]
-            np.multiply(centered, block_inv_std, out=block_out.reshape(size, g, m))
-            if self.affine:
-                block_out *= gamma
-                block_out += beta
+        def run(first: int, last: int) -> None:
+            scratch = _threads.scratch(2 * min(tile, last - first) * g * m)
+            centered_buffer, squares_buffer = scratch.reshape(2, -1, g, m)
+            for start in range(first, last, tile):
+                stop = min(start + tile, last)
+                block, size = grouped[start:stop], stop - start
+                block_mean = np.divide(block.sum(axis=2, keepdims=True), m, out=mean[start:stop])
+                centered = np.subtract(block, block_mean, out=centered_buffer[:size])
+                squares = np.multiply(centered, centered, out=squares_buffer[:size])
+                var = squares.sum(axis=2, keepdims=True) / m
+                block_inv_std = np.divide(1.0, np.sqrt(var + self.eps), out=inv_std[start:stop])
+                block_out = out[start:stop]
+                np.multiply(centered, block_inv_std, out=block_out.reshape(size, g, m))
+                if self.affine:
+                    block_out *= gamma
+                    block_out += beta
+
+        _threads.spread(n, tile, run)
         self._cache = (x, mean, inv_std)
         return out
 
@@ -125,26 +131,47 @@ class GroupNorm(Module):
         n, c, h, w = x.shape
         g = self.num_groups
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        x_hat_g = x.reshape(n, g, -1) - mean
-        x_hat_g *= inv_std
-        x_hat = x_hat_g.reshape(n, c, h, w)
-
+        grouped = x.reshape(n, g, -1)
+        m = grouped.shape[2]
+        grad_input = np.empty((n, c, h, w))
         if self.affine:
-            self.scale.grad += (grad_output * x_hat).sum(axis=(0, 2, 3))
-            self.bias.grad += grad_output.sum(axis=(0, 2, 3))
             gamma = self.effective_scale()[None, :, None, None]
-            grad_x_hat = grad_output * gamma
-        else:
-            grad_x_hat = grad_output
+            # grad_output * x_hat, summed over the batch after the region.
+            products = np.empty((n, c, h, w))
+        tile = _threads.sample_tile(x, _TILE_BYTES)
 
-        grad_x_hat = grad_x_hat.reshape(n, g, -1)
-        m = grad_x_hat.shape[2]
-        sum_grad = grad_x_hat.sum(axis=2, keepdims=True)
-        sum_grad_xhat = (grad_x_hat * x_hat_g).sum(axis=2, keepdims=True)
-        grad_grouped = (inv_std / m) * (
-            m * grad_x_hat - sum_grad - x_hat_g * sum_grad_xhat
-        )
-        return grad_grouped.reshape(n, c, h, w)
+        # Per tile: x_hat with forward's two operations, then the input
+        # gradient (inv_std / m) * (m * dx_hat - sum(dx_hat)
+        # - x_hat * sum(dx_hat * x_hat)), one operation at a time in that
+        # order, the per-group sums reducing each sample's groups alone.
+        def run(first: int, last: int) -> None:
+            scratch = _threads.scratch(3 * min(tile, last - first) * g * m)
+            x_hat_buffer, grad_x_hat_buffer, temp_buffer = scratch.reshape(3, -1, g, m)
+            for start in range(first, last, tile):
+                stop = min(start + tile, last)
+                size = stop - start
+                x_hat = np.subtract(grouped[start:stop], mean[start:stop], out=x_hat_buffer[:size])
+                x_hat *= inv_std[start:stop]
+                block_grad = grad_output[start:stop]
+                if self.affine:
+                    np.multiply(block_grad, x_hat.reshape(size, c, h, w), out=products[start:stop])
+                    grad_x_hat = grad_x_hat_buffer[:size]
+                    np.multiply(block_grad, gamma, out=grad_x_hat.reshape(size, c, h, w))
+                else:
+                    grad_x_hat = block_grad.reshape(size, g, m)
+                sum_grad = grad_x_hat.sum(axis=2, keepdims=True)
+                temp = np.multiply(grad_x_hat, x_hat, out=temp_buffer[:size])
+                sum_grad_xhat = temp.sum(axis=2, keepdims=True)
+                block_out = np.multiply(m, grad_x_hat, out=grad_input[start:stop].reshape(size, g, m))
+                block_out -= sum_grad
+                block_out -= np.multiply(x_hat, sum_grad_xhat, out=temp)
+                np.multiply(inv_std[start:stop] / m, block_out, out=block_out)
+
+        _threads.spread(n, tile, run)
+        if self.affine:
+            self.scale.grad += products.sum(axis=(0, 2, 3))
+            self.bias.grad += grad_output.sum(axis=(0, 2, 3))
+        return grad_input
 
 
 class BatchNorm2d(Module):

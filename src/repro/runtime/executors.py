@@ -33,6 +33,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.biterror.random_errors import iter_apply_fields_batch
+from repro.nn import _threads
 from repro.runtime.spec import CellResult, EvalJob, SweepContext
 from repro.utils.markers import hot_path
 from repro.utils.rng import new_rng
@@ -248,10 +249,18 @@ def _init_worker(
     context: SweepContext,
     chunk_size: Optional[int] = None,
     telemetry_config: Optional[telemetry.TelemetryConfig] = None,
+    workers: Optional[int] = None,
 ) -> None:
     global _WORKER_CONTEXT, _WORKER_CHUNK_SIZE
     _WORKER_CONTEXT = context
     _WORKER_CHUNK_SIZE = chunk_size
+    if workers is not None:
+        # The pool's workers share the host's CPUs.  A forked child's BLAS
+        # is already initialized, so environment variables would come too
+        # late: set its thread count directly, unless the user chose one.
+        share = _threads.worker_share(workers)
+        if share is not None:
+            _threads.set_blas_threads(share)
     if telemetry_config is not None:
         # Each pool worker records into its own per-pid sink.  Configure
         # unconditionally: under a fork start method the child inherits the
@@ -286,7 +295,9 @@ class ParallelExecutor:
     max_workers:
         Worker processes to use; defaults to the host CPU count.  A value of
         1 (or a single-group workload) short-circuits to the serial path
-        without creating a pool.
+        without creating a pool.  Each worker's BLAS gets an equal share of
+        the host's CPUs, unless the user set one of
+        ``OPENBLAS/OMP/MKL_NUM_THREADS``.
     start_method:
         Optional ``multiprocessing`` start method (``"fork"``/``"spawn"``);
         ``None`` uses the platform default.  Unknown names raise here, at
@@ -345,7 +356,7 @@ class ParallelExecutor:
                 max_workers=workers,
                 mp_context=mp_context,
                 initializer=_init_worker,
-                initargs=(context, self.chunk_size, telemetry_config),
+                initargs=(context, self.chunk_size, telemetry_config, workers),
             )
         except (ImportError, OSError, PermissionError):
             # No usable pool on this host (single-CPU CI runners, containers

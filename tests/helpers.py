@@ -1,12 +1,41 @@
-"""Shared test helpers: finite-difference gradient checking."""
+"""Shared test helpers: finite-difference gradient checking, thread budgets."""
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.nn import _threads
 from repro.nn.module import Module
+
+
+@contextmanager
+def thread_budget(count: Optional[int]) -> Iterator[None]:
+    """Run the body with a tile-thread budget of ``count`` (``None``: as is).
+
+    The budget is BLAS's thread count, set through ``repro.nn._threads``.
+    Where no settable BLAS is loaded, a fake get/set pair stands in, so the
+    regions still spread their tiles over ``count`` threads.
+    """
+    if count is None:
+        yield
+    elif _threads._binding() is None:
+        state = [count]
+        fake = (lambda: state[0], lambda value: state.__setitem__(0, value))
+        saved = _threads._binding
+        _threads._binding = lambda: fake
+        try:
+            yield
+        finally:
+            _threads._binding = saved
+    else:
+        previous = _threads.set_blas_threads(count)
+        try:
+            yield
+        finally:
+            _threads.set_blas_threads(previous)
 
 
 def numerical_gradient(

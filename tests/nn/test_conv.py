@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.nn.conv as conv_module
-from helpers import check_layer_gradients
-from repro.nn import Conv2d
+from helpers import check_layer_gradients, thread_budget
+from repro.nn import Conv2d, _threads
 from repro.nn.conv import col2im, conv_output_size, im2col
 
 
@@ -253,6 +253,24 @@ def test_conv_matches_naive_loops_in_one_sample_tiles(**case):
         check_conv_against_naive_loops(**case)
 
 
+@pytest.mark.parametrize("budget", [1, 3])
+@settings(max_examples=40, deadline=None)
+@given(**RANDOM_CONVS)
+def test_conv_matches_naive_loops_at_every_thread_budget(budget, **case):
+    with thread_budget(budget):
+        check_conv_against_naive_loops(**case)
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+@settings(max_examples=40, deadline=None)
+@given(**RANDOM_CONVS)
+def test_conv_matches_naive_loops_in_one_sample_tiles_at_every_thread_budget(budget, **case):
+    # Batches of 2 or 3 one-sample tiles: at a budget of 3 each tile runs
+    # on its own thread.
+    with thread_budget(budget), mock.patch.object(conv_module, "_TILE_BYTES", 1):
+        check_conv_against_naive_loops(**case)
+
+
 def test_im2col_fills_a_caller_buffer(rng):
     x = rng.normal(size=(2, 3, 5, 5))
     want, _, _ = im2col(x, 3, 3, 1, 1)
@@ -300,3 +318,24 @@ def test_im2col_allocates_only_its_output_and_the_padded_input(
     # A few KiB of interpreter objects ride along; a second column-sized
     # copy would not fit.
     assert peak <= cols.nbytes + padded_bytes + 4096
+
+
+def test_backward_allocates_the_input_gradient_and_one_tile_per_thread(rng):
+    layer = Conv2d(16, 16, 3, padding=1, rng=rng)
+    x = rng.normal(size=(64, 16, 32, 32))
+    grad_out = rng.normal(size=layer(x).shape)
+    k_rows, positions = 16 * 3 * 3, 32 * 32
+    # Per thread: one sample's columns and (O, P) gradients (one sample's
+    # columns exceed the tile budget here), plus the padded sample im2col
+    # and col2im each allocate.
+    tile = (k_rows + 16) * positions * 8 + 2 * 16 * 34 * 34 * 8
+    per_sample_weight_grads = 64 * 16 * k_rows * 8
+    threads = _threads.blas_threads()
+    tracemalloc.start()
+    try:
+        grad_x = layer.backward(grad_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Batch-wide (K, N * P) gradient columns alone would be 9x the input.
+    assert peak <= grad_x.nbytes + per_sample_weight_grads + threads * tile + 256 * 1024

@@ -13,13 +13,24 @@ The ReLU oracle is ``np.where(x > 0, x, 0.0)`` with an ``x > 0`` mask, and
 the max-pool oracle gathers each window into a trailing axis and takes its
 argmax.  Both must be matched bit for bit, signed zeros included, on
 inputs full of signed zeros, NaN, infinities and tied windows.
+
+Every layer spreads its sample tiles over the process's thread budget, so
+each check also runs at a budget of 1 (everything inline on the calling
+thread) and of 3 (more threads than a 2-core host has), with ReLU and
+max-pool cut into one-sample tiles so that their regions really spread.
 """
 
 import numpy as np
 import pytest
 
+import repro.nn.activations as activations_module
+import repro.nn.pooling as pooling_module
+from helpers import thread_budget
 from repro.nn import Conv2d, GroupNorm, MaxPool2d, ReLU
 from repro.nn.conv import conv_output_size
+
+#: Thread budgets the parity checks run at besides the process default.
+BUDGETS = [1, 3]
 
 #: SimpleNet(widths=(16, 32, 64)) conv layers: (in, out, spatial side).
 SIMPLENET_CONVS = [
@@ -93,11 +104,7 @@ def oracle_groupnorm(layer, x, grad_output):
     return out, grad_input.reshape(n, c, h, w), grad_scale, grad_bias
 
 
-@pytest.mark.parametrize("batch", [64, 4, 1, 37])
-@pytest.mark.parametrize("in_channels,out_channels,side", SIMPLENET_CONVS)
-def test_conv_and_groupnorm_match_the_per_sample_oracle_bit_for_bit(
-    batch, in_channels, out_channels, side
-):
+def check_conv_and_groupnorm(batch, in_channels, out_channels, side, budget=None):
     rng = np.random.default_rng(in_channels * 1000 + out_channels + batch)
     conv = Conv2d(in_channels, out_channels, kernel_size=3, padding=1, rng=rng)
     conv.bias.data[:] = rng.normal(size=out_channels)
@@ -107,10 +114,13 @@ def test_conv_and_groupnorm_match_the_per_sample_oracle_bit_for_bit(
     x = rng.normal(size=(batch, in_channels, side, side))
     grad_norm = rng.normal(size=(batch, out_channels, side, side))
 
-    features = conv(x)
-    normed = norm(features)
-    grad_features = norm.backward(grad_norm)
-    grad_x = conv.backward(grad_features)
+    # Only the layers run at the budget: the oracle's many small gemms would
+    # crawl with more BLAS threads than cores.
+    with thread_budget(budget):
+        features = conv(x)
+        normed = norm(features)
+        grad_features = norm.backward(grad_norm)
+        grad_x = conv.backward(grad_features)
 
     expected_features, expected_grad_x, expected_w, expected_b = oracle_conv(
         conv, x, grad_features
@@ -127,6 +137,23 @@ def test_conv_and_groupnorm_match_the_per_sample_oracle_bit_for_bit(
     ]
     for got, want in pairs:
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("batch", [64, 4, 1, 37])
+@pytest.mark.parametrize("in_channels,out_channels,side", SIMPLENET_CONVS)
+def test_conv_and_groupnorm_match_the_per_sample_oracle_bit_for_bit(
+    batch, in_channels, out_channels, side
+):
+    check_conv_and_groupnorm(batch, in_channels, out_channels, side)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("batch", [64, 4, 1, 37])
+@pytest.mark.parametrize("in_channels,out_channels,side", SIMPLENET_CONVS)
+def test_conv_and_groupnorm_match_the_oracle_at_every_thread_budget(
+    budget, batch, in_channels, out_channels, side
+):
+    check_conv_and_groupnorm(batch, in_channels, out_channels, side, budget)
 
 
 def oracle_relu(x, grad_output):
@@ -163,8 +190,10 @@ def assert_bits_equal(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("shape", [(2, 3, 4, 6), (1, 1, 1, 1), (3, 2, 5, 17)])
-def test_relu_matches_the_where_oracle_bit_for_bit(shape):
+RELU_SHAPES = [(2, 3, 4, 6), (1, 1, 1, 1), (3, 2, 5, 17)]
+
+
+def check_relu(shape):
     rng = np.random.default_rng(sum(shape))
     x = special_input(rng, shape)
     grad_output = special_input(rng, shape)
@@ -177,8 +206,25 @@ def test_relu_matches_the_where_oracle_bit_for_bit(shape):
     assert not np.signbit(out).any()  # -0.0 and NaN come out as +0.0
 
 
-@pytest.mark.parametrize("kernel,shape", [(2, (2, 3, 4, 6)), (2, (5, 4, 8, 8)), (3, (2, 2, 9, 6))])
-def test_maxpool_matches_the_argmax_oracle_bit_for_bit(kernel, shape):
+@pytest.mark.parametrize("shape", RELU_SHAPES)
+def test_relu_matches_the_where_oracle_bit_for_bit(shape):
+    check_relu(shape)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("shape", RELU_SHAPES)
+def test_relu_matches_the_oracle_in_one_sample_tiles_at_every_thread_budget(
+    budget, shape, monkeypatch
+):
+    monkeypatch.setattr(activations_module, "_TILE_BYTES", 1)
+    with thread_budget(budget):
+        check_relu(shape)
+
+
+MAXPOOL_CASES = [(2, (2, 3, 4, 6)), (2, (5, 4, 8, 8)), (3, (2, 2, 9, 6))]
+
+
+def check_maxpool(kernel, shape):
     rng = np.random.default_rng(kernel * 100 + sum(shape))
     x = special_input(rng, shape)
     # Whole windows of +0.0 and -0.0 in both orders: argmax keeps the first.
@@ -194,3 +240,18 @@ def test_maxpool_matches_the_argmax_oracle_bit_for_bit(kernel, shape):
     assert np.isnan(want_out).any() and (want_out == 0).any()
     assert_bits_equal(out, want_out)
     assert_bits_equal(grad_x, want_grad)
+
+
+@pytest.mark.parametrize("kernel,shape", MAXPOOL_CASES)
+def test_maxpool_matches_the_argmax_oracle_bit_for_bit(kernel, shape):
+    check_maxpool(kernel, shape)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("kernel,shape", MAXPOOL_CASES)
+def test_maxpool_matches_the_oracle_in_one_sample_tiles_at_every_thread_budget(
+    budget, kernel, shape, monkeypatch
+):
+    monkeypatch.setattr(pooling_module, "_TILE_BYTES", 1)
+    with thread_budget(budget):
+        check_maxpool(kernel, shape)

@@ -1,10 +1,13 @@
 """Tests for GroupNorm and BatchNorm2d."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro.nn.normalization as normalization_module
 from helpers import check_layer_gradients
-from repro.nn import BatchNorm2d, GroupNorm
+from repro.nn import BatchNorm2d, GroupNorm, _threads
 
 
 def test_groupnorm_normalizes_per_group(rng):
@@ -112,3 +115,20 @@ def test_batchnorm_state_dict_includes_buffers(rng):
     fresh = BatchNorm2d(2)
     fresh.load_state_dict(state)
     np.testing.assert_allclose(fresh.running_mean, layer.running_mean)
+
+
+def test_groupnorm_backward_allocates_at_most_three_batch_sized_arrays(rng):
+    layer = GroupNorm(4, 16)
+    layer.scale.data[:] = 0.1 * rng.normal(size=16)
+    x = rng.normal(size=(64, 16, 32, 32))
+    grad_out = rng.normal(size=layer(x).shape)
+    # Per thread: three tile-sized buffers (x_hat, its gradient, a product).
+    tile = 3 * max(normalization_module._TILE_BYTES, x[0].nbytes)
+    threads = _threads.blas_threads()
+    tracemalloc.start()
+    try:
+        layer.backward(grad_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * x.nbytes + threads * tile + 256 * 1024
