@@ -12,7 +12,8 @@ processes/hosts that share **only a filesystem**:
   :func:`prepare_run_dir`: shard a :class:`~repro.runtime.spec.SweepSpec`'s
   job groups into work items, publish the pickled context, record the
   manifest;
-* :mod:`repro.cluster.worker` — :func:`worker_loop`, the daemon behind
+* :mod:`repro.cluster.worker` — the one worker loop (:func:`serve`, also
+  behind the service's workers) and :func:`worker_loop`, the daemon behind
   ``python -m repro.cluster worker <run_dir>``: claim →
   :func:`~repro.runtime.executors.execute_group` on the fused evaluation
   flow → append to a per-worker result shard → complete;
@@ -60,7 +61,7 @@ from repro.cluster.broker import (
     read_manifest,
     submit_spec,
 )
-from repro.cluster.coordinator import ClusterExecutor, live_worker_ids, spawn_local_worker
+from repro.cluster.coordinator import ClusterExecutor, spawn_local_worker
 from repro.cluster.failures import FailureReport, ItemFailure, load_failure_report
 from repro.cluster.integrity import (
     IntegrityFinding,
@@ -86,7 +87,12 @@ from repro.cluster.queue import (
     RetryPolicy,
     WorkItem,
 )
-from repro.cluster.worker import WorkerStats, default_worker_id, worker_loop
+from repro.cluster.worker import (
+    WorkerStats,
+    default_worker_id,
+    live_worker_ids,
+    worker_loop,
+)
 
 __all__ = [
     "ClusterExecutor",

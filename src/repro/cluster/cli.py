@@ -56,7 +56,7 @@ from repro.cluster.merge import (
     merge_shards,
 )
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue
-from repro.cluster.worker import worker_loop
+from repro.cluster.worker import live_worker_ids, worker_loop
 from repro.runtime.spec import SweepSpec
 from repro.runtime.store import ResultStore
 from repro.utils.serialization import atomic_write_text
@@ -86,9 +86,6 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from repro.cluster.worker import CRASH_AFTER_CLAIM_ENV
-
-    crash_after_claim = os.environ.get(CRASH_AFTER_CLAIM_ENV)
     stats = worker_loop(
         args.run_dir,
         worker_id=args.id,
@@ -98,7 +95,6 @@ def _cmd_worker(args) -> int:
         max_idle=args.max_idle,
         max_items=args.max_items,
         exit_when_drained=not args.serve,
-        crash_after_claim=int(crash_after_claim) if crash_after_claim else None,
     )
     print(
         f"worker {stats.worker_id}: {stats.items} item(s), {stats.cells} cell(s), "
@@ -118,7 +114,6 @@ def run_status(run_dir: str, worker_ttl: float = DEFAULT_LEASE_TIMEOUT) -> Dict:
     in under ``"telemetry"``; without sinks the key maps to ``None`` rather
     than failing — status must work on any run directory.
     """
-    from repro.cluster.coordinator import live_worker_ids
     from repro.telemetry.report import merged_run_metrics
 
     from repro.utils.serialization import read_jsonl
@@ -237,8 +232,6 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_compact(args) -> int:
-    from repro.cluster.coordinator import live_worker_ids
-
     live = live_worker_ids(args.run_dir, ttl=args.worker_ttl)
     if live and not args.force:
         print(
@@ -297,8 +290,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    from repro.cluster.coordinator import live_worker_ids
-
     # A dry run writes nothing, so the live-writer guard does not apply.
     live = [] if args.dry_run else live_worker_ids(args.run_dir, ttl=args.worker_ttl)
     if live and not args.force:

@@ -57,34 +57,13 @@ from repro.cluster.merge import (
 )
 from repro.cluster.backends import DEFAULT_QUEUE_BACKEND
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, RetryPolicy
+from repro.cluster.worker import live_worker_ids, worker_loop
 from repro.nn import _threads
 from repro.runtime.executors import GroupOutput, register_executor
 from repro.runtime.spec import EvalJob, SweepContext
 from repro.runtime.store import ResultStore
 
-__all__ = ["ClusterExecutor", "spawn_local_worker", "live_worker_ids"]
-
-
-def live_worker_ids(run_dir: str, ttl: float) -> List[str]:
-    """Workers whose liveness beacon is fresher than ``ttl`` seconds."""
-    workers_dir = os.path.join(run_dir, WORKERS_DIRNAME)
-    try:
-        names = os.listdir(workers_dir)
-    except FileNotFoundError:
-        return []
-    now = time.time()
-    live = []
-    for name in names:
-        if name.endswith(".log"):
-            continue  # daemon stdout logs share the directory, not beacons
-        try:
-            if now - os.stat(os.path.join(workers_dir, name)).st_mtime <= ttl:
-                live.append(name)
-        # repro: ignore[REP008] beacon removed between listdir and stat (gc
-        # or a clean worker exit); that worker just isn't live.
-        except OSError:
-            continue
-    return sorted(live)
+__all__ = ["ClusterExecutor", "spawn_local_worker"]
 
 
 def spawn_local_worker(
@@ -370,8 +349,6 @@ class ClusterExecutor:
                     # claim (stall detection already proved none is fresh);
                     # items marked done without reachable results (a gc'd
                     # unmerged shard) are re-published.
-                    from repro.cluster.worker import worker_loop
-
                     rec.event(
                         "cluster.fallback", level="warning",
                         items=len(outstanding),

@@ -1,24 +1,27 @@
-"""The cluster worker daemon: claim → execute → shard-append → complete.
+"""The one worker loop: claim → execute → shard-append → complete.
 
 Run one per process/host against a shared run directory::
 
     python -m repro.cluster worker <run_dir>
 
-The loop is deliberately simple — all coordination lives in the queue
-protocol (:mod:`repro.cluster.queue`):
+:func:`serve` is the only claim loop: cluster workers (:func:`worker_loop`)
+run it over one run directory, a one-tenant :class:`RunSource`, and service
+workers (:mod:`repro.service.worker`) over a registry of tenants.  Each
+round it
 
-1. load the pickled :class:`~repro.runtime.spec.SweepContext` once (the
-   clean de-quantizations, delta patchers and batch plans then memoize per
-   process, exactly as in a ``ParallelExecutor`` worker);
-2. claim one work item; while executing its group on the same
+1. refreshes the worker's liveness beacon, requeues expired leases of
+   crashed peers and snapshots each runnable tenant's queue (one
+   :class:`RunHandle` per tenant holds its knobs, queue, lazily loaded
+   context and fault plan);
+2. picks a tenant and, under that tenant's fault plan, claims one item;
+3. executes the item's group on the same
    :func:`~repro.runtime.executors.execute_group` every other executor uses
-   (which is what makes cluster results bit-identical to serial ones), a
-   background thread heartbeats the lease so long groups never look
-   abandoned;
-3. append the group's results to this worker's **own** shard file —
+   (which is what makes cluster results bit-identical to serial ones),
+   while a background thread heartbeats the lease so long groups never
+   look abandoned;
+4. appends the group's results to this worker's **own** shard file —
    single-writer, append-only, so no cross-host write races exist — and
-   only then mark the item done;
-4. opportunistically requeue expired leases of crashed peers.
+   only then marks the item done.
 
 If this worker is SIGKILLed mid-group, its lease goes stale and the group
 is retried elsewhere; if it instead finishes after losing its lease, the
@@ -44,8 +47,9 @@ import socket
 import threading
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import faults, telemetry
 from repro.cluster.broker import (
@@ -66,18 +70,10 @@ from repro.runtime.store import job_metadata
 from repro.utils.rng import derived_seed, new_rng
 from repro.utils.serialization import append_jsonl, atomic_write_text, jsonl_line
 
-__all__ = ["WorkerStats", "worker_loop", "default_worker_id"]
-
-#: Legacy fault-injection hook, honoured only by the ``repro.cluster
-#: worker`` CLI (never by library callers such as the coordinator's
-#: in-process fallback): when set to ``N``, the worker *process* SIGKILLs
-#: itself immediately after its ``N``-th successful claim — i.e. mid-group,
-#: with the lease held and no results written.  Internally this is now one
-#: rule of the general :mod:`repro.faults` harness
-#: (:func:`repro.faults.crash_after_claim_plan`); new chaos scenarios should
-#: ship a full schedule via :data:`repro.faults.FAULTS_ENV` or the manifest
-#: instead.
-CRASH_AFTER_CLAIM_ENV = "REPRO_CLUSTER_CRASH_AFTER_CLAIM"
+__all__ = [
+    "WorkerStats", "ServiceWorkerStats", "RunHandle", "RunSource", "serve",
+    "worker_loop", "default_worker_id", "live_worker_ids",
+]
 
 
 def default_worker_id() -> str:
@@ -87,7 +83,7 @@ def default_worker_id() -> str:
 
 @dataclass
 class WorkerStats:
-    """What one :func:`worker_loop` call did."""
+    """What one worker did for one run directory (one tenant)."""
 
     worker_id: str = ""
     items: int = 0
@@ -97,6 +93,40 @@ class WorkerStats:
     failures: int = 0
     dead_lettered: int = 0
     item_ids: List[str] = field(default_factory=list)
+
+
+@dataclass
+class ServiceWorkerStats:
+    """What one :func:`serve` call did, across every tenant it served.
+
+    A run directory is a one-tenant source, so :func:`worker_loop` returns
+    that tenant's :class:`WorkerStats` from :attr:`per_tenant`.
+    """
+
+    worker_id: str = ""
+    items: int = 0
+    cells: int = 0
+    failures: int = 0
+    dead_lettered: int = 0
+    requeued: int = 0
+    lost_leases: int = 0
+    locality_hits: int = 0
+    locality_misses: int = 0
+    steals: int = 0
+    context_loads: int = 0
+    finalized: List[str] = field(default_factory=list)
+    per_tenant: Dict[str, WorkerStats] = field(default_factory=dict)
+
+    def tenant_stats(self, tenant_id: str) -> WorkerStats:
+        if tenant_id not in self.per_tenant:
+            self.per_tenant[tenant_id] = WorkerStats(worker_id=self.worker_id)
+        return self.per_tenant[tenant_id]
+
+    def fold(self) -> None:
+        """Roll the per-tenant counters up into the service-level ones."""
+        for name in ("items", "cells", "failures", "dead_lettered", "requeued",
+                     "lost_leases"):
+            setattr(self, name, sum(getattr(s, name) for s in self.per_tenant.values()))
 
 
 class _Heartbeat:
@@ -124,47 +154,289 @@ class _Heartbeat:
         self._thread.join()
 
 
-def _load_context(run_dir: str):
-    path = os.path.join(run_dir, CONTEXT_FILENAME)
-    with open(path, "rb") as handle:
-        return pickle.load(handle)
+# -- liveness beacons ---------------------------------------------------------
 
 
-def _touch_beacon(run_dir: str, worker_id: str) -> None:
-    path = os.path.join(run_dir, WORKERS_DIRNAME, worker_id)
+def _touch_beacon(root: str, worker_id: str) -> None:
+    """Refresh this worker's beacon ``<root>/workers/<worker_id>``."""
+    path = os.path.join(root, WORKERS_DIRNAME, worker_id)
     try:
         os.utime(path)
     except FileNotFoundError:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        # Atomic create: the coordinator may read the beacon at any moment,
-        # and a torn write would make a live worker look dead.
+        # Atomic create: a reader may look at any moment, and a torn write
+        # would make a live worker look dead.
         atomic_write_text(path, str(os.getpid()) + "\n")
 
 
-def _resolve_fault_plan(
-    manifest: dict, crash_after_claim: Optional[int]
-) -> Optional[faults.FaultPlan]:
-    """The fault schedule this loop should run under, or ``None``.
+def live_worker_ids(run_dir: str, ttl: float) -> List[str]:
+    """Workers whose beacon under ``run_dir`` (or a service dir) is fresher
+    than ``ttl`` seconds."""
+    workers_dir = os.path.join(run_dir, WORKERS_DIRNAME)
+    try:
+        names = os.listdir(workers_dir)
+    except FileNotFoundError:
+        return []
+    now = time.time()
+    live = []
+    for name in names:
+        if name.endswith(".log"):
+            continue  # daemon stdout logs share the directory, not beacons
+        try:
+            if now - os.stat(os.path.join(workers_dir, name)).st_mtime <= ttl:
+                live.append(name)
+        # repro: ignore[REP008] beacon removed between listdir and stat (gc
+        # or a clean worker exit); that worker just isn't live.
+        except OSError:
+            continue
+    return sorted(live)
 
-    Precedence mirrors telemetry configuration: an explicitly installed plan
-    wins, then :data:`repro.faults.FAULTS_ENV`, then the run manifest.  The
-    legacy ``crash_after_claim`` hook appends its SIGKILL-at-claim rule to
-    whatever else is scheduled.
+
+# -- the loop -----------------------------------------------------------------
+
+
+class RunHandle:
+    """A worker's cached handles for one run directory (one tenant).
+
+    The manifest knobs and the queue are cheap and always held; the pickled
+    context loads lazily — *having it loaded* is what "warm" means to the
+    fair-share scheduler.  ``plan`` is the process-wide fault schedule (the
+    caller's installed plan, else :data:`~repro.faults.FAULTS_ENV`); without
+    one the manifest's applies.  ``lease_timeout`` overrides the manifest's.
     """
+
+    def __init__(self, run_dir: str, plan=None, lease_timeout: Optional[float] = None):
+        self.run_dir = os.path.abspath(run_dir)
+        manifest = read_manifest(self.run_dir) or {}
+        if lease_timeout is None:
+            lease_timeout = float(manifest.get("lease_timeout") or DEFAULT_LEASE_TIMEOUT)
+        chunk = manifest.get("chunk_size")
+        self.chunk_size = int(chunk) if chunk is not None else None
+        self.checksum = bool(manifest.get("checksums"))
+        self.telemetry = bool(manifest.get("telemetry"))
+        retry = RetryPolicy.from_manifest(manifest.get("retry"))
+        self.queue = JobQueue(self.run_dir, lease_timeout=lease_timeout, retry=retry)
+        self.heartbeat_interval = max(lease_timeout / 4.0, 0.05)
+        if plan is None and manifest.get("faults"):
+            plan = faults.FaultPlan.from_json(manifest["faults"])
+        self.plan = plan
+        self._context = None
+
+    @property
+    def warm(self) -> bool:
+        return self._context is not None
+
+    def context(self):
+        if self._context is None:
+            with open(os.path.join(self.run_dir, CONTEXT_FILENAME), "rb") as handle:
+                self._context = pickle.load(handle)
+        return self._context
+
+    def shard_path(self, worker_id: str) -> str:
+        return os.path.join(self.run_dir, SHARDS_DIRNAME, f"worker-{worker_id}.jsonl")
+
+    @contextmanager
+    def faults_installed(self) -> Iterator[None]:
+        """Run the block under this run's plan, then restore the caller's.
+
+        Binding shares run-scoped rules' budgets (``scope="run"``) with every
+        process serving this run, through slot files under its ``faults/``.
+        """
+        previous = faults.current()
+        if self.plan is not None:
+            self.plan.bind(os.path.join(self.run_dir, faults.BUDGET_DIRNAME))
+        faults.install(self.plan)
+        try:
+            yield
+        finally:
+            faults.install(previous)
+
+
+class RunSource:
+    """A run directory as a work source: a one-tenant service.
+
+    :func:`serve` asks its source only what differs between a run and a
+    service; :mod:`repro.service.worker` implements the same hooks over a
+    registry of tenants.
+    """
+
+    #: The one-shot exit waits for leased items, so a one-shot fleet rescues
+    #: a crashed peer's last lease once it expires.
+    waits_on_leases = True
+
+    def __init__(self, run_dir: str, lease_timeout: Optional[float] = None):
+        self.root = os.path.abspath(run_dir)  # beacons and a worker-owned sink
+        self.tenant = os.path.basename(self.root)
+        self.lease_timeout = lease_timeout  # None: the manifest's
+
+    def runnable(self) -> List[Tuple[str, str, float]]:
+        """``(tenant_id, run_dir, priority)`` of every tenant to serve."""
+        return [(self.tenant, self.root, 1.0)]
+
+    def pick(self, outstanding, priorities, warm) -> Optional[Tuple[str, str]]:
+        """``(tenant_id, reason)`` to claim from next, or ``None``."""
+        return (self.tenant, "leader") if outstanding.get(self.tenant) else None
+
+    def refund(self, tenant_id: str) -> None:
+        """Return the credit of a pick that served nothing."""
+
+    def claimed(self, tenant_id: str) -> None:
+        """A claim from ``tenant_id`` succeeded."""
+
+    def drained(self, tenant_id: str, handle: RunHandle, stats) -> None:
+        """``tenant_id`` holds nothing pending or leased.  A run needs nothing
+        here: the coordinator or ``repro.cluster merge`` merges its shards."""
+
+
+def _scan(source, handles: Dict[str, RunHandle], plan, stats: ServiceWorkerStats):
+    """One round's claimable and leased counts over the runnable tenants.
+
+    Crash recovery crosses tenants: every tenant's expired leases are
+    requeued.  A tenant submitted with telemetry makes a worker without a
+    recorder record into the source's root (one sink per worker).
+    """
+    _touch_beacon(source.root, stats.worker_id)
+    outstanding: Dict[str, int] = {}
+    priorities: Dict[str, float] = {}
+    leased = 0
+    for tenant_id, run_dir, priority in source.runnable():
+        handle = handles.get(tenant_id)
+        if handle is None:
+            if not os.path.isdir(run_dir):
+                continue  # registered but never prepared; skip
+            handle = handles[tenant_id] = RunHandle(run_dir, plan, source.lease_timeout)
+            if handle.telemetry and not telemetry.enabled():
+                telemetry.configure(source.root, name=f"worker-{stats.worker_id}")
+        requeued = len(handle.queue.requeue_expired())
+        if requeued:
+            stats.tenant_stats(tenant_id).requeued += requeued
+            telemetry.get_recorder().count("worker.requeued", requeued)
+        # Only pending/ and leased/ are listed: done/ grows with the run.
+        pending = len(handle.queue.pending_ids())
+        in_flight = len(handle.queue.leased_ids())
+        outstanding[tenant_id] = pending
+        priorities[tenant_id] = priority
+        leased += in_flight
+        if not pending and not in_flight:
+            source.drained(tenant_id, handle, stats)
+    return outstanding, priorities, leased
+
+
+def _dispatch(source, handles, pick, warm, stats: ServiceWorkerStats) -> bool:
+    """Serve one pick under the tenant's fault plan; ``True`` if an item ran."""
+    tenant_id, reason = pick
+    handle = handles[tenant_id]
+    rec = telemetry.get_recorder()
+    worker_id = stats.worker_id
+    with handle.faults_installed(), rec.span(
+        "service.dispatch", worker=worker_id, tenant=tenant_id, reason=reason,
+    ) as span:
+        try:
+            faults.fire("dispatch", tenant_id)
+            if reason == "steal":
+                stats.steals += 1
+                rec.count("service.steals")
+                faults.fire("steal", tenant_id)
+        except Exception as exc:  # noqa: BLE001 - the containment boundary
+            # A poisoned dispatch costs one pick, not the worker: nothing is
+            # claimed yet, so the pick's credit goes back.
+            source.refund(tenant_id)
+            span.note(failed=True, exc_type=type(exc).__name__)
+            rec.count("service.dispatch_failures")
+            rec.event(
+                "service.dispatch_failed", level="error",
+                worker=worker_id, tenant=tenant_id,
+                exc_type=type(exc).__name__, message=str(exc)[:500],
+            )
+            return False
+        item = handle.queue.claim(worker_id)
+        span.note(claimed=item is not None)
+        if item is None:
+            # The snapshot went stale (a peer claimed the work, or every
+            # pending item is backing off): hand the credit back.
+            source.refund(tenant_id)
+            rec.count("service.empty_claims")
+            return False
+        if tenant_id == warm and handle.warm:
+            stats.locality_hits += 1
+            rec.count("service.locality_hits")
+        else:
+            stats.locality_misses += 1
+            rec.count("service.locality_misses")
+        if not handle.warm:
+            stats.context_loads += 1
+            rec.count("service.context_loads")
+        context = handle.context()
+        source.claimed(tenant_id)
+        tenant_stats = stats.tenant_stats(tenant_id)
+        _execute_item(
+            handle.queue, context, item, handle.shard_path(worker_id), worker_id,
+            handle.chunk_size, handle.heartbeat_interval, tenant_stats,
+            checksum=handle.checksum,
+        )
+        span.note(items=tenant_stats.items)
+    return True
+
+
+def serve(source, worker_id: str, poll_interval: float = 0.2,
+          max_poll: Optional[float] = None, max_idle: Optional[float] = None,
+          max_items: Optional[int] = None,
+          exit_when_drained: bool = True) -> ServiceWorkerStats:
+    """Drain ``source`` (a :class:`RunSource` or the service's registry).
+
+    The knobs are :func:`worker_loop`'s.  With ``exit_when_drained`` the
+    loop returns once the source has nothing to pick — and, for a source
+    that :attr:`~RunSource.waits_on_leases`, nothing leased either.  The
+    caller's fault plan and telemetry recorder are in place on return.
+    """
+    stats = ServiceWorkerStats(worker_id=worker_id)
+    caller_recorder = telemetry.get_recorder()
     plan = faults.current()
     if plan is None:
         plan = faults.plan_from_env()
-    if plan is None and manifest.get("faults"):
-        plan = faults.FaultPlan.from_json(manifest["faults"])
-    if crash_after_claim is not None:
-        crash = faults.crash_after_claim_plan(crash_after_claim)
-        if plan is None:
-            plan = crash
+    handles: Dict[str, RunHandle] = {}
+    warm: Optional[str] = None
+    max_poll = max(poll_interval, 2.0) if max_poll is None else float(max_poll)
+    idle_rng = new_rng(derived_seed("worker-idle", worker_id))
+    idle_polls, idle_since = 0, time.monotonic()
+    try:
+        outstanding, priorities, leased = _scan(source, handles, plan, stats)
+        telemetry.get_recorder().event("worker.start", worker=worker_id, root=source.root)
+        while True:
+            pick = source.pick(outstanding, priorities, warm)
+            if pick is None and exit_when_drained and not (
+                leased and source.waits_on_leases
+            ):
+                return stats
+            if pick is not None and _dispatch(source, handles, pick, warm, stats):
+                warm = pick[0]
+                idle_polls, idle_since = 0, time.monotonic()
+            elif max_idle is not None and time.monotonic() - idle_since > max_idle:
+                return stats
+            else:
+                # Capped exponential backoff with deterministic jitter in
+                # [0.5, 1.5): idle fleets poll ever more gently, but any
+                # deferred (backing-off) item is revisited within max_poll.
+                delay = min(poll_interval * 2.0 ** min(idle_polls, 16), max_poll)
+                time.sleep(delay * (0.5 + idle_rng.random()))
+                idle_polls += 1
+            outstanding, priorities, leased = _scan(source, handles, plan, stats)
+            stats.fold()
+            if max_items is not None and stats.items >= max_items:
+                return stats
+    finally:
+        stats.fold()
+        rec = telemetry.get_recorder()
+        rec.event(
+            "worker.exit", worker=worker_id, items=stats.items, cells=stats.cells,
+            failures=stats.failures, lost_leases=stats.lost_leases,
+            locality_hits=stats.locality_hits, steals=stats.steals,
+            finalized=len(stats.finalized),
+        )
+        if rec is caller_recorder:
+            rec.flush_metrics()
         else:
-            plan = faults.FaultPlan(
-                rules=list(plan.rules) + list(crash.rules), seed=plan.seed
-            )
-    return plan
+            telemetry.disable()  # the worker's own sink: flush and close it
 
 
 def worker_loop(
@@ -176,7 +448,6 @@ def worker_loop(
     max_idle: Optional[float] = None,
     max_items: Optional[int] = None,
     exit_when_drained: bool = True,
-    crash_after_claim: Optional[int] = None,
 ) -> WorkerStats:
     """Run the claim/execute/append/complete loop until there is no work.
 
@@ -207,95 +478,21 @@ def worker_loop(
         daemons).  ``False`` keeps serving across future submissions to the
         same run directory until ``max_idle`` (or termination) — the
         long-lived daemon mode (``repro.cluster worker --serve``).
-    crash_after_claim:
-        Legacy fault-injection hook: SIGKILL this process right after the
-        ``N``-th successful claim (see :data:`CRASH_AFTER_CLAIM_ENV`; the
-        CLI wires the environment variable through, library callers must
-        opt in explicitly).  General schedules come from :mod:`repro.faults`
-        — installed, via :data:`~repro.faults.FAULTS_ENV`, or via the run
-        manifest (``manifest["faults"]``), in that precedence order.
-    """
-    run_dir = os.path.abspath(run_dir)
-    worker_id = worker_id or default_worker_id()
-    manifest = read_manifest(run_dir) or {}
-    if lease_timeout is None:
-        lease_timeout = float(manifest.get("lease_timeout") or DEFAULT_LEASE_TIMEOUT)
-    chunk_size = manifest.get("chunk_size")
-    chunk_size = int(chunk_size) if chunk_size is not None else None
-    retry = RetryPolicy.from_manifest(manifest.get("retry"))
-    # A submission made while telemetry was enabled flags the manifest; a
-    # worker that has no recorder of its own then records into the shared
-    # run directory (one sink per worker, named like its result shard).  A
-    # recorder the caller already installed always wins — the coordinator's
-    # in-process fallback keeps recording into *its* configured sink.
-    owns_recorder = False
-    if manifest.get("telemetry") and not telemetry.enabled():
-        telemetry.configure(run_dir, name=f"worker-{worker_id}")
-        owns_recorder = True
-    # Fault schedules propagate the same way; restore the caller's plan on
-    # exit so a library call (the coordinator's in-process fallback, tests)
-    # doesn't leave a chaos schedule armed in the calling process.
-    previous_plan = faults.current()
-    plan = _resolve_fault_plan(manifest, crash_after_claim)
-    if plan is not None:
-        # Run-scoped rules (scope="run") share their firing budget across
-        # the whole fleet through slot files under <run_dir>/faults/.
-        plan.bind(os.path.join(run_dir, faults.BUDGET_DIRNAME))
-    if plan is not previous_plan:
-        faults.install(plan)
-    rec = telemetry.get_recorder()
-    queue = JobQueue(run_dir, lease_timeout=lease_timeout, retry=retry)
-    context = _load_context(run_dir)
-    checksum = bool(manifest.get("checksums"))
-    shard_path = os.path.join(run_dir, SHARDS_DIRNAME, f"worker-{worker_id}.jsonl")
-    stats = WorkerStats(worker_id=worker_id)
-    heartbeat_interval = max(lease_timeout / 4.0, 0.05)
-    max_poll = max(poll_interval, 2.0) if max_poll is None else float(max_poll)
-    idle_rng = new_rng(derived_seed("worker-idle", worker_id))
-    idle_polls = 0
 
-    rec.event("worker.start", worker=worker_id, run_dir=run_dir)
-    try:
-        idle_since = time.monotonic()
-        while True:
-            _touch_beacon(run_dir, worker_id)
-            requeued = len(queue.requeue_expired())
-            if requeued:
-                stats.requeued += requeued
-                rec.count("worker.requeued", requeued)
-            item = queue.claim(worker_id)
-            if item is None:
-                if exit_when_drained and queue.is_drained():
-                    return stats
-                if max_idle is not None and time.monotonic() - idle_since > max_idle:
-                    return stats
-                # Capped exponential backoff with deterministic jitter in
-                # [0.5, 1.5): idle fleets poll ever more gently, but any
-                # deferred (backing-off) item is revisited within max_poll.
-                delay = min(poll_interval * 2.0 ** min(idle_polls, 16), max_poll)
-                time.sleep(delay * (0.5 + idle_rng.random()))
-                idle_polls += 1
-                continue
-            idle_since = time.monotonic()
-            idle_polls = 0
-            _execute_item(
-                queue, context, item, shard_path, worker_id, chunk_size,
-                heartbeat_interval, stats, checksum=checksum,
-            )
-            if max_items is not None and stats.items >= max_items:
-                return stats
-    finally:
-        rec.event(
-            "worker.exit", worker=worker_id, items=stats.items,
-            cells=stats.cells, lost_leases=stats.lost_leases,
-            failures=stats.failures,
-        )
-        if owns_recorder:
-            telemetry.disable()  # flushes the final metrics snapshot
-        else:
-            rec.flush_metrics()
-        if plan is not previous_plan:
-            faults.install(previous_plan)
+    Fault schedules come from :mod:`repro.faults` — installed, via
+    :data:`~repro.faults.FAULTS_ENV`, or via the run manifest
+    (``manifest["faults"]``), in that precedence order.
+    """
+    source = RunSource(run_dir, lease_timeout)
+    stats = serve(
+        source, worker_id or default_worker_id(), poll_interval=poll_interval,
+        max_poll=max_poll, max_idle=max_idle, max_items=max_items,
+        exit_when_drained=exit_when_drained,
+    )
+    return stats.tenant_stats(source.tenant)
+
+
+# -- one item -----------------------------------------------------------------
 
 
 def _execute_item(

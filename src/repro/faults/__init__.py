@@ -17,8 +17,8 @@ seam           fires
 ``publish``    just before the group's records are appended to the shard
 ``complete``   after a durable publish, before the completion rename
 ``heartbeat``  in the background lease-refresh thread, before each beat
-``dispatch``   in the service worker, right after the fair-share pick
-``steal``      in the service worker, when a pick stole from a hog tenant
+``dispatch``   in the worker loop, right after every pick (one-tenant runs too)
+``steal``      in the worker loop, when a fair-share pick stole from a hog tenant
 =============  ==============================================================
 
 and a **kind**:
@@ -52,7 +52,7 @@ the rule and the visit number via :func:`repro.utils.rng.derived_seed`, so a
 given schedule makes identical decisions on every host and every rerun.
 With ``scope="run"`` the ``times`` budget is shared across the *fleet*
 instead: firings claim slot files under ``<run_dir>/faults/`` (bound via
-:meth:`FaultPlan.bind` by :func:`repro.cluster.worker.worker_loop`) with
+:meth:`FaultPlan.bind` by :class:`repro.cluster.worker.RunHandle`) with
 ``O_CREAT|O_EXCL``, so ``times=1`` means once run-wide no matter how many
 worker processes carry the plan.  The per-process default is deliberate —
 poison rules ("tear the first publish of item X") must re-arm in every
@@ -61,12 +61,12 @@ crash-looped replacement worker.
 Plans propagate exactly like telemetry configuration: a process-local
 install (:func:`install`), the :data:`FAULTS_ENV` environment variable, or
 the run manifest (``manifest["faults"]``, written by
-:func:`repro.cluster.broker.prepare_run_dir`) — in that precedence order,
-resolved by :func:`repro.cluster.worker.worker_loop` so spawned worker
-daemons honor the same schedule as in-process callers.  This generalizes
-(and subsumes) the original single-purpose
-:data:`~repro.cluster.worker.CRASH_AFTER_CLAIM_ENV` hook, which is now a
-one-rule plan (:func:`crash_after_claim_plan`).
+:func:`repro.cluster.broker.prepare_run_dir`) — in that precedence order.
+The one worker loop (:func:`repro.cluster.worker.serve`) resolves the plan
+per run: a cluster worker for its run directory, a service worker for each
+tenant, and each run's plan is installed while that run's picks and items
+execute.  Spawned daemons and service workers therefore honor the same
+schedule as in-process callers.
 
 With no plan installed, every seam costs one ``None`` check.
 """
@@ -101,7 +101,6 @@ __all__ = [
     "clock_skew",
     "plan_from_env",
     "install_from_env",
-    "crash_after_claim_plan",
 ]
 
 #: Environment variable holding a JSON-serialized plan (see
@@ -243,7 +242,7 @@ class FaultPlan:
         """Bind run-scoped rules to a shared firing-budget directory.
 
         Workers bind the plan to ``<run_dir>/faults/`` before installing it
-        (:func:`repro.cluster.worker.worker_loop`), so every process serving
+        (:class:`repro.cluster.worker.RunHandle`), so every process serving
         one run shares one budget.  Returns ``self`` for chaining; binding
         an already-bound plan to the same directory is a no-op.
         """
@@ -479,11 +478,3 @@ def install_from_env() -> Optional[FaultPlan]:
         install(plan)
     return plan
 
-
-def crash_after_claim_plan(nth: int) -> FaultPlan:
-    """The legacy ``CRASH_AFTER_CLAIM_ENV`` behaviour as a one-rule plan:
-    SIGKILL this process right after its ``nth`` successful claim."""
-    return FaultPlan(
-        [FaultRule(seam="claim", kind="sigkill", nth=int(nth),
-                   note="crash_after_claim")]
-    )

@@ -16,10 +16,9 @@ dispatch fairly across them:
   priority-weighted, locality-aware (prefer the tenant whose context the
   worker has warm) with anti-starvation stealing;
 * :mod:`repro.service.worker` — :func:`service_worker_loop`: the resident
-  daemon that folds the tenant table, picks fairly, executes claims with
-  the *same* claim/execute/append/complete body as the single-run worker
-  (heartbeats, fault seams, containment included), and finalizes drained
-  tenants (locked merge + terminal state);
+  daemon, the cluster's one worker loop over the tenant table (heartbeats,
+  fault seams and plans, containment included): it picks fairly and
+  finalizes drained tenants (locked merge + terminal state);
 * :mod:`repro.service.reports` — the read path: ``status`` snapshots and
   per-tenant RErr-vs-rate tables from the merged canonical stores;
 * :mod:`repro.service.cli` — ``submit`` / ``worker`` / ``workers`` /
@@ -33,7 +32,6 @@ the property ``benchmarks/bench_service.py`` asserts.
 
 from repro.service.registry import RUNNABLE_STATES, STATES, ServiceRegistry, Tenant
 from repro.service.reports import (
-    live_service_workers,
     service_status,
     tenant_report_data,
     tenant_tables,
@@ -51,7 +49,6 @@ __all__ = [
     "ServiceWorkerStats",
     "service_worker_loop",
     "service_status",
-    "live_service_workers",
     "tenant_report_data",
     "tenant_tables",
 ]

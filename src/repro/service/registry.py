@@ -41,7 +41,6 @@ __all__ = [
     "RUNNABLE_STATES",
     "TENANTS_FILENAME",
     "TENANTS_DIRNAME",
-    "WORKERS_DIRNAME",
     "Tenant",
     "ServiceRegistry",
 ]
@@ -57,7 +56,6 @@ RUNNABLE_STATES = ("queued", "active")
 
 TENANTS_FILENAME = "tenants.jsonl"
 TENANTS_DIRNAME = "tenants"
-WORKERS_DIRNAME = "workers"
 
 _TENANT_ID = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -93,9 +91,6 @@ class ServiceRegistry:
     def tenant_run_dir(self, tenant_id: str) -> str:
         """The cluster run directory backing ``tenant_id``."""
         return os.path.join(self.service_dir, TENANTS_DIRNAME, tenant_id)
-
-    def workers_dir(self) -> str:
-        return os.path.join(self.service_dir, WORKERS_DIRNAME)
 
     # -- the event log --------------------------------------------------------
 

@@ -16,43 +16,21 @@ bit-error rate, per model × error source — from nothing but the tenant's
 from __future__ import annotations
 
 import os
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.merge import QUARANTINE_FILENAME
 from repro.cluster.queue import JobQueue
+from repro.cluster.worker import live_worker_ids
 from repro.service.registry import ServiceRegistry
 from repro.utils.serialization import read_jsonl
 from repro.utils.tables import Table
 
 __all__ = [
-    "live_service_workers",
     "service_status",
     "tenant_report_data",
     "tenant_tables",
     "service_summary_table",
 ]
-
-
-def live_service_workers(service_dir: str, ttl: float = 60.0) -> List[str]:
-    """Service-level worker ids whose beacon is fresher than ``ttl`` seconds."""
-    workers_dir = ServiceRegistry(service_dir).workers_dir()
-    try:
-        names = os.listdir(workers_dir)
-    except FileNotFoundError:
-        return []
-    now = time.time()
-    alive = []
-    for name in names:
-        try:
-            mtime = os.stat(os.path.join(workers_dir, name)).st_mtime
-        # repro: ignore[REP008] a beacon deleted between listdir and stat
-        # belongs to a worker that exited; not-alive is the right answer.
-        except OSError:
-            continue
-        if now - mtime <= ttl:
-            alive.append(name)
-    return sorted(alive)
 
 
 def service_status(service_dir: str, worker_ttl: float = 60.0) -> Dict:
@@ -104,7 +82,7 @@ def service_status(service_dir: str, worker_ttl: float = 60.0) -> Dict:
     return {
         "service_dir": registry.service_dir,
         "tenants": tenants,
-        "workers": live_service_workers(service_dir, ttl=worker_ttl),
+        "workers": live_worker_ids(registry.service_dir, ttl=worker_ttl),
     }
 
 

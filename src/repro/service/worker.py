@@ -1,52 +1,46 @@
 """The service worker: one long-lived daemon serving every tenant fairly.
 
-Where :func:`repro.cluster.worker.worker_loop` drains a *single* run
-directory, :func:`service_worker_loop` attaches to a *service* directory
-(:mod:`repro.service.registry`) and multiplexes across every runnable
-tenant:
+:func:`service_worker_loop` runs the one worker loop
+(:func:`repro.cluster.worker.serve`) over a *service* directory
+(:mod:`repro.service.registry`) instead of a single run directory, so
+every single-run guarantee — heartbeats, fault seams and per-tenant fault
+plans, failure containment, shard-append durability — holds per tenant.
+The registry source supplies only what differs:
 
-1. fold the tenant table; requeue expired leases of every runnable tenant
-   (crash recovery is cross-tenant — a worker serving tenant A still
+1. the runnable tenants, folded from the tenant table (the loop requeues
+   expired leases of every one of them, so a worker serving tenant A still
    rescues tenant B's abandoned groups);
-2. snapshot per-tenant claimable counts and ask the
-   :class:`~repro.service.scheduler.FairShareScheduler` which tenant to
-   serve — deficit round-robin over priorities, preferring the tenant whose
-   context this worker already has warm, stealing when another would
-   starve;
-3. claim from the picked tenant's ordinary :class:`JobQueue` and execute
-   the item with the *same* claim/execute/append/complete body the cluster
-   worker uses (:func:`repro.cluster.worker._execute_item`) — heartbeats,
-   fault seams, failure containment and shard-append durability included,
-   so every single-run guarantee holds per tenant;
-4. when a tenant drains, finalize it: merge its shards into its canonical
+2. the pick: the :class:`~repro.service.scheduler.FairShareScheduler` —
+   deficit round-robin over priorities, preferring the tenant whose context
+   this worker already has warm, stealing when another would starve — and
+   its refund when a pick served nothing;
+3. ``queued → active`` on a tenant's first claim;
+4. when a tenant drains, finalization: merge its shards into its canonical
    store under an ``O_CREAT|O_EXCL`` merge lock (exactly one finalizer per
    tenant fleet-wide) and fold its terminal state (``done``, or ``failed``
    when dead-lettered items remain) into the registry.
 
 Per-pick telemetry: a ``service.dispatch`` span (tenant, reason, item) and
 the ``service.locality_hits`` / ``service.locality_misses`` /
-``service.steals`` counters that the fair-share tests assert against.  The
-``dispatch`` and ``steal`` fault seams fire here, so chaos schedules can
-poison the multi-tenant path as precisely as the single-run one.
+``service.steals`` counters that the fair-share tests assert against.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro import faults, telemetry
-from repro.cluster.broker import CONTEXT_FILENAME, SHARDS_DIRNAME, read_manifest
+from repro import telemetry
 from repro.cluster.merge import MergeStats, merge_shards
-from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, RetryPolicy
-from repro.cluster.worker import WorkerStats, _execute_item, default_worker_id
-from repro.service.registry import ServiceRegistry
+from repro.cluster.worker import (
+    RunHandle,
+    ServiceWorkerStats,
+    default_worker_id,
+    serve,
+)
+from repro.service.registry import ServiceRegistry, Tenant
 from repro.service.scheduler import FairShareScheduler
-from repro.utils.rng import derived_seed, new_rng
-from repro.utils.serialization import atomic_write_text
 
 __all__ = ["ServiceWorkerStats", "service_worker_loop", "MERGE_LOCK_FILENAME"]
 
@@ -57,92 +51,10 @@ MERGE_LOCK_FILENAME = "merge.lock"
 STALE_LOCK_S = 120.0
 
 
-@dataclass
-class ServiceWorkerStats:
-    """What one :func:`service_worker_loop` call did, across all tenants."""
-
-    worker_id: str = ""
-    items: int = 0
-    cells: int = 0
-    failures: int = 0
-    dead_lettered: int = 0
-    requeued: int = 0
-    lost_leases: int = 0
-    locality_hits: int = 0
-    locality_misses: int = 0
-    steals: int = 0
-    context_loads: int = 0
-    finalized: List[str] = field(default_factory=list)
-    per_tenant: Dict[str, WorkerStats] = field(default_factory=dict)
-
-    def tenant_stats(self, tenant_id: str, worker_id: str) -> WorkerStats:
-        if tenant_id not in self.per_tenant:
-            self.per_tenant[tenant_id] = WorkerStats(worker_id=worker_id)
-        return self.per_tenant[tenant_id]
-
-    def fold(self) -> None:
-        """Roll the per-tenant counters up into the service-level ones."""
-        self.items = sum(s.items for s in self.per_tenant.values())
-        self.cells = sum(s.cells for s in self.per_tenant.values())
-        self.failures = sum(s.failures for s in self.per_tenant.values())
-        self.dead_lettered = sum(s.dead_lettered for s in self.per_tenant.values())
-        self.lost_leases = sum(s.lost_leases for s in self.per_tenant.values())
-
-
-class _TenantRuntime:
-    """A worker's cached handles for one tenant's run directory.
-
-    The queue handle and manifest knobs are cheap and always held; the
-    pickled context is the expensive part and loads lazily — *having it
-    loaded* is what "warm" means to the scheduler.
-    """
-
-    def __init__(self, run_dir: str):
-        self.run_dir = run_dir
-        manifest = read_manifest(run_dir) or {}
-        self.lease_timeout = float(
-            manifest.get("lease_timeout") or DEFAULT_LEASE_TIMEOUT
-        )
-        chunk = manifest.get("chunk_size")
-        self.chunk_size = int(chunk) if chunk is not None else None
-        self.checksum = bool(manifest.get("checksums"))
-        self.telemetry = bool(manifest.get("telemetry"))
-        self.retry = RetryPolicy.from_manifest(manifest.get("retry"))
-        self.queue = JobQueue(
-            run_dir, lease_timeout=self.lease_timeout, retry=self.retry
-        )
-        self.heartbeat_interval = max(self.lease_timeout / 4.0, 0.05)
-        self._context = None
-
-    @property
-    def warm(self) -> bool:
-        return self._context is not None
-
-    def context(self):
-        if self._context is None:
-            with open(os.path.join(self.run_dir, CONTEXT_FILENAME), "rb") as handle:
-                self._context = pickle.load(handle)
-        return self._context
-
-    def shard_path(self, worker_id: str) -> str:
-        return os.path.join(
-            self.run_dir, SHARDS_DIRNAME, f"worker-{worker_id}.jsonl"
-        )
-
-
-def _touch_service_beacon(registry: ServiceRegistry, worker_id: str) -> None:
-    path = os.path.join(registry.workers_dir(), worker_id)
-    try:
-        os.utime(path)
-    except FileNotFoundError:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        atomic_write_text(path, str(os.getpid()) + "\n")
-
-
 def _finalize_tenant(
     registry: ServiceRegistry,
     tenant_id: str,
-    runtime: _TenantRuntime,
+    handle: RunHandle,
     stats: ServiceWorkerStats,
 ) -> bool:
     """Merge a drained tenant's shards and fold its terminal state.
@@ -152,7 +64,7 @@ def _finalize_tenant(
     keys dedupe), so a crashed finalizer costs nothing but a stale lock,
     which the next worker breaks after :data:`STALE_LOCK_S`.
     """
-    lock_path = os.path.join(runtime.run_dir, MERGE_LOCK_FILENAME)
+    lock_path = os.path.join(handle.run_dir, MERGE_LOCK_FILENAME)
     try:
         lock_age = time.time() - os.stat(lock_path).st_mtime
         if lock_age > STALE_LOCK_S:
@@ -169,8 +81,8 @@ def _finalize_tenant(
     try:
         os.write(fd, f"{stats.worker_id}\n".encode())
         os.close(fd)
-        merge_stats: MergeStats = merge_shards(runtime.run_dir)
-        failed = runtime.queue.failed_ids()
+        merge_stats: MergeStats = merge_shards(handle.run_dir)
+        failed = handle.queue.failed_ids()
         state = "failed" if failed else "done"
         registry.set_state(tenant_id, state, worker=stats.worker_id)
         stats.finalized.append(tenant_id)
@@ -191,6 +103,42 @@ def _finalize_tenant(
             pass
 
 
+class _RegistrySource:
+    """A service registry as a work source: the hooks of
+    :class:`repro.cluster.worker.RunSource` over every runnable tenant."""
+
+    #: The one-shot exit ignores peers' leases (see service_worker_loop).
+    waits_on_leases = False
+    lease_timeout = None
+
+    def __init__(self, registry: ServiceRegistry, scheduler: FairShareScheduler,
+                 worker_id: str):
+        self.registry = registry
+        self.root = registry.service_dir
+        self.scheduler = scheduler
+        self.worker_id = worker_id
+        self.tenants: Dict[str, Tenant] = {}
+
+    def runnable(self) -> List[Tuple[str, str, float]]:
+        self.tenants = self.registry.runnable()
+        return [(tenant_id, self.registry.tenant_run_dir(tenant_id), tenant.priority)
+                for tenant_id, tenant in sorted(self.tenants.items())]
+
+    def pick(self, outstanding, priorities, warm) -> Optional[Tuple[str, str]]:
+        pick = self.scheduler.pick(outstanding, priorities, warm=warm)
+        return None if pick is None else (pick.tenant, pick.reason)
+
+    def refund(self, tenant_id: str) -> None:
+        self.scheduler.refund(tenant_id)
+
+    def claimed(self, tenant_id: str) -> None:
+        if self.tenants[tenant_id].state == "queued":
+            self.registry.set_state(tenant_id, "active", worker=self.worker_id)
+
+    def drained(self, tenant_id: str, handle: RunHandle, stats) -> None:
+        _finalize_tenant(self.registry, tenant_id, handle, stats)
+
+
 def service_worker_loop(
     service_dir: str,
     worker_id: Optional[str] = None,
@@ -208,7 +156,7 @@ def service_worker_loop(
     ----------
     worker_id:
         Unique name of this worker (default ``<hostname>-<pid>``); names the
-        per-tenant shard files and both beacon levels.
+        per-tenant shard files and the service-level beacon.
     poll_interval / max_poll:
         Idle-poll backoff, exactly as in the single-run worker loop
         (capped exponential with deterministic jitter).
@@ -217,9 +165,15 @@ def service_worker_loop(
     max_items:
         Execute at most this many items across all tenants (testing hook).
     exit_when_drained:
-        Exit once no runnable tenant has pending or leased work (the
-        default).  ``False`` keeps serving future submissions until
-        ``max_idle`` — the resident daemon mode (``--serve``).
+        Exit once no runnable tenant has a pending item (the default).
+        Unlike a cluster worker it does not stay for items a peer still
+        holds leased: the peer completes them, or a later worker requeues
+        them once the lease expires, and the tenant stays ``active`` until
+        then.  Staying costs throughput: with it, the ``sweep-service``
+        benchmark lost 13.5 % on a 2-vCPU host (median 45.8 → 39.6 ops/s,
+        six paired 8 s runs).  ``False`` keeps serving
+        future submissions until ``max_idle`` — the resident daemon mode
+        (``--serve``).
     seed:
         Fair-share tie-break seed: workers given distinct seeds spread
         across tenants instead of herding, while a fixed seed makes a
@@ -228,144 +182,12 @@ def service_worker_loop(
         An explicit :class:`FairShareScheduler` (testing hook; default one
         is built from ``seed``).
     """
-    registry = ServiceRegistry(service_dir)
     worker_id = worker_id or default_worker_id()
-    scheduler = scheduler or FairShareScheduler(seed=seed)
-    stats = ServiceWorkerStats(worker_id=worker_id)
-    runtimes: Dict[str, _TenantRuntime] = {}
-    warm_tenant: Optional[str] = None
-    owns_recorder = False
-    rec = telemetry.get_recorder()
-    max_poll = max(poll_interval, 2.0) if max_poll is None else float(max_poll)
-    idle_rng = new_rng(derived_seed("service-idle", worker_id))
-    idle_polls = 0
-    idle_since = time.monotonic()
-
-    rec.event("service.worker_start", worker=worker_id, service_dir=service_dir)
-    try:
-        while True:
-            _touch_service_beacon(registry, worker_id)
-            runnable = registry.runnable()
-            outstanding: Dict[str, int] = {}
-            priorities: Dict[str, float] = {}
-            drained_now: List[str] = []
-            for tenant_id, tenant in sorted(runnable.items()):
-                runtime = runtimes.get(tenant_id)
-                if runtime is None:
-                    run_dir = registry.tenant_run_dir(tenant_id)
-                    if not os.path.isdir(run_dir):
-                        continue  # registered but never prepared; skip
-                    runtime = runtimes[tenant_id] = _TenantRuntime(run_dir)
-                    # A tenant submitted with telemetry asks service
-                    # workers without a recorder to record into the
-                    # *service* directory (one sink per worker).
-                    if runtime.telemetry and not telemetry.enabled():
-                        telemetry.configure(
-                            registry.service_dir, name=f"worker-{worker_id}"
-                        )
-                        owns_recorder = True
-                        rec = telemetry.get_recorder()
-                requeued = len(runtime.queue.requeue_expired())
-                if requeued:
-                    stats.requeued += requeued
-                    rec.count("service.requeued", requeued)
-                counts = runtime.queue.counts()
-                outstanding[tenant_id] = counts["pending"]
-                priorities[tenant_id] = tenant.priority
-                if counts["pending"] == 0 and counts["leased"] == 0:
-                    drained_now.append(tenant_id)
-
-            for tenant_id in drained_now:
-                _finalize_tenant(registry, tenant_id, runtimes[tenant_id], stats)
-
-            pick = scheduler.pick(outstanding, priorities, warm=warm_tenant)
-            if pick is None:
-                if exit_when_drained:
-                    return stats
-                if max_idle is not None and time.monotonic() - idle_since > max_idle:
-                    return stats
-                delay = min(poll_interval * 2.0 ** min(idle_polls, 16), max_poll)
-                time.sleep(delay * (0.5 + idle_rng.random()))
-                idle_polls += 1
-                continue
-
-            runtime = runtimes[pick.tenant]
-            with rec.span(
-                "service.dispatch",
-                worker=worker_id, tenant=pick.tenant, reason=pick.reason,
-            ) as span:
-                try:
-                    faults.fire("dispatch", pick.tenant)
-                    if pick.reason == "steal":
-                        stats.steals += 1
-                        rec.count("service.steals")
-                        faults.fire("steal", pick.tenant)
-                except Exception as exc:  # noqa: BLE001 - containment boundary
-                    # A poisoned dispatch costs one pick, not the worker:
-                    # nothing is claimed yet, so hand back the credit and
-                    # take the next round.
-                    scheduler.refund(pick.tenant)
-                    span.note(failed=True, exc_type=type(exc).__name__)
-                    rec.count("service.dispatch_failures")
-                    rec.event(
-                        "service.dispatch_failed", level="error",
-                        worker=worker_id, tenant=pick.tenant,
-                        exc_type=type(exc).__name__, message=str(exc)[:500],
-                    )
-                    continue
-                item = runtime.queue.claim(worker_id)
-                span.note(claimed=item is not None)
-                if item is None:
-                    # The snapshot went stale (a peer drained the tenant, or
-                    # every pending item is backing off); hand the credit
-                    # back and take the idle path.
-                    scheduler.refund(pick.tenant)
-                    rec.count("service.empty_claims")
-                    if max_idle is not None and (
-                        time.monotonic() - idle_since > max_idle
-                    ):
-                        return stats
-                    delay = min(poll_interval * 2.0 ** min(idle_polls, 16), max_poll)
-                    time.sleep(delay * (0.5 + idle_rng.random()))
-                    idle_polls += 1
-                    continue
-                idle_since = time.monotonic()
-                idle_polls = 0
-                if pick.tenant == warm_tenant and runtime.warm:
-                    stats.locality_hits += 1
-                    rec.count("service.locality_hits")
-                else:
-                    stats.locality_misses += 1
-                    rec.count("service.locality_misses")
-                if not runtime.warm:
-                    stats.context_loads += 1
-                    rec.count("service.context_loads")
-                context = runtime.context()
-                warm_tenant = pick.tenant
-                if runnable[pick.tenant].state == "queued":
-                    registry.set_state(pick.tenant, "active", worker=worker_id)
-                tenant_stats = stats.tenant_stats(pick.tenant, worker_id)
-                _execute_item(
-                    runtime.queue, context, item,
-                    runtime.shard_path(worker_id), worker_id,
-                    runtime.chunk_size, runtime.heartbeat_interval,
-                    tenant_stats, checksum=runtime.checksum,
-                )
-                span.note(items=tenant_stats.items)
-            stats.fold()
-            if runtime.queue.is_drained():
-                _finalize_tenant(registry, pick.tenant, runtime, stats)
-            if max_items is not None and stats.items >= max_items:
-                return stats
-    finally:
-        stats.fold()
-        rec.event(
-            "service.worker_exit",
-            worker=worker_id, items=stats.items, cells=stats.cells,
-            locality_hits=stats.locality_hits, steals=stats.steals,
-            finalized=len(stats.finalized),
-        )
-        if owns_recorder:
-            telemetry.disable()
-        else:
-            rec.flush_metrics()
+    source = _RegistrySource(
+        ServiceRegistry(service_dir), scheduler or FairShareScheduler(seed=seed),
+        worker_id,
+    )
+    return serve(
+        source, worker_id, poll_interval=poll_interval, max_poll=max_poll,
+        max_idle=max_idle, max_items=max_items, exit_when_drained=exit_when_drained,
+    )

@@ -6,7 +6,6 @@ its group, a surviving worker re-executes it, and the content-keyed merge
 keeps the canonical results complete and duplicate-free.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -14,6 +13,7 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.cluster import (
     ClusterExecutor,
     JobQueue,
@@ -21,19 +21,22 @@ from repro.cluster import (
     submit_spec,
     worker_loop,
 )
-from repro.cluster.worker import CRASH_AFTER_CLAIM_ENV
+from repro.faults import FAULTS_ENV, FaultPlan, FaultRule
 from repro.runtime import ResultStore, SerialExecutor, run_sweep
 
+#: SIGKILL the worker process right after its first claim: mid-group, with
+#: the lease held and no results written.
+CRASH_AFTER_FIRST_CLAIM = FaultPlan([FaultRule(seam="claim", kind="sigkill", nth=1)])
 
-def _spawn_worker(run_dir, worker_id, crash_after_claim=None):
-    """Start a real worker subprocess (optionally primed to SIGKILL itself)."""
+
+def _spawn_worker(run_dir, worker_id, extra_env=None):
+    """Start a real worker subprocess (optionally with a fault schedule)."""
     import repro
 
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
-    if crash_after_claim is not None:
-        env[CRASH_AFTER_CLAIM_ENV] = str(crash_after_claim)
+    env.update(extra_env or {})
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cluster", "worker", run_dir,
          "--id", worker_id, "--poll", "0.05"],
@@ -58,7 +61,7 @@ def test_sigkill_mid_group_loses_and_duplicates_nothing(grid, tmp_path):
     submission = submit_spec(run_dir, spec, lease_timeout=1.0)
     assert submission.enqueued
 
-    crashy = _spawn_worker(run_dir, "crashy", crash_after_claim=1)
+    crashy = _spawn_worker(run_dir, "crashy", CRASH_AFTER_FIRST_CLAIM.to_env())
     crashy.wait(timeout=60)
     assert crashy.returncode == -9  # died by its own SIGKILL, mid-group
     queue = JobQueue(run_dir, lease_timeout=1.0)
@@ -80,6 +83,26 @@ def test_sigkill_mid_group_loses_and_duplicates_nothing(grid, tmp_path):
     keys = _results_keys(run_dir)
     assert set(keys) == expected
     assert len(keys) == len(expected)
+
+
+def test_one_shot_worker_stays_to_rescue_a_peers_last_lease(grid, tmp_path):
+    """A one-shot cluster worker does not exit while a peer holds the run's
+    last lease: it waits out the lease, requeues it and runs the item."""
+    run_dir = str(tmp_path)
+    submission = submit_spec(run_dir, grid(), lease_timeout=0.5)
+    queue = JobQueue(run_dir, lease_timeout=0.5)
+    held = queue.claim("peer")  # a peer that will never report back
+    # A patient worker (long expiry horizon) drains everything else.
+    worker_loop(run_dir, worker_id="first", lease_timeout=600.0,
+                max_items=len(submission.enqueued) - 1)
+    assert queue.pending_ids() == [] and queue.leased_ids() == [held.item_id]
+    assert queue.heartbeat(held.item_id)  # the peer's lease is fresh again
+
+    stats = worker_loop(run_dir, worker_id="rescuer", poll_interval=0.01,
+                        max_poll=0.05)
+    assert stats.requeued == 1
+    assert stats.item_ids == [held.item_id]
+    assert queue.is_drained()
 
 
 @pytest.mark.slow
@@ -128,11 +151,14 @@ def test_spawned_daemons_complete_a_sweep_bit_identically(grid, tmp_path):
 def test_coordinator_survives_a_crashing_daemon_fleet(grid, tmp_path, monkeypatch):
     """Every spawned daemon dies after one claim; the sweep still completes.
 
-    The env hook is honoured by the daemon CLI only, so the daemons (and
-    their respawned replacements) keep SIGKILLing themselves until the
-    restart budget runs out and the coordinator finishes in-process.
+    The daemons (and their respawned replacements) inherit the SIGKILL
+    schedule through the environment and keep killing themselves until the
+    restart budget runs out and the coordinator finishes in-process.  This
+    process installs an empty plan first: an installed plan outranks the
+    environment, so the in-process fallback does not kill the test runner.
     """
-    monkeypatch.setenv(CRASH_AFTER_CLAIM_ENV, "1")  # inherited by daemons
+    monkeypatch.setenv(FAULTS_ENV, CRASH_AFTER_FIRST_CLAIM.to_env()[FAULTS_ENV])
+    faults.install(FaultPlan())
     executor = ClusterExecutor(
         run_dir=str(tmp_path),
         max_workers=2,
@@ -140,7 +166,10 @@ def test_coordinator_survives_a_crashing_daemon_fleet(grid, tmp_path, monkeypatc
         poll_interval=0.02,
         stall_timeout=2.0,
     )
-    results = run_sweep(grid(), executor=executor)
+    try:
+        results = run_sweep(grid(), executor=executor)
+    finally:
+        faults.clear()
     serial = run_sweep(grid(), executor=SerialExecutor())
     assert results == serial
     keys = _results_keys(str(tmp_path))

@@ -148,14 +148,6 @@ def test_install_precedence(monkeypatch):
     assert faults.current() is None
 
 
-def test_crash_after_claim_plan_shape():
-    plan = faults.crash_after_claim_plan(3)
-    assert len(plan.rules) == 1
-    rule = plan.rules[0]
-    assert (rule.seam, rule.kind, rule.nth, rule.times) == ("claim", "sigkill", 3, 1)
-    assert rule.note == "crash_after_claim"
-
-
 def test_stall_resume_sleeps_and_survives():
     """The zombie-maker: a pause the process *outlives* (unlike sigkill), so
     the worker resumes after its lease has been reassigned elsewhere."""
