@@ -5,9 +5,9 @@ explicit job graph with location-independent SHA-256 content keys; this
 subsystem scales its execution from one process pool to a fleet of worker
 processes/hosts that share **only a filesystem**:
 
-* :mod:`repro.cluster.queue` — :class:`JobQueue`: atomically-leased work
-  items under ``<run_dir>/queue/`` (claim-by-rename, heartbeats, expiry and
-  requeue, so a killed worker's groups are retried elsewhere);
+* :mod:`repro.cluster.queue` — :class:`JobQueue`, the one queue protocol:
+  work items under ``<run_dir>/queue/``, one atomic rename per transition
+  (that module describes leases, fences, retries and dead letters);
 * :mod:`repro.cluster.broker` — :func:`submit_spec` /
   :func:`prepare_run_dir`: shard a :class:`~repro.runtime.spec.SweepSpec`'s
   job groups into work items, publish the pickled context, record the
@@ -42,18 +42,6 @@ Importing this module registers the ``"cluster"`` executor with
 :func:`repro.runtime.executors.register_executor`.
 """
 
-from repro.cluster.backends import (
-    DEFAULT_QUEUE_BACKEND,
-    BlobStore,
-    FilesystemQueueBackend,
-    KVQueueBackend,
-    LocalDirBlobStore,
-    QueueBackend,
-    manifest_queue_backend,
-    queue_backend_names,
-    register_queue_backend,
-    resolve_queue_backend,
-)
 from repro.cluster.broker import (
     Submission,
     group_item_id,
@@ -127,14 +115,4 @@ __all__ = [
     "repair_run_dir",
     "live_worker_ids",
     "spawn_local_worker",
-    "QueueBackend",
-    "FilesystemQueueBackend",
-    "KVQueueBackend",
-    "BlobStore",
-    "LocalDirBlobStore",
-    "DEFAULT_QUEUE_BACKEND",
-    "register_queue_backend",
-    "queue_backend_names",
-    "resolve_queue_backend",
-    "manifest_queue_backend",
 ]

@@ -42,11 +42,11 @@ import pickle
 import sys
 from typing import Dict, Optional, Sequence
 
-from repro.cluster.backends import DEFAULT_QUEUE_BACKEND
 from repro.cluster.broker import read_manifest, submit_spec
 from repro.cluster.integrity import (
     DEFAULT_SKEW_TOLERANCE,
     repair_run_dir,
+    require_run_dir,
     verify_run_dir,
 )
 from repro.cluster.merge import (
@@ -75,7 +75,6 @@ def _cmd_submit(args) -> int:
         spec,
         chunk_size=args.chunk_size,
         lease_timeout=args.lease_timeout,
-        queue_backend=args.queue_backend,
     )
     print(
         f"submitted {len(submission.enqueued)} new item(s) to {submission.run_dir} "
@@ -347,6 +346,18 @@ def _cmd_gc(args) -> int:
     return 0
 
 
+def _run_dir(path: str) -> str:
+    """argparse type of ``status``, ``verify`` and ``repair``: a run dir.
+
+    A path without ``queue/`` is a usage error (exit 2), and nothing is
+    created there.
+    """
+    try:
+        return require_run_dir(path)
+    except FileNotFoundError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster",
@@ -359,9 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="path to a pickled SweepSpec")
     p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT)
-    p.add_argument("--queue-backend", default=DEFAULT_QUEUE_BACKEND,
-                   help="registered queue storage backend "
-                        "(filesystem | kv | a custom registration)")
     p.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser("worker", help="serve the queue: claim, execute, append")
@@ -380,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_worker)
 
     p = sub.add_parser("status", help="queue / results / worker overview")
-    p.add_argument("run_dir")
+    p.add_argument("run_dir", type=_run_dir)
     p.add_argument("--worker-ttl", type=float, default=DEFAULT_LEASE_TIMEOUT,
                    help="beacon freshness horizon for liveness")
     p.add_argument("--requeue-expired", action="store_true",
@@ -412,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="audit run-dir integrity (fences, checksums, "
                             "leases, dedupe); exit 1 on findings")
-    p.add_argument("run_dir")
+    p.add_argument("run_dir", type=_run_dir)
     p.add_argument("--lease-timeout", type=float, default=None,
                    help="override the manifest's lease timeout")
     p.add_argument("--skew-tolerance", type=float,
@@ -431,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repair",
                        help="quarantine integrity violations and rewrite the "
                             "damaged files atomically (then re-verify)")
-    p.add_argument("run_dir")
+    p.add_argument("run_dir", type=_run_dir)
     p.add_argument("--lease-timeout", type=float, default=None,
                    help="override the manifest's lease timeout")
     p.add_argument("--skew-tolerance", type=float,

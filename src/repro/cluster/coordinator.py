@@ -55,7 +55,6 @@ from repro.cluster.merge import (
     discover_shards,
     quarantine_entry,
 )
-from repro.cluster.backends import DEFAULT_QUEUE_BACKEND
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, RetryPolicy
 from repro.cluster.worker import live_worker_ids, worker_loop
 from repro.nn import _threads
@@ -154,11 +153,6 @@ class ClusterExecutor:
         append, fleet-wide via the manifest (default on; see
         :mod:`repro.utils.serialization`).  Disable only to produce
         byte-identical legacy logs.
-    queue_backend:
-        Registered queue storage backend for the run (``"filesystem"`` by
-        default; ``"kv"`` hosts the queue on a blob store — see
-        :mod:`repro.cluster.backends`).  Recorded in the manifest so every
-        worker resolves the same one.
 
     A run that dead-letters items terminates with **partial results**: the
     failed groups are never yielded, and :attr:`failure_report` holds a
@@ -179,7 +173,6 @@ class ClusterExecutor:
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[faults_module.FaultPlan] = None,
         checksums: bool = True,
-        queue_backend: str = DEFAULT_QUEUE_BACKEND,
     ):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -201,7 +194,6 @@ class ClusterExecutor:
         self.retry = retry
         self.fault_plan = fault_plan
         self.checksums = bool(checksums)
-        self.queue_backend = str(queue_backend)
         #: The last run's dead-letter report (``None``: nothing failed).
         self.failure_report: Optional[FailureReport] = None
 
@@ -267,14 +259,8 @@ class ClusterExecutor:
                 retry=self.retry,
                 fault_plan=self.fault_plan,
                 checksums=self.checksums,
-                queue_backend=self.queue_backend,
             )
-            queue = JobQueue(
-                run_dir,
-                lease_timeout=self.lease_timeout,
-                retry=self.retry,
-                backend=self.queue_backend,
-            )
+            queue = JobQueue(run_dir, lease_timeout=self.lease_timeout, retry=self.retry)
             guard = MergeGuard(run_dir, queue=queue)
             procs = self._maybe_spawn(run_dir, len(outstanding))
             if procs:

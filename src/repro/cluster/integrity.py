@@ -60,6 +60,7 @@ __all__ = [
     "IntegrityFinding",
     "IntegrityReport",
     "RepairStats",
+    "require_run_dir",
     "verify_run_dir",
     "repair_run_dir",
 ]
@@ -117,6 +118,18 @@ class IntegrityReport:
             "counts": self.counts(),
             "findings": [finding.to_record() for finding in self.findings],
         }
+
+
+def require_run_dir(run_dir: str) -> str:
+    """``run_dir`` made absolute; ``FileNotFoundError`` unless it holds ``queue/``.
+
+    An audit of a path that holds nothing must neither report it clean nor
+    create a queue there.
+    """
+    run_dir = os.path.abspath(run_dir)
+    if not os.path.isdir(os.path.join(run_dir, "queue")):
+        raise FileNotFoundError(f"not a cluster run directory (no queue/): {run_dir}")
+    return run_dir
 
 
 def _lease_timeout(run_dir: str, lease_timeout: Optional[float]) -> float:
@@ -191,7 +204,7 @@ def _check_queue(
             else:
                 seen[item_id] = state
     for item_id in queue.leased_ids():
-        mtime = queue.backend.mtime(LEASED, item_id)
+        mtime = queue._mtime(LEASED, item_id)
         if mtime is None:
             # The lease ended between list and read; whatever state the
             # item is in now, it is not an orphan lease.
@@ -347,9 +360,10 @@ def verify_run_dir(
     ``only`` restricts the *report* to the named checks (exact names like
     ``"store.duplicate_key"`` or families like ``"queue"``); the audit
     itself always runs in full, so filtering never changes what a finding
-    would have said.
+    would have said.  Raises ``FileNotFoundError`` when ``run_dir`` holds no
+    ``queue/``.
     """
-    run_dir = os.path.abspath(run_dir)
+    run_dir = require_run_dir(run_dir)
     now = time.time() if now is None else float(now)
     lease_timeout = _lease_timeout(run_dir, lease_timeout)
     queue = JobQueue(run_dir, lease_timeout=lease_timeout)
@@ -485,9 +499,10 @@ def repair_run_dir(
     With ``dry_run=True`` nothing is written at all: the returned stats
     count would-be actions and :attr:`RepairStats.planned` itemizes each
     one (including every line that *would* be quarantined) — the preview
-    behind ``repro.cluster repair --dry-run``.
+    behind ``repro.cluster repair --dry-run``.  Raises ``FileNotFoundError``
+    when ``run_dir`` holds no ``queue/``.
     """
-    run_dir = os.path.abspath(run_dir)
+    run_dir = require_run_dir(run_dir)
     now = time.time() if now is None else float(now)
     lease_timeout = _lease_timeout(run_dir, lease_timeout)
     queue = JobQueue(run_dir, lease_timeout=lease_timeout)
@@ -497,7 +512,7 @@ def repair_run_dir(
 
     # Leases first: a skewed mtime would hide an orphan from requeue.
     for item_id in queue.leased_ids():
-        mtime = queue.backend.mtime(LEASED, item_id)
+        mtime = queue._mtime(LEASED, item_id)
         if mtime is None:
             # Lease ended between list and read — nothing left to reset
             # or requeue.
@@ -513,11 +528,11 @@ def repair_run_dir(
                         "skew": round(mtime - now, 3),
                     }
                 )
-            elif queue.backend.touch(LEASED, item_id, ts=now):
+            elif queue._touch(LEASED, item_id, ts=now):
                 stats.leases_reset += 1
     if dry_run:
         for item_id in queue.leased_ids():
-            mtime = queue.backend.mtime(LEASED, item_id)
+            mtime = queue._mtime(LEASED, item_id)
             if mtime is None or mtime > now + skew_tolerance:
                 continue  # gone, or a skew the (planned) reset handles first
             if now - mtime > lease_timeout:

@@ -455,9 +455,9 @@ def gc_run_dir(
 
     queue = JobQueue(run_dir)
     for item_id in queue.done_ids():
-        # Best-effort cleanup through the storage backend; a concurrent gc
-        # may remove the done marker first — the item stays gone either way.
-        if queue.backend.remove("done", item_id):
+        # Best-effort cleanup; a concurrent gc may remove the done marker
+        # first — the item stays gone either way.
+        if queue._remove("done", item_id):
             stats.done_items_removed += 1
 
     workers_dir = os.path.join(run_dir, WORKERS_DIRNAME)

@@ -1,12 +1,13 @@
 """Atomically-leased filesystem job queue: the cluster's coordination core.
 
-Workers that share nothing but a filesystem coordinate through three
+Workers that share nothing but a filesystem coordinate through four
 directories under ``<run_dir>/queue/``::
 
     queue/
         pending/<item>.json    # claimable work items (one job group each)
         leased/<item>.json     # claimed; the file's mtime is the heartbeat
         done/<item>.json       # completed (results live in the shards)
+        failed/<item>.json     # dead-lettered, with a failure record
 
 Every state transition is a single :func:`os.rename` of the item file —
 atomic on POSIX filesystems — so exactly one claimant wins a race and a
@@ -48,26 +49,20 @@ crash can never leave an item in two states or in none:
 Item payloads are small JSON documents (the serialized
 :class:`~repro.runtime.spec.EvalJob` records of one executor group), written
 atomically so readers on other hosts never observe partial files.
-
-The storage primitives behind all of the above — list/read/write/move/
-touch — live behind the pluggable :class:`~repro.cluster.backends.QueueBackend`
-seam: ``filesystem`` (this module's historical on-disk layout) is the
-default, and ``kv`` speaks the same contract over a minimal blob-store
-interface so S3-style object stores can host the queue without a shared
-POSIX filesystem.  The scheduling semantics above are backend-independent.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro import telemetry
-from repro.cluster.backends import QueueBackend, resolve_queue_backend
 from repro.utils.rng import derived_seed, new_rng
+from repro.utils.serialization import atomic_write_json
 
 __all__ = [
     "JobQueue",
@@ -183,12 +178,6 @@ class JobQueue:
         The run's :class:`RetryPolicy` (default: a fresh one).  Workers
         construct their queue with the manifest's policy so the whole fleet
         agrees on the attempt budget.
-    backend:
-        Storage backend: a registry name (``"filesystem"``, ``"kv"``), a
-        :class:`~repro.cluster.backends.QueueBackend` instance, or ``None``
-        (the default) to resolve the run manifest's recorded backend — so a
-        worker handed nothing but a run directory always speaks the same
-        protocol the submission chose.
     """
 
     def __init__(
@@ -196,7 +185,6 @@ class JobQueue:
         run_dir: str,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         retry: Optional[RetryPolicy] = None,
-        backend: Union[str, QueueBackend, None] = None,
     ):
         if lease_timeout <= 0:
             raise ValueError(f"lease_timeout must be positive, got {lease_timeout}")
@@ -204,21 +192,73 @@ class JobQueue:
         self.queue_dir = os.path.join(self.run_dir, "queue")
         self.lease_timeout = float(lease_timeout)
         self.retry = retry or RetryPolicy()
-        self.backend = resolve_queue_backend(backend, self.run_dir)
-        self.ensure_layout()
+        for state in STATES:
+            os.makedirs(os.path.join(self.queue_dir, state), exist_ok=True)
 
-    # -- layout ---------------------------------------------------------------
-
-    def ensure_layout(self) -> None:
-        self.backend.ensure_layout()
+    # -- storage: one file per item, one rename per transition ----------------
 
     def _path(self, state: str, item_id: str) -> str:
-        # Filesystem-layout path, kept for tooling that inspects the default
-        # backend's files directly; other backends have no path to give.
         return os.path.join(self.queue_dir, state, item_id + ".json")
 
     def _ids(self, state: str) -> List[str]:
-        return self.backend.list_ids(state)
+        """Sorted ids of the items currently in ``state``."""
+        try:
+            names = os.listdir(os.path.join(self.queue_dir, state))
+        except FileNotFoundError:
+            return []
+        return sorted(name[: -len(".json")] for name in names if name.endswith(".json"))
+
+    def _read(self, state: str, item_id: str) -> Optional[Dict[str, object]]:
+        """The item's payload, or ``None`` if absent or undecodable."""
+        try:
+            with open(self._path(state, item_id), "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, json.JSONDecodeError):
+            return None
+        return payload if isinstance(payload, dict) else None
+
+    def _write(self, state: str, item_id: str, payload: Dict[str, object]) -> None:
+        # Atomic replace; the fresh file's mtime doubles as the heartbeat.
+        atomic_write_json(self._path(state, item_id), payload)
+
+    def _move(self, src: str, dst: str, item_id: str) -> bool:
+        """Rename the item from ``src`` to ``dst``; ``False``: lost the race.
+
+        The item arrives with a fresh heartbeat: a claim's lease must be live
+        the moment the item is visible as leased, or a concurrent expiry scan
+        could take it back before the claimant's rewrite.
+        """
+        source = self._path(src, item_id)
+        try:
+            os.utime(source)  # the rename keeps the fresh mtime
+            os.rename(source, self._path(dst, item_id))
+        except (FileNotFoundError, PermissionError):
+            # Lost the rename race (or a racing network filesystem); the
+            # False return *is* the signal the scheduler acts on.
+            return False
+        return True
+
+    def _touch(self, state: str, item_id: str, ts: Optional[float] = None) -> bool:
+        """Set the item's heartbeat to ``ts`` (or now); ``False`` if gone."""
+        try:
+            os.utime(self._path(state, item_id), None if ts is None else (ts, ts))
+        except FileNotFoundError:
+            return False
+        return True
+
+    def _mtime(self, state: str, item_id: str) -> Optional[float]:
+        """The item's last heartbeat, or ``None`` if it is gone."""
+        try:
+            return os.stat(self._path(state, item_id)).st_mtime
+        except OSError:
+            return None
+
+    def _remove(self, state: str, item_id: str) -> bool:
+        try:
+            os.unlink(self._path(state, item_id))
+        except FileNotFoundError:
+            return False
+        return True
 
     # -- producer side --------------------------------------------------------
 
@@ -231,10 +271,9 @@ class JobQueue:
         takes an explicit :meth:`retry_failed`.  The payload is written
         atomically, so a claimant can never read a partial item.
         """
-        for state in STATES:
-            if self.backend.exists(state, item_id):
-                return False
-        self.backend.write(PENDING, item_id, payload)
+        if any(os.path.exists(self._path(state, item_id)) for state in STATES):
+            return False
+        self._write(PENDING, item_id, payload)
         telemetry.get_recorder().count("queue.enqueued")
         return True
 
@@ -267,10 +306,10 @@ class JobQueue:
         # content key, so claim order can never affect sweep output.
         random.shuffle(candidates)
         for item_id in candidates:
-            if not self.backend.move(PENDING, LEASED, item_id):
+            if not self._move(PENDING, LEASED, item_id):
                 rec.count("queue.claim_races")
                 continue  # lost the race (or racing filesystem); next
-            payload = self.backend.read(LEASED, item_id)
+            payload = self._read(LEASED, item_id)
             if payload is None:
                 # Unreadable item (should be impossible with atomic writes);
                 # surface rather than silently dropping work.
@@ -278,7 +317,7 @@ class JobQueue:
             retry_after = float(payload.get("retry_after") or 0.0)
             if retry_after > now:
                 # Backing off: return it untouched and keep scanning.
-                self.backend.move(LEASED, PENDING, item_id)
+                self._move(LEASED, PENDING, item_id)
                 rec.count("queue.deferred")
                 continue
             attempt = int(payload.get("attempt") or 0) + 1
@@ -309,7 +348,7 @@ class JobQueue:
             fence = int(payload.get("fence") or 0) + 1
             payload["fence"] = fence
             # Atomic rewrite; refreshes the heartbeat the move started.
-            self.backend.write(LEASED, item_id, payload)
+            self._write(LEASED, item_id, payload)
             rec.count("queue.claims")
             return WorkItem(
                 item_id=item_id, payload=payload, attempt=attempt, fence=fence
@@ -354,8 +393,8 @@ class JobQueue:
             )
         delay = self.retry.delay(item.attempt, token=item.item_id)
         payload["retry_after"] = time.time() + delay
-        self.backend.write(LEASED, item.item_id, payload)
-        if not self.backend.move(LEASED, PENDING, item.item_id):
+        self._write(LEASED, item.item_id, payload)
+        if not self._move(LEASED, PENDING, item.item_id):
             rec.count("queue.leases_lost")
             return "lost"
         rec.count("queue.nacks")
@@ -390,8 +429,8 @@ class JobQueue:
             "attempts": attempts,
             "ts": time.time(),
         }
-        self.backend.write(LEASED, item_id, payload)
-        if not self.backend.move(LEASED, FAILED, item_id):
+        self._write(LEASED, item_id, payload)
+        if not self._move(LEASED, FAILED, item_id):
             rec.count("queue.leases_lost")
             return "lost"
         rec.count("queue.dead_lettered")
@@ -414,7 +453,7 @@ class JobQueue:
         """
         requeued = []
         for item_id in item_ids if item_ids is not None else self.failed_ids():
-            payload = self.backend.read(FAILED, item_id)
+            payload = self._read(FAILED, item_id)
             if payload is None:
                 # An unreadable (or just-raced) dead-letter item is left in
                 # failed/ for manual inspection; requeueing garbage would be
@@ -423,8 +462,8 @@ class JobQueue:
             payload["attempt"] = 0
             payload.pop("retry_after", None)
             payload.pop("failure", None)
-            self.backend.write(FAILED, item_id, payload)
-            if not self.backend.move(FAILED, PENDING, item_id):
+            self._write(FAILED, item_id, payload)
+            if not self._move(FAILED, PENDING, item_id):
                 continue  # a concurrent retry-failed already requeued it
             requeued.append(item_id)
         if requeued:
@@ -442,7 +481,7 @@ class JobQueue:
         recovery; ``cluster verify`` flags it).
         """
         ts = time.time() + skew if skew else None
-        if not self.backend.touch(LEASED, item_id, ts=ts):
+        if not self._touch(LEASED, item_id, ts=ts):
             return False
         telemetry.get_recorder().count("queue.heartbeats")
         return True
@@ -453,7 +492,7 @@ class JobQueue:
         Callers must flush the item's results to durable storage *before*
         completing, so a done item always has results somewhere.
         """
-        if self.backend.move(LEASED, DONE, item_id):
+        if self._move(LEASED, DONE, item_id):
             telemetry.get_recorder().count("queue.completed")
             return True
         telemetry.get_recorder().count("queue.leases_lost")
@@ -461,7 +500,7 @@ class JobQueue:
 
     def release(self, item_id: str) -> bool:
         """Voluntarily return a leased item to pending (e.g. on shutdown)."""
-        return self.backend.move(LEASED, PENDING, item_id)
+        return self._move(LEASED, PENDING, item_id)
 
     def requeue_done(self, item_id: str) -> bool:
         """Return a done item to pending (recovery from lost results).
@@ -471,7 +510,7 @@ class JobQueue:
         deleted before it was merged).  Re-execution is safe: results are
         keyed by content and deduplicated on merge.
         """
-        return self.backend.move(DONE, PENDING, item_id)
+        return self._move(DONE, PENDING, item_id)
 
     # -- recovery -------------------------------------------------------------
 
@@ -485,14 +524,14 @@ class JobQueue:
         now = time.time() if now is None else float(now)
         requeued = []
         for item_id in self._ids(LEASED):
-            heartbeat_at = self.backend.mtime(LEASED, item_id)
+            heartbeat_at = self._mtime(LEASED, item_id)
             if heartbeat_at is None:
                 # Completed or requeued by someone else between list and
                 # read; nothing left to recover.
                 continue
             if now - heartbeat_at <= self.lease_timeout:
                 continue
-            if not self.backend.move(LEASED, PENDING, item_id):
+            if not self._move(LEASED, PENDING, item_id):
                 continue  # a concurrent requeuer (or the slow owner) won
             requeued.append(item_id)
         if requeued:
@@ -518,7 +557,7 @@ class JobQueue:
         now = time.time() if now is None else float(now)
         ages = []
         for item_id in self._ids(LEASED):
-            heartbeat_at = self.backend.mtime(LEASED, item_id)
+            heartbeat_at = self._mtime(LEASED, item_id)
             if heartbeat_at is None:
                 continue  # the lease ended between list and read
             ages.append(now - heartbeat_at)
@@ -532,7 +571,7 @@ class JobQueue:
         must treat the fence as unknown rather than zero.
         """
         for state in STATES:
-            payload = self.backend.read(state, item_id)
+            payload = self._read(state, item_id)
             if payload is None:
                 continue  # not in this state (or mid-move out of it)
             return int(payload.get("fence") or 0)
@@ -551,7 +590,7 @@ class JobQueue:
         table: Dict[str, int] = {}
         for state in STATES:
             for item_id in self._ids(state):
-                payload = self.backend.read(state, item_id)
+                payload = self._read(state, item_id)
                 if payload is None:
                     # Item mid-move between list and read; its fence is
                     # picked up from its new state next scan.
@@ -574,7 +613,7 @@ class JobQueue:
 
     def failure_record(self, item_id: str) -> Optional[Dict[str, object]]:
         """The dead-lettered item's payload (failure + history), or ``None``."""
-        return self.backend.read(FAILED, item_id)
+        return self._read(FAILED, item_id)
 
     def attempts_histogram(self) -> Dict[int, int]:
         """``{attempt_count: items}`` over every item in every state.
@@ -586,7 +625,7 @@ class JobQueue:
         histogram: Dict[int, int] = {}
         for state in STATES:
             for item_id in self._ids(state):
-                payload = self.backend.read(state, item_id)
+                payload = self._read(state, item_id)
                 if payload is None:
                     # Diagnostics only: an item mid-move (or mid-rewrite)
                     # drops out of this snapshot, not the queue.

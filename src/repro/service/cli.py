@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pickle
 import sys
 from typing import Optional, Sequence
 
-from repro.cluster.backends import DEFAULT_QUEUE_BACKEND
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT
 from repro.runtime.spec import SweepSpec
-from repro.service.registry import ServiceRegistry
+from repro.service.registry import TENANTS_FILENAME, ServiceRegistry
 from repro.service.reports import (
     service_status,
     service_summary_table,
@@ -62,7 +62,6 @@ def _cmd_submit(args) -> int:
         priority=args.priority,
         chunk_size=args.chunk_size,
         lease_timeout=args.lease_timeout,
-        queue_backend=args.queue_backend,
     )
     print(
         f"tenant {args.tenant}: {len(submission.enqueued)} new item(s) "
@@ -159,6 +158,16 @@ def _cmd_verify(args) -> int:
     return worst
 
 
+def _service_dir(path: str) -> str:
+    """argparse type of ``status`` and ``verify``: a directory holding
+    ``tenants.jsonl`` (anything else is a usage error, exit 2)."""
+    if not os.path.isfile(os.path.join(path, TENANTS_FILENAME)):
+        raise argparse.ArgumentTypeError(
+            f"not a service directory (no {TENANTS_FILENAME}): {os.path.abspath(path)}"
+        )
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
@@ -174,9 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fair-share weight (2.0 = twice the service rate)")
     p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT)
-    p.add_argument("--queue-backend", default=DEFAULT_QUEUE_BACKEND,
-                   help="queue storage backend for this tenant "
-                        "(filesystem | kv | a custom registration)")
     p.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser("worker", help="serve every runnable tenant fairly")
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_workers)
 
     p = sub.add_parser("status", help="per-tenant queue / store overview")
-    p.add_argument("service_dir")
+    p.add_argument("service_dir", type=_service_dir)
     p.add_argument("--worker-ttl", type=float, default=60.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_status)
@@ -226,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify",
                        help="run the cluster integrity audit on every tenant")
-    p.add_argument("service_dir")
+    p.add_argument("service_dir", type=_service_dir)
     p.add_argument("--only", action="append", default=None, metavar="CHECK",
                    help="restrict to this check or check family (repeatable)")
     p.set_defaults(func=_cmd_verify)

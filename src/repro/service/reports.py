@@ -74,7 +74,6 @@ def service_status(service_dir: str, worker_ttl: float = 60.0) -> Dict:
                 quarantined=len(
                     read_jsonl(os.path.join(run_dir, QUARANTINE_FILENAME))
                 ),
-                queue_backend=manifest.get("queue_backend"),
             )
         else:
             entry.update(queue=None, stored=0, complete=False, failed_items=[])

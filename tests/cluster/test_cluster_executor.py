@@ -19,6 +19,7 @@ from repro.cluster import (
     prepare_run_dir,
     read_manifest,
     submit_spec,
+    verify_run_dir,
     worker_loop,
 )
 from repro.runtime import (
@@ -28,6 +29,15 @@ from repro.runtime import (
     resolve_executor,
     run_sweep,
 )
+from repro.utils.serialization import atomic_write_json
+
+
+def _record_queue_backend(run_dir, name):
+    """Rewrite the manifest with a ``queue_backend`` field, which older
+    submissions recorded."""
+    manifest = read_manifest(run_dir)
+    manifest["queue_backend"] = name
+    atomic_write_json(os.path.join(run_dir, "manifest.json"), manifest)
 
 
 def test_submit_then_worker_loop_completes_the_sweep(grid, tmp_path):
@@ -89,6 +99,29 @@ def test_manifest_records_run_parameters(grid, tmp_path):
     assert manifest["lease_timeout"] == 7.0
     assert set(manifest["expected_keys"]) == {j.content_key for j in spec.jobs}
     assert set(submission.expected_keys) == set(manifest["expected_keys"])
+
+
+def test_a_manifest_recording_the_filesystem_backend_still_runs(grid, tmp_path):
+    run_dir = str(tmp_path)
+    submission = submit_spec(run_dir, grid())
+    _record_queue_backend(run_dir, "filesystem")
+    stats = worker_loop(run_dir, worker_id="w0")
+    assert stats.items == len(submission.enqueued)
+    merge_shards(run_dir)
+    store = ResultStore(run_dir)
+    serial = run_sweep(grid(), executor=SerialExecutor())
+    assert all(store.get(key) == cell for key, cell in serial.items())
+    assert verify_run_dir(run_dir).clean
+
+
+def test_a_run_submitted_on_the_kv_backend_is_refused(grid, tmp_path):
+    """Its items lived outside queue/: serving it would find nothing to do."""
+    run_dir = str(tmp_path)
+    submission = submit_spec(run_dir, grid())
+    _record_queue_backend(run_dir, "kv")
+    with pytest.raises(ValueError, match="queue_backend"):
+        worker_loop(run_dir, worker_id="w0")
+    assert JobQueue(run_dir).pending_ids() == sorted(submission.enqueued)
 
 
 def test_worker_shards_are_single_writer_and_durable(grid, tmp_path):

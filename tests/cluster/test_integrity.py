@@ -251,6 +251,25 @@ def test_repair_dry_run_on_a_clean_run_dir_plans_nothing(clean_run):
     assert stats.dry_run and not stats.changed and not stats.planned
 
 
+@pytest.mark.parametrize("command", ["status", "verify", "repair"])
+def test_cli_refuses_a_path_that_is_not_a_run_dir(tmp_path, command, capsys):
+    from repro.cluster.cli import main as cluster_main
+
+    missing = str(tmp_path / "no" / "such" / "dir")
+    with pytest.raises(SystemExit) as exit_info:
+        cluster_main([command, missing])
+    assert exit_info.value.code == 2
+    assert "no queue/" in capsys.readouterr().err
+    assert not os.path.exists(missing)
+
+
+@pytest.mark.parametrize("audit", [verify_run_dir, repair_run_dir])
+def test_audits_refuse_a_dir_without_a_queue_and_create_nothing(tmp_path, audit):
+    with pytest.raises(FileNotFoundError, match="no queue/"):
+        audit(str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
 def test_verify_only_and_repair_dry_run_cli(clean_run, capsys):
     from repro.cluster.cli import main as cluster_main
 

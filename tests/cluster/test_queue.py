@@ -1,12 +1,6 @@
-"""Tests for the claim-by-rename leased job queue.
+"""Tests for the claim-by-rename leased job queue."""
 
-The whole matrix runs once per registered queue backend — the ``kv``
-blob-store protocol must honor every lease/retry/fence invariant the
-``filesystem`` rename protocol does.
-"""
-
-import json
-import os
+import multiprocessing
 import time
 
 import pytest
@@ -14,21 +8,17 @@ import pytest
 from repro.cluster import JobQueue, RetryPolicy
 from repro.cluster.integrity import verify_run_dir
 
-BACKENDS = ["filesystem", "kv"]
+
+@pytest.fixture
+def queue(tmp_path):
+    return JobQueue(str(tmp_path), lease_timeout=0.2)
 
 
-@pytest.fixture(params=BACKENDS)
-def queue(tmp_path, request):
-    return JobQueue(str(tmp_path), lease_timeout=0.2, backend=request.param)
-
-
-@pytest.fixture(params=BACKENDS)
-def retry_queue(tmp_path, request):
+@pytest.fixture
+def retry_queue(tmp_path):
     """A queue with a tight, deterministic retry budget and no backoff wait."""
     policy = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
-    return JobQueue(
-        str(tmp_path), lease_timeout=0.2, retry=policy, backend=request.param
-    )
+    return JobQueue(str(tmp_path), lease_timeout=0.2, retry=policy)
 
 
 def test_enqueue_claim_complete_lifecycle(queue):
@@ -70,6 +60,43 @@ def test_each_item_claimed_exactly_once(queue):
     assert queue.claim("w") is None  # nothing claimable twice
 
 
+def _drain(run_dir, worker_id, go, out):
+    """Claim and complete until nothing is claimable; report every claim."""
+    queue = JobQueue(run_dir)
+    go.wait()
+    claims = []
+    while True:
+        item = queue.claim(worker_id)
+        if item is None:
+            break
+        claims.append((item.item_id, item.fence, queue.complete(item.item_id)))
+    out.put(claims)
+
+
+def test_each_item_claimed_exactly_once_across_processes(tmp_path):
+    """Four processes racing on one queue: the renames pick one winner per item."""
+    queue = JobQueue(str(tmp_path))
+    ids = [f"item-{index:03d}" for index in range(200)]
+    for item_id in ids:
+        queue.enqueue(item_id, {"jobs": []})
+    ctx = multiprocessing.get_context("fork")
+    go, out = ctx.Event(), ctx.Queue()
+    procs = [
+        ctx.Process(target=_drain, args=(queue.run_dir, f"w{index}", go, out))
+        for index in range(4)
+    ]
+    for proc in procs:
+        proc.start()
+    go.set()
+    claims = [claim for _ in procs for claim in out.get(timeout=60)]
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+    assert sorted(item_id for item_id, _, _ in claims) == ids
+    assert all(fence == 1 and completed for _, fence, completed in claims)
+    assert queue.counts() == {"pending": 0, "leased": 0, "done": 200, "failed": 0}
+
+
 def test_requeue_expired_returns_stale_leases(queue):
     queue.enqueue("a", {"jobs": []})
     queue.enqueue("b", {"jobs": []})
@@ -88,7 +115,7 @@ def test_heartbeat_extends_the_lease(queue):
     queue.claim("w1")
     later = time.time() + 1.0
     assert queue.heartbeat("a")
-    queue.backend.touch("leased", "a", ts=later)  # simulate a future heartbeat
+    queue._touch("leased", "a", ts=later)  # simulate a future heartbeat
     assert queue.requeue_expired(now=later + 0.1) == []  # heartbeat counted
 
 
@@ -166,10 +193,9 @@ def test_failure_record_carries_traceback_and_history(retry_queue):
     assert all(entry["exc_type"] == "ValueError" for entry in history)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_retry_after_defers_the_claim(tmp_path, backend):
+def test_retry_after_defers_the_claim(tmp_path):
     policy = RetryPolicy(max_attempts=3, backoff_base=30.0, jitter=0.0)
-    queue = JobQueue(str(tmp_path), lease_timeout=0.2, retry=policy, backend=backend)
+    queue = JobQueue(str(tmp_path), lease_timeout=0.2, retry=policy)
     queue.enqueue("a", {"item": "a", "jobs": []})
     item = queue.claim("w1")
     assert queue.nack(item, {"exc_type": "E", "message": "m"}, worker="w1") == "retry"
@@ -259,15 +285,14 @@ def test_retry_policy_manifest_round_trip():
 
 
 def test_every_move_starts_a_fresh_heartbeat(queue):
-    backend = queue.backend
     queue.enqueue("a", {"item": "a", "jobs": []})
     stale = time.time() - 10 * queue.lease_timeout
     for src, dst in [("pending", "leased"), ("leased", "done"), ("done", "pending")]:
-        assert backend.touch(src, "a", ts=stale)
+        assert queue._touch(src, "a", ts=stale)
         before = time.time()
-        assert backend.move(src, dst, "a")
-        assert backend.mtime(dst, "a") >= before - 1.0  # second granularity
-        assert backend.read(dst, "a") == {"item": "a", "jobs": []}
+        assert queue._move(src, dst, "a")
+        assert queue._mtime(dst, "a") >= before - 1.0  # second granularity
+        assert queue._read(dst, "a") == {"item": "a", "jobs": []}
 
 
 @pytest.mark.parametrize("step", ["read", "write"])
@@ -276,18 +301,16 @@ def test_claim_starts_the_lease_before_an_expiry_scan_can_see_it(queue, monkeypa
     stale lease the moment it is claimed: an expiry scan between the claim's
     move and its read (or its rewrite) must leave the claim intact."""
     queue.enqueue("a", {"item": "a", "jobs": []})
-    queue.backend.touch("pending", "a", ts=time.time() - 10 * queue.lease_timeout)
-    real = getattr(queue.backend, step)
+    queue._touch("pending", "a", ts=time.time() - 10 * queue.lease_timeout)
+    real = getattr(queue, "_" + step)
 
     def scan_first(state, item_id, *args):
         if state == "leased":
             assert queue.requeue_expired() == []
         return real(state, item_id, *args)
 
-    monkeypatch.setattr(queue.backend, step, scan_first)
+    monkeypatch.setattr(queue, "_" + step, scan_first)
     item = queue.claim("w1")
     assert item is not None and item.item_id == "a" and item.attempt == 1
     assert queue.counts() == {"pending": 0, "leased": 1, "done": 0, "failed": 0}
-    with open(os.path.join(queue.run_dir, "manifest.json"), "w") as handle:
-        json.dump({"queue_backend": queue.backend.name}, handle)
     assert verify_run_dir(queue.run_dir, lease_timeout=queue.lease_timeout).counts() == {}

@@ -26,7 +26,7 @@ from repro.service import (
 )
 from repro.service.cli import main as service_main
 from repro.telemetry.report import load_run_records, merged_run_metrics
-from repro.utils.serialization import read_jsonl
+from repro.utils.serialization import atomic_write_json, read_jsonl
 
 
 @pytest.fixture(autouse=True)
@@ -209,6 +209,29 @@ def test_tenant_report_groups_series_by_rate(registry, grid):
         assert series["min_error"] <= series["mean_error"] <= series["max_error"]
     with pytest.raises(KeyError, match="unknown tenant"):
         tenant_report_data(registry.service_dir, tenant_ids=["ghost"])
+
+
+def test_a_tenant_submitted_on_the_kv_backend_is_refused(registry, grid):
+    """Its items lived outside queue/: a worker must not call it drained."""
+    registry.submit("alice", grid())
+    manifest = registry.tenant_manifest("alice")
+    manifest["queue_backend"] = "kv"
+    atomic_write_json(
+        os.path.join(registry.tenant_run_dir("alice"), "manifest.json"), manifest
+    )
+    with pytest.raises(ValueError, match="queue_backend"):
+        service_worker_loop(registry.service_dir, worker_id="w0")
+    assert registry.get("alice").state == "queued"
+
+
+@pytest.mark.parametrize("command", ["status", "verify"])
+def test_cli_refuses_a_path_that_is_not_a_service_dir(tmp_path, command, capsys):
+    missing = str(tmp_path / "no-such-service")
+    with pytest.raises(SystemExit) as exit_info:
+        service_main([command, missing])
+    assert exit_info.value.code == 2
+    assert "tenants.jsonl" in capsys.readouterr().err
+    assert not os.path.exists(missing)
 
 
 def test_cli_end_to_end(registry, grid, tmp_path, capsys):
