@@ -213,7 +213,7 @@ class JobQueue:
         try:
             with open(self._path(state, item_id), "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # ValueError: bad JSON or bad UTF-8
             return None
         return payload if isinstance(payload, dict) else None
 

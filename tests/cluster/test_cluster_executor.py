@@ -18,10 +18,12 @@ from repro.cluster import (
     merge_shards,
     prepare_run_dir,
     read_manifest,
+    repair_run_dir,
     submit_spec,
     verify_run_dir,
     worker_loop,
 )
+from repro.cluster.cli import run_status
 from repro.runtime import (
     ResultStore,
     SerialExecutor,
@@ -122,6 +124,32 @@ def test_a_run_submitted_on_the_kv_backend_is_refused(grid, tmp_path):
     with pytest.raises(ValueError, match="queue_backend"):
         worker_loop(run_dir, worker_id="w0")
     assert JobQueue(run_dir).pending_ids() == sorted(submission.enqueued)
+
+
+@pytest.mark.parametrize("recorded", [None, "filesystem"], ids=["unrecorded", "filesystem"])
+def test_read_manifest_accepts_the_filesystem_queue(grid, tmp_path, recorded):
+    run_dir = str(tmp_path)
+    submission = submit_spec(run_dir, grid())
+    if recorded is not None:
+        _record_queue_backend(run_dir, recorded)
+    manifest = read_manifest(run_dir)
+    assert manifest.get("queue_backend") == recorded  # new runs record none
+    assert set(manifest["expected_keys"]) == set(submission.expected_keys)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [verify_run_dir, repair_run_dir, run_status, merge_shards],
+    ids=["verify", "repair", "status", "merge"],
+)
+def test_every_manifest_reader_refuses_a_kv_run(grid, tmp_path, reader):
+    run_dir = str(tmp_path)
+    submission = submit_spec(run_dir, grid())
+    _record_queue_backend(run_dir, "kv")
+    with pytest.raises(ValueError, match="queue_backend"):
+        reader(run_dir)
+    assert JobQueue(run_dir).pending_ids() == sorted(submission.enqueued)
+    assert not os.path.exists(os.path.join(run_dir, "results.jsonl"))
 
 
 def test_worker_shards_are_single_writer_and_durable(grid, tmp_path):

@@ -1,6 +1,8 @@
 """Tests for the claim-by-rename leased job queue."""
 
+import json
 import multiprocessing
+import os
 import time
 
 import pytest
@@ -95,6 +97,38 @@ def test_each_item_claimed_exactly_once_across_processes(tmp_path):
     assert sorted(item_id for item_id, _, _ in claims) == ids
     assert all(fence == 1 and completed for _, fence, completed in claims)
     assert queue.counts() == {"pending": 0, "leased": 0, "done": 200, "failed": 0}
+
+
+def _requeue(run_dir, go, out):
+    queue = JobQueue(run_dir)
+    go.wait()
+    out.put(queue.requeue_expired())
+
+
+def test_expired_leases_are_requeued_exactly_once_across_processes(tmp_path):
+    """Four processes scanning one queue's stale leases: each is moved back
+    to pending by exactly one of them."""
+    queue = JobQueue(str(tmp_path))
+    ids = [f"item-{index:03d}" for index in range(100)]
+    for item_id in ids:
+        queue.enqueue(item_id, {"jobs": []})
+    while queue.claim("crashed") is not None:
+        pass
+    stale = time.time() - 10 * queue.lease_timeout
+    for item_id in ids:
+        assert queue._touch("leased", item_id, ts=stale)
+    ctx = multiprocessing.get_context("fork")
+    go, out = ctx.Event(), ctx.Queue()
+    procs = [ctx.Process(target=_requeue, args=(queue.run_dir, go, out)) for _ in range(4)]
+    for proc in procs:
+        proc.start()
+    go.set()
+    requeued = [item_id for _ in procs for item_id in out.get(timeout=60)]
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+    assert sorted(requeued) == ids
+    assert queue.counts() == {"pending": 100, "leased": 0, "done": 0, "failed": 0}
 
 
 def test_requeue_expired_returns_stale_leases(queue):
@@ -314,3 +348,132 @@ def test_claim_starts_the_lease_before_an_expiry_scan_can_see_it(queue, monkeypa
     assert item is not None and item.item_id == "a" and item.attempt == 1
     assert queue.counts() == {"pending": 0, "leased": 1, "done": 0, "failed": 0}
     assert verify_run_dir(queue.run_dir, lease_timeout=queue.lease_timeout).counts() == {}
+
+
+# -- storage: one file per item, one rename per transition --------------------
+
+
+def _item_file(queue, state, item_id):
+    return os.path.join(queue.queue_dir, state, item_id + ".json")
+
+
+def test_write_then_read_round_trips_and_overwrites(queue):
+    assert queue._read("pending", "a") is None
+    queue._write("pending", "a", {"v": 1})
+    assert queue._read("pending", "a") == {"v": 1}
+    queue._write("pending", "a", {"v": 2})  # atomic replace
+    assert queue._read("pending", "a") == {"v": 2}
+    assert queue.pending_ids() == ["a"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, b"\xff\xfe not json", b"[1, 2]\n"],
+    ids=["absent", "undecodable", "not-an-object"],
+)
+def test_read_is_none_for_an_absent_or_unreadable_item(queue, content):
+    if content is not None:
+        with open(_item_file(queue, "pending", "a"), "wb") as handle:
+            handle.write(content)
+    assert queue._read("pending", "a") is None
+    assert queue.fence_of("a") is None
+
+
+def test_move_loses_when_the_source_is_gone(queue):
+    queue._write("leased", "a", {"item": "a", "fence": 9})
+    assert not queue._move("pending", "leased", "a")
+    # The loser left the winner's item untouched.
+    assert queue._read("leased", "a") == {"item": "a", "fence": 9}
+
+
+def test_move_treats_a_refused_rename_as_a_lost_race(queue, monkeypatch):
+    """A racing network filesystem can refuse the rename with EACCES."""
+    queue.enqueue("a", {"jobs": []})
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", src)
+
+    monkeypatch.setattr(os, "rename", refuse)
+    assert not queue._move("pending", "leased", "a")
+    assert queue.claim("w1") is None
+    monkeypatch.undo()
+    assert queue.counts() == {"pending": 1, "leased": 0, "done": 0, "failed": 0}
+
+
+def test_touch_moves_the_heartbeat_and_leaves_the_payload(queue):
+    queue._write("leased", "a", {"item": "a"})
+    first = queue._mtime("leased", "a")
+    assert first is not None
+    assert queue._touch("leased", "a", ts=first + 5.0)
+    assert queue._mtime("leased", "a") == first + 5.0
+    assert queue._read("leased", "a") == {"item": "a"}
+
+
+def test_touch_and_mtime_report_a_missing_item(queue):
+    assert not queue._touch("leased", "missing")
+    assert queue._mtime("leased", "missing") is None
+    assert not queue.heartbeat("missing")
+
+
+def test_remove_reports_whether_it_removed(queue):
+    queue._write("done", "a", {"item": "a"})
+    assert queue._remove("done", "a")
+    assert not queue._remove("done", "a")  # already gone
+    assert queue.done_ids() == []
+
+
+def test_ids_skip_in_flight_temporaries(queue):
+    queue.enqueue("b", {"jobs": []})
+    queue.enqueue("a", {"jobs": []})
+    # A writer killed mid-write leaves its temporary beside the items.
+    crash = os.path.join(queue.queue_dir, "pending", ".tmp-crash~")
+    with open(crash, "wb") as handle:
+        handle.write(b'{"jobs": [')
+    assert queue.pending_ids() == ["a", "b"]
+    assert queue.counts()["pending"] == 2
+    assert sorted(item.item_id for item in iter(lambda: queue.claim("w"), None)) == [
+        "a",
+        "b",
+    ]
+
+
+# -- the on-disk layout older run dirs share ----------------------------------
+
+
+def test_enqueue_writes_one_canonical_json_file_per_item(queue):
+    payload = {"jobs": [{"key": "k"}], "item": "a"}
+    queue.enqueue("a", payload)
+    with open(_item_file(queue, "pending", "a"), "rb") as handle:
+        assert handle.read() == (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("state", ["pending", "leased", "done", "failed"])
+def test_an_item_file_written_by_an_earlier_tree_is_read_in_its_state(tmp_path, state):
+    item_dir = tmp_path / "queue" / state
+    item_dir.mkdir(parents=True)
+    (item_dir / "x.json").write_text(
+        json.dumps({"attempt": 1, "fence": 2, "jobs": []}, sort_keys=True) + "\n"
+    )
+    queue = JobQueue(str(tmp_path))
+    expected = {name: 0 for name in ("pending", "leased", "done", "failed")}
+    expected[state] = 1
+    assert queue.counts() == expected
+    assert queue.fence_of("x") == 2
+    assert queue.fences() == {"x": 2}
+    assert queue.attempts_histogram() == {1: 1}
+
+
+def test_a_pending_item_written_by_an_earlier_tree_is_claimed_at_the_next_fence(
+    tmp_path,
+):
+    item_dir = tmp_path / "queue" / "pending"
+    item_dir.mkdir(parents=True)
+    (item_dir / "x.json").write_text(
+        json.dumps({"attempt": 0, "fence": 2, "jobs": []}, sort_keys=True) + "\n"
+    )
+    queue = JobQueue(str(tmp_path))
+    item = queue.claim("w1")
+    assert item is not None and item.item_id == "x"
+    assert (item.attempt, item.fence) == (1, 3)
+    assert queue.complete("x")
+    assert queue.is_drained()

@@ -211,17 +211,30 @@ def test_tenant_report_groups_series_by_rate(registry, grid):
         tenant_report_data(registry.service_dir, tenant_ids=["ghost"])
 
 
+def _record_kv_backend(registry, tenant_id):
+    """Rewrite the tenant's manifest as a submission on the removed kv
+    queue backend recorded it."""
+    manifest = registry.tenant_manifest(tenant_id)
+    manifest["queue_backend"] = "kv"
+    atomic_write_json(
+        os.path.join(registry.tenant_run_dir(tenant_id), "manifest.json"), manifest
+    )
+
+
 def test_a_tenant_submitted_on_the_kv_backend_is_refused(registry, grid):
     """Its items lived outside queue/: a worker must not call it drained."""
     registry.submit("alice", grid())
-    manifest = registry.tenant_manifest("alice")
-    manifest["queue_backend"] = "kv"
-    atomic_write_json(
-        os.path.join(registry.tenant_run_dir("alice"), "manifest.json"), manifest
-    )
+    _record_kv_backend(registry, "alice")
     with pytest.raises(ValueError, match="queue_backend"):
         service_worker_loop(registry.service_dir, worker_id="w0")
     assert registry.get("alice").state == "queued"
+
+
+def test_service_status_refuses_a_kv_tenant(registry, grid):
+    registry.submit("alice", grid())
+    _record_kv_backend(registry, "alice")
+    with pytest.raises(ValueError, match="queue_backend"):
+        service_status(registry.service_dir)
 
 
 @pytest.mark.parametrize("command", ["status", "verify"])
