@@ -11,10 +11,11 @@ other change.  ``run``:
    temporary one by default; pass ``run_dir=`` to make the run resumable
    and joinable by workers on other hosts), skipping groups the
    directory's canonical store already answers;
-2. spawns local worker daemons (``python -m repro.cluster worker``) unless
-   live workers are already attached to the directory or
-   ``spawn_workers=False``; each gets an equal share of this host's CPUs
-   as its BLAS thread count, unless the user set one of
+2. forks local worker daemons (:func:`spawn_local_worker`: each runs
+   ``python -m repro.cluster worker`` in a copy of this process, with no
+   new interpreter to start) unless live workers are already attached to
+   the directory or ``spawn_workers=False``; each gets an equal share of
+   this host's CPUs as its BLAS thread count, unless the user set one of
    ``OPENBLAS/OMP/MKL_NUM_THREADS``;
 3. polls: incrementally merges worker shards into the canonical store
    (idempotent, content keys dedupe), requeues expired leases so crashed
@@ -33,16 +34,19 @@ bit-identical to ``SerialExecutor``'s by construction.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
 import time
+from multiprocessing.process import BaseProcess
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro import faults as faults_module
 from repro import telemetry
+from repro.cluster import cli
 from repro.cluster.broker import (
     WORKERS_DIRNAME,
     group_item_id,
@@ -69,46 +73,54 @@ def spawn_local_worker(
     run_dir: str,
     worker_id: str,
     poll_interval: float = 0.05,
-    extra_env: Optional[Dict[str, str]] = None,
-) -> subprocess.Popen:
-    """Start one local worker daemon subprocess against ``run_dir``.
+    workers: int = 1,
+) -> BaseProcess:
+    """Fork one local worker daemon serving ``run_dir``; return its process.
 
-    The child gets this interpreter and this process's import path (so the
-    daemon finds ``repro`` regardless of how the parent was launched), and
-    logs to ``<run_dir>/workers/<worker_id>.log``.
+    The return value is the started fork-context
+    :class:`multiprocessing.Process`.  The child is a copy of this process,
+    so it starts without a new interpreter or a single import.  It first
+    sheds what a freshly started worker would not have: its stdout and
+    stderr go to ``<run_dir>/workers/<worker_id>.log``, SIGTERM and SIGINT
+    get their default handlers, the installed fault plan is cleared (the
+    telemetry recorder is dropped at every fork), and BLAS gets the thread
+    count of :func:`repro.nn._threads.set_worker_threads` for one of
+    ``workers`` daemons.  It then runs ``python -m repro.cluster worker
+    <run_dir> --id <worker_id> --poll <poll_interval>`` and exits with its
+    code.  ``OSError`` means the host refused the fork.
     """
-    import repro
-
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        package_root if not existing else package_root + os.pathsep + existing
+    os.makedirs(os.path.join(run_dir, WORKERS_DIRNAME), exist_ok=True)
+    # A daemonic process is terminated, not waited for, if this interpreter
+    # exits before the coordinator has reaped it.
+    process = multiprocessing.get_context("fork").Process(
+        target=_serve_forked,
+        args=(run_dir, worker_id, poll_interval, workers),
+        daemon=True,
     )
-    if extra_env:
-        env.update(extra_env)
-    log_dir = os.path.join(run_dir, WORKERS_DIRNAME)
-    os.makedirs(log_dir, exist_ok=True)
-    log = open(os.path.join(log_dir, f"{worker_id}.log"), "ab")
-    try:
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cluster",
-                "worker",
-                run_dir,
-                "--id",
-                worker_id,
-                "--poll",
-                str(poll_interval),
-            ],
-            env=env,
-            stdout=log,
-            stderr=subprocess.STDOUT,
-        )
-    finally:
-        log.close()  # the child inherited the descriptor
+    process.start()
+    return process
+
+
+def _serve_forked(run_dir: str, worker_id: str, poll_interval: float, workers: int):
+    """A forked daemon: start clean, run the worker command, exit."""
+    log = os.open(
+        os.path.join(run_dir, WORKERS_DIRNAME, f"{worker_id}.log"),
+        os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+        0o666,
+    )
+    os.dup2(log, 1)
+    os.dup2(log, 2)
+    os.close(log)
+    # The interpreter's own streams write to descriptors 1 and 2; the ones
+    # installed now may be a caller's (a test runner's capture).
+    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    faults_module.clear()
+    _threads.set_worker_threads(workers)
+    code = cli.main(["worker", run_dir, "--id", worker_id, "--poll", str(poll_interval)])
+    sys.stdout.flush()
+    os._exit(code)
 
 
 class ClusterExecutor:
@@ -230,7 +242,7 @@ class ClusterExecutor:
             tempfile.mkdtemp(prefix="repro-cluster-") if own_tmp else self.run_dir
         )
         rec = telemetry.get_recorder()
-        procs: List[subprocess.Popen] = []
+        procs: List[BaseProcess] = []
         self.failure_report = None
         report = FailureReport()
         # Manual enter/exit rather than `with`: _run is a generator, and the
@@ -363,14 +375,14 @@ class ClusterExecutor:
                     items=len(report.items), cells=len(report.keys),
                 )
             for proc in procs:
-                if proc.poll() is None:
+                if proc.is_alive():
                     proc.terminate()
             for proc in procs:
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
+                proc.join(timeout=10)
+                if proc.exitcode is None:  # pragma: no cover - stuck child
                     proc.kill()
-                    proc.wait()
+                    proc.join()
+                proc.close()
             span.__exit__(*sys.exc_info())
             if own_tmp:
                 shutil.rmtree(run_dir, ignore_errors=True)
@@ -390,7 +402,7 @@ class ClusterExecutor:
             output.append((job.content_key, cell))
         return output
 
-    def _maybe_spawn(self, run_dir: str, num_items: int) -> List[subprocess.Popen]:
+    def _maybe_spawn(self, run_dir: str, num_items: int) -> List[BaseProcess]:
         if not self.spawn_workers:
             return []
         if live_worker_ids(run_dir, ttl=self.lease_timeout):
@@ -404,10 +416,10 @@ class ClusterExecutor:
                         run_dir,
                         worker_id=f"local-{os.getpid()}-{index}",
                         poll_interval=self.poll_interval,
-                        extra_env=_threads.worker_env(self.max_workers),
+                        workers=self.max_workers,
                     )
                 )
-            # repro: ignore[REP008] spawn refusal *is* the degradation signal
+            # repro: ignore[REP008] fork refusal *is* the degradation signal
             # — the caller falls back to in-process execution with however
             # many daemons did start.
             except OSError:
@@ -417,12 +429,12 @@ class ClusterExecutor:
     def _babysit(
         self,
         run_dir: str,
-        procs: List[subprocess.Popen],
+        procs: List[BaseProcess],
         restarts_left: int,
         queue: JobQueue,
     ):
         """Replace dead local daemons while work remains (within budget)."""
-        alive = [proc for proc in procs if proc.poll() is None]
+        alive = [proc for proc in procs if proc.is_alive()]
         dead = len(procs) - len(alive)
         if dead and not queue.is_drained():
             telemetry.get_recorder().event(
@@ -439,7 +451,7 @@ class ClusterExecutor:
                             run_dir,
                             worker_id=f"local-{os.getpid()}-r{restarts_left}",
                             poll_interval=self.poll_interval,
-                            extra_env=_threads.worker_env(self.max_workers),
+                            workers=self.max_workers,
                         )
                     )
                 except OSError:
@@ -451,10 +463,10 @@ class ClusterExecutor:
         self,
         run_dir: str,
         queue: JobQueue,
-        procs: List[subprocess.Popen],
+        procs: List[BaseProcess],
         last_progress: float,
     ) -> bool:
-        if any(proc.poll() is None for proc in procs):
+        if any(proc.is_alive() for proc in procs):
             return False  # our own daemons are alive; give them time
         if time.monotonic() - last_progress <= self.stall_timeout:
             return False

@@ -17,7 +17,8 @@ budget of 1, or a single tile, runs the work inline on the calling thread.
 
 Only one region runs at a time: one opened while another is running (from
 another thread, or from inside a tile) runs inline.  A forked child drops
-the parent's pool and lock, whose threads it does not have.
+the parent's pool and lock, whose threads it does not have; a forked worker
+sets its budget with :func:`set_worker_threads`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import ctypes
 import functools
 import os
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,6 +89,13 @@ def set_blas_threads(count: int) -> int:
     return previous
 
 
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux: count every CPU
+        return os.cpu_count() or 1
+
+
 def worker_share(workers: int) -> Optional[int]:
     """BLAS threads for each of ``workers`` processes sharing this host.
 
@@ -96,17 +104,26 @@ def worker_share(workers: int) -> Optional[int]:
     """
     if any(os.environ.get(name) for name in THREAD_VARS):
         return None
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not Linux: count every CPU
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // max(1, workers))
+    return max(1, _cpus() // max(1, workers))
 
 
-def worker_env(workers: int) -> Dict[str, str]:
-    """Environment giving a spawned worker its :func:`worker_share`."""
+def set_worker_threads(workers: int) -> None:
+    """Give one of ``workers`` worker processes the BLAS threads it starts with.
+
+    A forked worker inherits BLAS as its parent loaded it, before the caller
+    may have set a thread variable.  So the count is read here, from the
+    current environment, as a freshly started OpenBLAS reads it:
+    ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, capped at the CPUs.
+    Without either, the worker gets its :func:`worker_share`.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            set_blas_threads(min(int(value), _cpus()))
+            return
     share = worker_share(workers)
-    return {} if share is None else dict.fromkeys(THREAD_VARS, str(share))
+    if share is not None:
+        set_blas_threads(share)
 
 
 def scratch(size: int) -> np.ndarray:

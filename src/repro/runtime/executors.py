@@ -256,16 +256,11 @@ def _init_worker(
     _WORKER_CHUNK_SIZE = chunk_size
     if workers is not None:
         # The pool's workers share the host's CPUs.  A forked child's BLAS
-        # is already initialized, so environment variables would come too
-        # late: set its thread count directly, unless the user chose one.
-        share = _threads.worker_share(workers)
-        if share is not None:
-            _threads.set_blas_threads(share)
+        # is already initialized, so its thread count is set directly.
+        _threads.set_worker_threads(workers)
     if telemetry_config is not None:
-        # Each pool worker records into its own per-pid sink.  Configure
-        # unconditionally: under a fork start method the child inherits the
-        # parent's live recorder, whose sink (and span-id namespace) belongs
-        # to the parent process.
+        # Each pool worker records into its own per-pid sink (a forked
+        # child starts with the no-op recorder, never the parent's).
         telemetry.configure(
             telemetry_config.run_dir,
             level=telemetry_config.level,

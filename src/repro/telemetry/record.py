@@ -28,7 +28,8 @@ design as the cluster's result shards — and hold three record types:
   :func:`repro.telemetry.metrics.merge_snapshots`).
 
 Span ids are ``<pid-hex>-<counter>`` — deterministic, RNG-free (REP001) and
-unique within a run because sinks are per-process.
+unique within a run because sinks are per-process.  A forked child starts
+with the no-op recorder, so it never writes to its parent's sink.
 """
 
 from __future__ import annotations
@@ -357,6 +358,23 @@ def disable() -> None:
     with _SWITCH_LOCK:
         previous, _RECORDER = _RECORDER, _NULL
     previous.close()
+
+
+def _forget_parent_recorder() -> None:
+    """In a forked child: record nothing until the child configures its own.
+
+    The inherited recorder's sink, counters and span-id prefix are the
+    parent's.  It is dropped without being closed, since closing would
+    flush the parent's counters into the parent's sink.  The switch lock is
+    new too: another parent thread may have held it at the fork.
+    """
+    global _RECORDER, _SWITCH_LOCK
+    _RECORDER = _NULL
+    _SWITCH_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_parent_recorder)
 
 
 @contextmanager

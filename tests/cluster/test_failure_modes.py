@@ -6,14 +6,17 @@ its group, a surviving worker re-executes it, and the content-keyed merge
 keeps the canonical results complete and duplicate-free.
 """
 
+import errno
 import os
+import signal
 import subprocess
 import sys
 import time
 
 import pytest
 
-from repro import faults
+import repro.cluster.worker as cluster_worker
+from repro import faults, telemetry
 from repro.cluster import (
     ClusterExecutor,
     JobQueue,
@@ -23,6 +26,7 @@ from repro.cluster import (
 )
 from repro.faults import FAULTS_ENV, FaultPlan, FaultRule
 from repro.runtime import ResultStore, SerialExecutor, run_sweep
+from repro.utils.serialization import append_jsonl, read_jsonl
 
 #: SIGKILL the worker process right after its first claim: mid-group, with
 #: the lease held and no results written.
@@ -47,8 +51,6 @@ def _spawn_worker(run_dir, worker_id, extra_env=None):
 
 
 def _results_keys(run_dir):
-    from repro.utils.serialization import read_jsonl
-
     path = os.path.join(run_dir, "results.jsonl")
     return [record["key"] for record in read_jsonl(path)]
 
@@ -151,26 +153,93 @@ def test_spawned_daemons_complete_a_sweep_bit_identically(grid, tmp_path):
 def test_coordinator_survives_a_crashing_daemon_fleet(grid, tmp_path, monkeypatch):
     """Every spawned daemon dies after one claim; the sweep still completes.
 
-    The daemons (and their respawned replacements) inherit the SIGKILL
-    schedule through the environment and keep killing themselves until the
+    The daemons (and their respawned replacements) read the SIGKILL
+    schedule from the environment and keep killing themselves until the
     restart budget runs out and the coordinator finishes in-process.  This
     process installs an empty plan first: an installed plan outranks the
     environment, so the in-process fallback does not kill the test runner.
+    A forked daemon must not inherit that plan, or none would ever die.
     """
     monkeypatch.setenv(FAULTS_ENV, CRASH_AFTER_FIRST_CLAIM.to_env()[FAULTS_ENV])
     faults.install(FaultPlan())
+    run_dir = str(tmp_path / "run")
     executor = ClusterExecutor(
-        run_dir=str(tmp_path),
+        run_dir=run_dir,
         max_workers=2,
         lease_timeout=1.0,
         poll_interval=0.02,
         stall_timeout=2.0,
     )
     try:
-        results = run_sweep(grid(), executor=executor)
+        with telemetry.recording(str(tmp_path), name="coordinator", echo=None) as rec:
+            results = run_sweep(grid(), executor=executor)
     finally:
         faults.clear()
     serial = run_sweep(grid(), executor=SerialExecutor())
     assert results == serial
-    keys = _results_keys(str(tmp_path))
+    keys = _results_keys(run_dir)
     assert len(keys) == len(set(keys))  # recovery introduced no duplicates
+    events = [r["name"] for r in read_jsonl(rec.path) if r["type"] == "event"]
+    assert "cluster.restart" in events  # daemons died and were replaced
+    assert "cluster.fallback" in events  # ... until the budget ran out
+
+
+def test_a_refused_fork_falls_back_in_process(grid, tmp_path, monkeypatch):
+    """A host that refuses the fork gets the sweep finished in-process."""
+    def refuse():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    executor = ClusterExecutor(run_dir=str(tmp_path / "run"), max_workers=2,
+                               lease_timeout=5.0, poll_interval=0.01)
+    with telemetry.recording(str(tmp_path), name="coordinator", echo=None) as rec:
+        results = run_sweep(grid(), executor=executor)
+    assert results == run_sweep(grid(), executor=SerialExecutor())
+    reasons = {r["reason"] for r in read_jsonl(rec.path) if r.get("name") == "cluster.fallback"}
+    assert reasons == {"spawn failed"}
+
+
+def test_a_forked_daemon_starts_clean(grid, tmp_path, monkeypatch):
+    """A daemon forked from the coordinator keeps none of its per-process
+    state: no fault plan, telemetry recorder or SIGTERM handler, and its
+    output goes to its own log."""
+    seen = str(tmp_path / "seen.jsonl")
+    execute_group = cluster_worker.execute_group
+
+    def probe(context, jobs, **kwargs):
+        append_jsonl(seen, [{
+            "pid": os.getpid(),
+            "plan": faults.current() is not None,
+            "sink": telemetry.get_recorder().path if telemetry.enabled() else None,
+            "sigterm": signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+        }])
+        return execute_group(context, jobs, **kwargs)
+
+    monkeypatch.setattr(cluster_worker, "execute_group", probe)
+    run_dir = str(tmp_path / "run")
+    executor = ClusterExecutor(run_dir=run_dir, max_workers=1, lease_timeout=10.0,
+                               poll_interval=0.02)
+    handler = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    faults.install(FaultPlan())
+    try:
+        with telemetry.recording(str(tmp_path), name="coordinator", echo=None) as rec:
+            results = run_sweep(grid(), executor=executor)
+    finally:
+        faults.clear()
+        signal.signal(signal.SIGTERM, handler)
+    assert results == run_sweep(grid(), executor=SerialExecutor())
+
+    (log,) = [name for name in os.listdir(os.path.join(run_dir, "workers"))
+              if name.endswith(".log")]
+    worker_id = log[: -len(".log")]
+    for record in read_jsonl(seen):
+        assert record["pid"] != os.getpid()  # run by the daemon, not a fallback
+        assert not record["plan"]
+        assert record["sink"] == os.path.join(run_dir, "telemetry",
+                                              f"worker-{worker_id}.jsonl")
+        assert record["sigterm"]
+    coordinator = read_jsonl(rec.path)
+    assert not [r for r in coordinator if r.get("name", "").startswith("worker.")]
+    assert [r["type"] for r in coordinator].count("metrics") == 1
+    with open(os.path.join(run_dir, "workers", log), encoding="utf-8") as handle:
+        assert f"worker {worker_id}: " in handle.read()

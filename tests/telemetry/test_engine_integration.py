@@ -9,8 +9,15 @@ import numpy as np
 from repro import telemetry
 from repro.biterror import make_error_fields
 from repro.quant.qat import quantize_model
-from repro.runtime import ResultStore, SerialExecutor, SweepSpec, run_sweep
+from repro.runtime import (
+    ParallelExecutor,
+    ResultStore,
+    SerialExecutor,
+    SweepSpec,
+    run_sweep,
+)
 from repro.telemetry.report import load_run_records, merged_run_metrics
+from repro.utils.serialization import read_jsonl
 
 
 def make_spec(blob_data, small_mlp, rquant8):
@@ -72,6 +79,23 @@ def test_identical_results_with_and_without_telemetry(
         observed = run_sweep(make_spec(blob_data, small_mlp, rquant8),
                              executor=SerialExecutor())
     assert plain == observed
+
+
+def test_fork_pool_workers_never_write_to_the_parents_sink(
+    blob_data, small_mlp, rquant8, tmp_path
+):
+    """A forked worker drops the recorder it inherits without closing it:
+    closing would flush the parent's counters into the parent's sink."""
+    with telemetry.recording(str(tmp_path), name="parent", echo=None) as rec:
+        rec.count("parent.before_fork")  # counters every child inherits
+        run_sweep(make_spec(blob_data, small_mlp, rquant8),
+                  executor=ParallelExecutor(max_workers=2, start_method="fork"))
+    records = read_jsonl(rec.path)
+    assert [record["type"] for record in records].count("metrics") == 1
+    # The workers recorded their groups into sinks of their own.
+    sinks = {record["sink"] for record in load_run_records(str(tmp_path))
+             if record["type"] == "span" and record["name"] == "engine.group"}
+    assert sinks and "parent" not in sinks
 
 
 def test_trainer_epoch_spans_note_loss_and_lr(tmp_path):
