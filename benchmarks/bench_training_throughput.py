@@ -3,11 +3,12 @@
 Every training benchmark of the paper (Tab. 3/4/13/14) is bottlenecked by
 the per-step cost of Alg. 1.  The seed path pays, per step, a dense
 ``(W, m)`` uniform draw for the bit-error injection, two full-model
-de-quantizations, and Conv2d contractions routed through ``np.einsum``.
-The fused path replaces them with a binomial + distinct-positions sparse
-draw (``error_draw="sparse"``, ``O(p * W * m)``), delta de-quantization
-(only the touched weights are re-decoded), and reshaped ``np.matmul``
-contractions that dispatch to BLAS.
+de-quantizations, and conv contractions in ``np.einsum`` (the bench-local
+:class:`EinsumConv2d`).  The fused path replaces them with a binomial +
+distinct-positions sparse draw (``error_draw="sparse"``, ``O(p * W * m)``),
+delta de-quantization (only the touched weights are re-decoded), and the
+library's ``Conv2d``, whose reshaped ``np.matmul`` contractions dispatch to
+BLAS.
 
 This script measures steps/sec on a ~1M-weight convolutional model at the
 paper's training rate ``p = 0.01`` and checks two acceptance criteria:
@@ -22,7 +23,7 @@ Run the full benchmark (~1M weights, a minute or two)::
 
     PYTHONPATH=src python benchmarks/bench_training_throughput.py
 
-Fast smoke mode for CI (tiny model, no assertions)::
+Fast smoke mode for CI (tiny model, no speedup assertions)::
 
     PYTHONPATH=src python benchmarks/bench_training_throughput.py --smoke
 """
@@ -36,15 +37,8 @@ import numpy as np
 
 from repro.core import RandBETConfig, RandBETTrainer
 from repro.core.trainer import Trainer, TrainerConfig
-from repro.nn import (
-    Conv2d,
-    Flatten,
-    GlobalAvgPool2d,
-    Linear,
-    ReLU,
-    Sequential,
-    conv_contraction,
-)
+from repro.nn import Conv2d, Flatten, GlobalAvgPool2d, Linear, ReLU, Sequential
+from repro.nn.conv import col2im, im2col
 from repro.quant import FixedPointQuantizer, rquant
 from repro.telemetry.perf import add_json_argument, perf_row, write_perf_records
 from repro.utils.tables import Table
@@ -53,13 +47,64 @@ TRAINING_RATE = 0.01
 PRECISION = 8
 
 
-def make_conv_model(widths, in_channels, num_classes, seed=0):
+class EinsumConv2d(Conv2d):
+    """The seed-era conv engine: ``np.einsum`` contractions over the whole batch.
+
+    Same im2col/col2im column layout and parameters as :class:`Conv2d`, but
+    every contraction runs in einsum's own loops instead of a BLAS GEMM, and
+    the batch is one tile.  The results agree with :class:`Conv2d` up to
+    summation order.
+    """
+
+    def forward(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        k = self.kernel_size
+        cols, out_h, out_w = im2col(x, k, k, self.stride, self.padding)
+        n, p = x.shape[0], out_h * out_w
+        weight_mat = self.weight.data.reshape(self.out_channels, -1)
+        product = np.einsum("ok,kq->oq", weight_mat, cols)
+        out = np.ascontiguousarray(product.reshape(self.out_channels, n, p).transpose(1, 0, 2))
+        if self.has_bias:
+            out += self.bias.data[None, :, None]
+        self._cache = (x, x.shape)
+        return out.reshape(n, self.out_channels, out_h, out_w)
+
+    def backward(self, grad_output):
+        x, input_shape = self._cache
+        n, _, out_h, out_w = grad_output.shape
+        k = self.kernel_size
+        cols, _, _ = im2col(x, k, k, self.stride, self.padding)
+        grads = np.asarray(grad_output, dtype=np.float64).reshape(n, self.out_channels, -1)
+        per_sample = np.einsum("nop,knp->nok", grads, cols.reshape(-1, n, out_h * out_w))
+        self.weight.grad += per_sample.sum(axis=0).reshape(self.weight.data.shape)
+        if self.has_bias:
+            self.bias.grad += grads.sum(axis=(0, 2))
+        grad_mat = grads.transpose(1, 0, 2).reshape(self.out_channels, -1)
+        weight_mat = self.weight.data.reshape(self.out_channels, -1)
+        grad_cols = np.einsum("ok,oq->kq", weight_mat, grad_mat)
+        return col2im(grad_cols, input_shape, k, k, self.stride, self.padding)
+
+
+def check_einsum_conv():
+    """The einsum baseline computes what :class:`Conv2d` computes."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(3, 4, 6, 6))
+    grad = rng.normal(size=(3, 5, 6, 6))
+    results = []
+    for conv in (Conv2d, EinsumConv2d):
+        layer = conv(4, 5, kernel_size=3, padding=1, rng=np.random.default_rng(0))
+        results.append((layer(x), layer.backward(grad), layer.weight.grad, layer.bias.grad))
+    for ours, baseline in zip(*results):
+        np.testing.assert_allclose(baseline, ours, rtol=1e-12, atol=1e-12)
+
+
+def make_conv_model(widths, in_channels, num_classes, seed=0, conv=Conv2d):
     """A 3x3 conv stack + global average pool classifier at given widths."""
     rng = np.random.default_rng(seed)
     layers = []
     channels = in_channels
     for width in widths:
-        layers.append(Conv2d(channels, width, kernel_size=3, padding=1, rng=rng))
+        layers.append(conv(channels, width, kernel_size=3, padding=1, rng=rng))
         layers.append(ReLU())
         channels = width
     layers.extend(
@@ -75,8 +120,8 @@ def make_batch(batch_size, in_channels, image_size, num_classes, seed=1):
     return inputs, labels
 
 
-def make_qat_trainer(args):
-    model = make_conv_model(args.widths, args.channels, args.classes, seed=0)
+def make_qat_trainer(args, conv=Conv2d):
+    model = make_conv_model(args.widths, args.channels, args.classes, seed=0, conv=conv)
     config = TrainerConfig(
         epochs=1,
         batch_size=args.batch,
@@ -86,8 +131,8 @@ def make_qat_trainer(args):
     return Trainer(model, FixedPointQuantizer(rquant(PRECISION)), config)
 
 
-def make_randbet_trainer(args, error_draw):
-    model = make_conv_model(args.widths, args.channels, args.classes, seed=0)
+def make_randbet_trainer(args, error_draw, conv=Conv2d):
+    model = make_conv_model(args.widths, args.channels, args.classes, seed=0, conv=conv)
     config = RandBETConfig(
         epochs=1,
         batch_size=args.batch,
@@ -107,17 +152,15 @@ def time_interleaved(configs, inputs, labels, steps, warmup=2):
     configuration per round — so machine-load drift over the run biases all
     of them equally instead of whichever happened to be timed last.
     """
-    for _, trainer, contraction in configs:
-        with conv_contraction(contraction):
-            for _ in range(warmup):
-                trainer.train_step(inputs, labels)
-    samples = {name: [] for name, _, _ in configs}
+    for _, trainer in configs:
+        for _ in range(warmup):
+            trainer.train_step(inputs, labels)
+    samples = {name: [] for name, _ in configs}
     for _ in range(steps):
-        for name, trainer, contraction in configs:
-            with conv_contraction(contraction):
-                start = time.perf_counter()
-                trainer.train_step(inputs, labels)
-                samples[name].append(time.perf_counter() - start)
+        for name, trainer in configs:
+            start = time.perf_counter()
+            trainer.train_step(inputs, labels)
+            samples[name].append(time.perf_counter() - start)
     return {name: float(np.median(times)) for name, times in samples.items()}
 
 
@@ -149,16 +192,17 @@ def main() -> int:
           f"{args.image_size}x{args.image_size}, p = {TRAINING_RATE}, "
           f"{args.steps} timed step(s)")
 
+    check_einsum_conv()
     configs = [
-        ("qat_einsum", make_qat_trainer(args), "einsum"),
-        ("qat_matmul", make_qat_trainer(args), "matmul"),
-        ("seed", make_randbet_trainer(args, "dense"), "einsum"),
-        ("dense_matmul", make_randbet_trainer(args, "dense"), "matmul"),
-        ("fused", make_randbet_trainer(args, "sparse"), "matmul"),
+        ("qat_einsum", make_qat_trainer(args, EinsumConv2d)),
+        ("qat_matmul", make_qat_trainer(args)),
+        ("seed", make_randbet_trainer(args, "dense", EinsumConv2d)),
+        ("dense_matmul", make_randbet_trainer(args, "dense")),
+        ("fused", make_randbet_trainer(args, "sparse")),
     ]
     inputs, labels = make_batch(args.batch, args.channels, args.image_size, args.classes)
     seconds = time_interleaved(configs, inputs, labels, args.steps)
-    for name, trainer, _ in configs:
+    for name, trainer in configs:
         if isinstance(trainer, RandBETTrainer):
             assert trainer.bit_errors_active, (
                 f"{name}: injection never activated; timing is vacuous"

@@ -1,7 +1,8 @@
 """Per-rule configuration of the invariant linter.
 
 The defaults below encode this repository's actual contracts — which files
-may own global RNG state, which numpy idioms are banned on hot paths, where
+may own global RNG state and which packages must derive their generators
+through it, which numpy idioms are banned on hot paths, where
 run-dir writes must be atomic, which keyword flags denote fused/backend twin
 seams, how every :class:`~repro.runtime.spec.EvalJob` field maps onto the
 content-key payload, and which attributes cache no-pickle objects.  Tests
@@ -22,13 +23,14 @@ from repro.analysis.baseline import DEFAULT_BASELINE_NAME
 
 @dataclass
 class Rep001Config:
-    """REP001 — no global RNG outside the seed-derivation module."""
+    """REP001 — RNG discipline: no global RNG state anywhere, and raw
+    generator constructors only outside the infrastructure packages."""
 
-    #: Files allowed to touch ``np.random`` / ``random`` module state.
+    #: The seed-derivation module, exempt from the whole rule.
     allowed_files: Tuple[str, ...] = ("src/repro/utils/rng.py",)
     #: ``np.random`` attributes that construct explicit generators/seeds and
-    #: are therefore fine anywhere (everything else on the module is global
-    #: state or a legacy global-stream sampler).
+    #: are therefore not global state (everything else on the module is
+    #: global state or a legacy global-stream sampler).
     allowed_numpy_attrs: Tuple[str, ...] = (
         "Generator",
         "BitGenerator",
@@ -41,6 +43,15 @@ class Rep001Config:
     )
     #: stdlib ``random`` attributes that are explicit-instance constructors.
     allowed_stdlib_attrs: Tuple[str, ...] = ("Random", "SystemRandom")
+    #: Packages whose randomness must replay across hosts, so every
+    #: generator they build flows through the repro.utils.rng wrappers.
+    wrapped_paths: Tuple[str, ...] = (
+        "src/repro/runtime",
+        "src/repro/cluster",
+        "src/repro/faults",
+    )
+    #: ``numpy.random`` constructors those packages reach via the wrappers.
+    wrapped_constructors: Tuple[str, ...] = ("default_rng",)
 
 
 @dataclass
@@ -148,23 +159,6 @@ class Rep008Config:
 
 
 @dataclass
-class Rep009Config:
-    """REP009 — infrastructure derives RNGs via the utils/rng wrappers."""
-
-    #: Packages whose randomness must replay across hosts, so every
-    #: generator they build flows through the audited derivation seam.
-    scoped_paths: Tuple[str, ...] = (
-        "src/repro/runtime",
-        "src/repro/cluster",
-        "src/repro/faults",
-    )
-    #: The one module allowed to call the raw constructors (it *is* the seam).
-    allowed_files: Tuple[str, ...] = ("src/repro/utils/rng.py",)
-    #: ``numpy.random`` constructors that must be reached via the wrappers.
-    banned_constructors: Tuple[str, ...] = ("default_rng",)
-
-
-@dataclass
 class AnalysisConfig:
     """Everything one :func:`repro.analysis.engine.run_analysis` call needs."""
 
@@ -181,7 +175,6 @@ class AnalysisConfig:
     rep006: Rep006Config = field(default_factory=Rep006Config)
     rep007: Rep007Config = field(default_factory=Rep007Config)
     rep008: Rep008Config = field(default_factory=Rep008Config)
-    rep009: Rep009Config = field(default_factory=Rep009Config)
 
     def __post_init__(self) -> None:
         self.root = os.path.abspath(self.root)

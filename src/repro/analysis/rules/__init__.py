@@ -5,7 +5,9 @@ Rule        Contract
 ==========  ==============================================================
 ``REP000``  Waiver hygiene: waivers parse, carry a reason, suppress
             something (emitted by the engine, not a rule class).
-``REP001``  No global RNG outside :mod:`repro.utils.rng`.
+``REP001``  RNG discipline: no global RNG outside :mod:`repro.utils.rng`,
+            and infrastructure code derives generators through its
+            wrappers, not raw ``default_rng``.
 ``REP002``  No allocation-heavy numpy idioms inside ``@hot_path``.
 ``REP003``  Run-dir writes in cluster/store modules are atomic.
 ``REP004``  Every fused/backend twin seam has a flag-spelled-out test.
@@ -14,8 +16,6 @@ Rule        Contract
 ``REP007``  Library modules don't print; they emit telemetry events.
 ``REP008``  Except blocks never swallow silently: handle, re-raise,
             record telemetry — or carry a reasoned waiver.
-``REP009``  Infrastructure code derives RNGs through the
-            :mod:`repro.utils.rng` wrappers, not raw ``default_rng``.
 ==========  ==============================================================
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Type
 
-from repro.analysis.rules.rep001_global_rng import GlobalRngRule
+from repro.analysis.rules.rep001_rng_discipline import RngDisciplineRule
 from repro.analysis.rules.rep002_hot_alloc import HotPathAllocRule
 from repro.analysis.rules.rep003_atomic_write import AtomicWriteRule
 from repro.analysis.rules.rep004_parity_seams import ParitySeamRule
@@ -31,13 +31,12 @@ from repro.analysis.rules.rep005_content_key import ContentKeyRule
 from repro.analysis.rules.rep006_pickle_boundary import PickleBoundaryRule
 from repro.analysis.rules.rep007_no_print import NoPrintRule
 from repro.analysis.rules.rep008_swallowed_exceptions import SwallowedExceptionRule
-from repro.analysis.rules.rep009_raw_rng_construction import RawRngConstructionRule
 from repro.analysis.visitor import Rule
 
 __all__ = ["ALL_RULES", "default_rules", "rule_registry"]
 
 ALL_RULES: List[Type[Rule]] = [
-    GlobalRngRule,
+    RngDisciplineRule,
     HotPathAllocRule,
     AtomicWriteRule,
     ParitySeamRule,
@@ -45,7 +44,6 @@ ALL_RULES: List[Type[Rule]] = [
     PickleBoundaryRule,
     NoPrintRule,
     SwallowedExceptionRule,
-    RawRngConstructionRule,
 ]
 
 

@@ -37,9 +37,6 @@ Every worker funnels through the engine's single execution primitive, so
 cluster results are **bit-identical** to ``SerialExecutor``'s by
 construction — the property ``benchmarks/bench_cluster.py`` asserts before
 reporting any speedup.
-
-Importing this module registers the ``"cluster"`` executor with
-:func:`repro.runtime.executors.register_executor`.
 """
 
 from repro.cluster.broker import (

@@ -120,7 +120,6 @@ def prepare_run_dir(
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[faults.FaultPlan] = None,
-    checksums: bool = True,
 ) -> Submission:
     """Publish ``groups`` (and their ``context``) as claimable work items.
 
@@ -132,10 +131,9 @@ def prepare_run_dir(
 
     ``retry`` (the run's attempt budget / backoff knobs) and ``fault_plan``
     (a chaos schedule for every worker serving this run) are recorded in the
-    manifest so the whole fleet — spawned daemons included — agrees on them;
-    so is ``checksums`` (on by default for cluster runs), which makes every
-    shard and canonical-store line carry a per-line integrity footer that
-    ``repro.cluster verify`` can audit.
+    manifest so the whole fleet — spawned daemons included — agrees on them.
+    The manifest also turns on per-line checksum footers for every shard and
+    canonical-store line, which ``repro.cluster verify`` audits.
     """
     run_dir = os.path.abspath(run_dir)
     retry = retry or RetryPolicy()
@@ -189,8 +187,10 @@ def prepare_run_dir(
             # A chaos schedule every worker honors (an installed plan or the
             # FAULTS_ENV variable wins inside a given worker process).
             "faults": fault_plan.to_json() if fault_plan is not None else None,
-            # Per-line checksum footers on shard/store appends fleet-wide.
-            "checksums": bool(checksums),
+            # Per-line checksum footers on shard/store appends fleet-wide
+            # (always on; readers take the field from the manifest, so run
+            # directories written without footers keep their format).
+            "checksums": True,
         },
     )
     telemetry.get_recorder().event(
@@ -210,7 +210,6 @@ def submit_spec(
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[faults.FaultPlan] = None,
-    checksums: bool = True,
 ) -> Submission:
     """Publish every not-yet-stored cell of ``spec`` to ``run_dir``.
 
@@ -239,7 +238,6 @@ def submit_spec(
         lease_timeout=lease_timeout,
         retry=retry,
         fault_plan=fault_plan,
-        checksums=checksums,
     )
     submission.cached_keys = cached
     submission.expected_keys = [job.content_key for job in spec.jobs]

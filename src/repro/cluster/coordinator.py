@@ -62,7 +62,7 @@ from repro.cluster.merge import (
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, RetryPolicy
 from repro.cluster.worker import live_worker_ids, worker_loop
 from repro.nn import _threads
-from repro.runtime.executors import GroupOutput, register_executor
+from repro.runtime.executors import GroupOutput
 from repro.runtime.spec import EvalJob, SweepContext
 from repro.runtime.store import ResultStore
 
@@ -82,8 +82,8 @@ def spawn_local_worker(
     so it starts without a new interpreter or a single import.  It first
     sheds what a freshly started worker would not have: its stdout and
     stderr go to ``<run_dir>/workers/<worker_id>.log``, SIGTERM and SIGINT
-    get their default handlers, the installed fault plan is cleared (the
-    telemetry recorder is dropped at every fork), and BLAS gets the thread
+    get their default handlers (the installed fault plan and telemetry
+    recorder are dropped at every fork), and BLAS gets the thread
     count of :func:`repro.nn._threads.set_worker_threads` for one of
     ``workers`` daemons.  It then runs ``python -m repro.cluster worker
     <run_dir> --id <worker_id> --poll <poll_interval>`` and exits with its
@@ -116,7 +116,6 @@ def _serve_forked(run_dir: str, worker_id: str, poll_interval: float, workers: i
     sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
-    faults_module.clear()
     _threads.set_worker_threads(workers)
     code = cli.main(["worker", run_dir, "--id", worker_id, "--poll", str(poll_interval)])
     sys.stdout.flush()
@@ -160,11 +159,9 @@ class ClusterExecutor:
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` chaos schedule, propagated
         to every worker through the manifest (the chaos tests' hook).
-    checksums:
-        Per-line integrity footers on every shard and canonical-store
-        append, fleet-wide via the manifest (default on; see
-        :mod:`repro.utils.serialization`).  Disable only to produce
-        byte-identical legacy logs.
+
+    Every shard and canonical-store line carries a per-line checksum footer
+    (see :mod:`repro.utils.serialization`).
 
     A run that dead-letters items terminates with **partial results**: the
     failed groups are never yielded, and :attr:`failure_report` holds a
@@ -184,7 +181,6 @@ class ClusterExecutor:
         stall_timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[faults_module.FaultPlan] = None,
-        checksums: bool = True,
     ):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -205,7 +201,6 @@ class ClusterExecutor:
         )
         self.retry = retry
         self.fault_plan = fault_plan
-        self.checksums = bool(checksums)
         #: The last run's dead-letter report (``None``: nothing failed).
         self.failure_report: Optional[FailureReport] = None
 
@@ -251,7 +246,7 @@ class ClusterExecutor:
         span = rec.span("cluster.run", run_dir=run_dir, groups=len(groups))
         span.__enter__()
         try:
-            store = ResultStore(run_dir, checksum=self.checksums)
+            store = ResultStore(run_dir, checksum=True)
             outstanding: Dict[str, List[EvalJob]] = {}
             for group in groups:
                 output = self._group_output(store, group)
@@ -270,7 +265,6 @@ class ClusterExecutor:
                 lease_timeout=self.lease_timeout,
                 retry=self.retry,
                 fault_plan=self.fault_plan,
-                checksums=self.checksums,
             )
             queue = JobQueue(run_dir, lease_timeout=self.lease_timeout, retry=self.retry)
             guard = MergeGuard(run_dir, queue=queue)
@@ -497,6 +491,3 @@ class ClusterExecutor:
                 source=os.path.basename(path),
             ).merged
         return merged
-
-
-register_executor("cluster", ClusterExecutor)

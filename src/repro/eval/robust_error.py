@@ -117,9 +117,18 @@ def evaluate_robust_error(
     backend: str = "dense",
     quantized: Optional[QuantizedWeights] = None,
     clean_stats: Optional[tuple] = None,
-    fused: bool = True,
 ) -> RobustErrorResult:
     """Average RErr of ``model`` under random bit errors at ``bit_error_rate``.
+
+    Each draw runs the fused per-draw loop: the clean de-quantization is
+    computed once, every draw reports only its touched weights
+    (:meth:`BitErrorField.delta_apply`), patches them into the clean weights
+    in place (:class:`~repro.eval.fast_eval.DeltaWeightPatcher`) and is
+    evaluated over mini-batches cut once per call
+    (:class:`~repro.eval.fast_eval.BatchPlan`), so a draw costs
+    ``O(touched)`` instead of ``O(W)``.  The result is bit-identical to
+    de-quantizing every corrupted model in full and batching the dataset
+    afresh per draw.
 
     Parameters
     ----------
@@ -138,28 +147,14 @@ def evaluate_robust_error(
         pair.  Sweep drivers (:func:`repro.eval.sweeps.rerr_sweep`) pass
         these so the model is quantized and clean-evaluated once per sweep
         instead of once per rate.
-    fused:
-        Run the fused per-draw loop (the default): the clean de-quantization
-        is computed once, every draw reports only its touched weights
-        (:meth:`BitErrorField.delta_apply`), patches them into the clean
-        weights in place
-        (:class:`~repro.eval.fast_eval.DeltaWeightPatcher`) and evaluates
-        over mini-batches hoisted once per call
-        (:class:`~repro.eval.fast_eval.BatchPlan`) — ``O(touched)`` per draw
-        instead of ``O(W)``.  ``fused=False`` runs the pre-fusion reference
-        data flow (full de-quantization and per-call batching per draw);
-        both paths are bit-identical, so the flag only exists for parity
-        tests and benchmarks.
     """
     if quantized is None:
         quantized = quantize_model(model, quantizer)
-    plan = BatchPlan(dataset, batch_size) if fused else None
+    plan = BatchPlan(dataset, batch_size)
     clean_weights = None
     if clean_stats is None:
         clean_weights = quantizer.dequantize(quantized)
-        clean_stats = model_error_and_confidence(
-            model, clean_weights, plan if fused else dataset, batch_size
-        )
+        clean_stats = model_error_and_confidence(model, clean_weights, plan, batch_size)
     clean_error, clean_confidence = clean_stats
     result = RobustErrorResult(
         bit_error_rate=bit_error_rate,
@@ -186,34 +181,22 @@ def evaluate_robust_error(
             seed=seed,
             backend=backend,
         )
+    if clean_weights is None:
+        # clean_stats were hoisted by the caller; the patcher still needs
+        # the clean decode, computed once for all draws.
+        clean_weights = quantizer.dequantize(quantized)
     perturbed_confidences = []
-    if fused:
-        if clean_weights is None:
-            # clean_stats were hoisted by the caller; the patcher still
-            # needs the clean decode, computed once for all draws.
-            clean_weights = quantizer.dequantize(quantized)
-        patcher = DeltaWeightPatcher(quantized, clean_weights)
-        # Borrowed flat snapshot, hoisted out of the draw loop (refilling it
-        # per draw would re-pay an O(W) concatenation per chip).
-        flat = quantized.flat_codes(copy=False)
-        for fld in error_fields:
-            fld._check_quantized(quantized)
-            touched, values = fld.delta_apply(flat, bit_error_rate)
-            with patcher.patched(touched, values) as weights:
-                error, confidence = model_error_and_confidence(
-                    model, weights, plan, batch_size
-                )
-            result.errors.append(error)
-            perturbed_confidences.append(confidence)
-    else:
-        for fld in error_fields:
-            corrupted = fld.apply_to_quantized(quantized, bit_error_rate)
-            weights = quantizer.dequantize(corrupted)
-            error, confidence = model_error_and_confidence(
-                model, weights, dataset, batch_size
-            )
-            result.errors.append(error)
-            perturbed_confidences.append(confidence)
+    patcher = DeltaWeightPatcher(quantized, clean_weights)
+    # Borrowed flat snapshot, hoisted out of the draw loop (refilling it
+    # per draw would re-pay an O(W) concatenation per chip).
+    flat = quantized.flat_codes(copy=False)
+    for fld in error_fields:
+        fld._check_quantized(quantized)
+        touched, values = fld.delta_apply(flat, bit_error_rate)
+        with patcher.patched(touched, values) as weights:
+            error, confidence = model_error_and_confidence(model, weights, plan, batch_size)
+        result.errors.append(error)
+        perturbed_confidences.append(confidence)
     result.confidence_perturbed = float(np.mean(perturbed_confidences))
     return result
 

@@ -11,7 +11,7 @@ job per (model, rate, field-or-offset) cell — and executes it through
 the PR-1 hoisting (quantize once, clean-evaluate once per sweep):
 
 * **sharding** — pass ``executor=ParallelExecutor(...)`` to spread the cells
-  over worker processes, or a registered executor name — ``"parallel"``, or
+  over worker processes, or an executor name — ``"parallel"``, or
   ``"cluster"`` for the multi-host :class:`~repro.cluster.ClusterExecutor`
   (the default :class:`SerialExecutor` reproduces the pre-engine results bit
   for bit);

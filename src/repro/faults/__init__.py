@@ -62,6 +62,8 @@ Plans propagate exactly like telemetry configuration: a process-local
 install (:func:`install`), the :data:`FAULTS_ENV` environment variable, or
 the run manifest (``manifest["faults"]``, written by
 :func:`repro.cluster.broker.prepare_run_dir`) — in that precedence order.
+An installed plan stays in its process: a forked child starts without one,
+like a freshly started process.
 The one worker loop (:func:`repro.cluster.worker.serve`) resolves the plan
 per run: a cluster worker for its run directory, a service worker for each
 tenant, and each run's plan is installed while that run's picks and items
@@ -429,6 +431,12 @@ def install(plan: Optional[FaultPlan]) -> None:
 def clear() -> None:
     """Remove any installed fault schedule."""
     install(None)
+
+
+# A forked child starts as a fresh process would, with no installed plan: it
+# resolves its own schedule from FAULTS_ENV or its run's manifest.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=clear)
 
 
 def current() -> Optional[FaultPlan]:

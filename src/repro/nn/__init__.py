@@ -11,12 +11,7 @@ label-smoothing variant (Sec. 5.2).
 
 from repro.nn import init
 from repro.nn.activations import Identity, LeakyReLU, ReLU, Sigmoid, Tanh
-from repro.nn.conv import (
-    Conv2d,
-    conv_contraction,
-    get_conv_contraction,
-    set_conv_contraction,
-)
+from repro.nn.conv import Conv2d
 from repro.nn.flatten import Flatten
 from repro.nn.linear import Linear
 from repro.nn.losses import CrossEntropyLoss, accuracy, log_softmax, softmax
@@ -30,9 +25,6 @@ __all__ = [
     "Sequential",
     "Linear",
     "Conv2d",
-    "conv_contraction",
-    "get_conv_contraction",
-    "set_conv_contraction",
     "MaxPool2d",
     "AvgPool2d",
     "GlobalAvgPool2d",

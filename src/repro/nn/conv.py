@@ -3,8 +3,9 @@
 The im2col transformation unrolls every receptive field of a batch into one
 ``(C * kh * kw, N * OH * OW)`` column matrix, so a convolution is a single
 matrix multiplication — the standard vectorized NumPy formulation.
-``im2col`` / ``col2im`` are exposed as module-level functions so pooling
-layers and tests can reuse them.
+``im2col`` / ``col2im`` are module-level functions; ``Conv2d`` looks them
+up through this module at call time, so a wrapper installed on either name
+sees every call.
 
 ``Conv2d`` walks the batch in tiles of whole samples whose columns fit a
 fixed byte budget (half of a typical 2 MiB per-core L2; at least one
@@ -22,21 +23,10 @@ the batch in sample order after the tiles.  Scratch memory therefore scales
 with the tile, not with ``N * K * P``.  Every output element is the same
 dot product over ``K`` (or ``O``) in the same order as with per-sample
 GEMMs, so neither tiling nor threads change a bit.
-
-Two hot-path choices are configurable for validation and benchmarking:
-
-* ``im2col`` gathers an ``np.lib.stride_tricks.as_strided`` window view
-  straight into the column matrix (one copy) by default; ``method="loop"``
-  keeps the per-kernel-offset slice loop as the reference implementation.
-* The tensor contractions of ``Conv2d.forward``/``backward`` run as
-  ``np.matmul`` calls that dispatch to BLAS by default;
-  :func:`set_conv_contraction` switches back to the ``np.einsum``
-  reference.  Both are validated against each other in the test suite.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -44,56 +34,11 @@ import numpy as np
 from repro.nn import _threads, init
 from repro.nn.module import Module, Parameter
 
-__all__ = [
-    "Conv2d",
-    "im2col",
-    "col2im",
-    "conv_output_size",
-    "set_conv_contraction",
-    "get_conv_contraction",
-    "conv_contraction",
-    "CONTRACTIONS",
-    "IM2COL_METHODS",
-]
-
-#: Contraction engines for Conv2d: BLAS-dispatched matmul vs. the einsum
-#: reference.  Results agree to floating-point reduction order.
-CONTRACTIONS = ("matmul", "einsum")
-
-#: Window-unrolling strategies for im2col: a strided gather vs. the
-#: per-kernel-offset slice loop reference.  Results are bit-identical.
-IM2COL_METHODS = ("strided", "loop")
-
-_contraction = "matmul"
+__all__ = ["Conv2d", "im2col", "col2im", "conv_output_size"]
 
 #: Column bytes one ``Conv2d`` tile may hold: half of a typical 2 MiB
 #: per-core L2, so a tile's columns are still cached when its GEMM reads them.
 _TILE_BYTES = 1 << 20
-
-
-def set_conv_contraction(mode: str) -> str:
-    """Select the global Conv2d contraction engine; returns the previous one."""
-    global _contraction
-    if mode not in CONTRACTIONS:
-        raise ValueError(f"unknown contraction {mode!r}; choose from {CONTRACTIONS}")
-    previous = _contraction
-    _contraction = mode
-    return previous
-
-
-def get_conv_contraction() -> str:
-    """The currently selected Conv2d contraction engine."""
-    return _contraction
-
-
-@contextmanager
-def conv_contraction(mode: str) -> Iterator[None]:
-    """Temporarily switch the Conv2d contraction engine (for tests/benchmarks)."""
-    previous = set_conv_contraction(mode)
-    try:
-        yield
-    finally:
-        set_conv_contraction(previous)
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -120,7 +65,6 @@ def im2col(
     kernel_w: int,
     stride: int,
     padding: int,
-    method: str = "strided",
     *,
     out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int, int]:
@@ -129,17 +73,14 @@ def im2col(
     Row ``(c, i, j)`` of the result holds input channel ``c`` at kernel offset
     ``(i, j)``; column ``(n, oh, ow)`` is output position ``(oh, ow)`` of
     sample ``n``.  With every sample's windows side by side, a convolution
-    over the whole batch is a single ``(O, K) @ (K, N * P)`` GEMM.
+    over the whole batch is a single ``(O, K) @ (K, N * P)`` GEMM.  An
+    ``as_strided`` window view of the padded input is gathered straight into
+    the result, one copy in total.
 
     Parameters
     ----------
     x:
         Input of shape ``(N, C, H, W)``.
-    method:
-        ``"strided"`` (default) gathers an ``as_strided`` window view of the
-        padded input straight into the result, one copy in total;
-        ``"loop"`` fills it with one strided slice copy per kernel offset
-        (the reference implementation).  Both produce bit-identical columns.
     out:
         Optional C-contiguous array of the result's shape and dtype to
         gather into (a caller's scratch buffer); a new one otherwise.
@@ -153,8 +94,6 @@ def im2col(
     out_h, out_w:
         Spatial output size.
     """
-    if method not in IM2COL_METHODS:
-        raise ValueError(f"unknown im2col method {method!r}; choose from {IM2COL_METHODS}")
     n, c, h, w = x.shape
     out_h, out_w = _output_hw(x.shape, kernel_h, kernel_w, stride, padding)
     shape = (c * kernel_h * kernel_w, n * out_h * out_w)
@@ -172,21 +111,13 @@ def im2col(
         x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         x_padded[:, :, padding : padding + h, padding : padding + w] = x
     cols = out.reshape(c, kernel_h, kernel_w, n, out_h, out_w)
-    if method == "strided":
-        sn, sc, sh, sw = x_padded.strides
-        cols[...] = np.lib.stride_tricks.as_strided(
-            x_padded,
-            shape=cols.shape,
-            strides=(sc, sh, sw, sn, stride * sh, stride * sw),
-            writeable=False,
-        )
-    else:
-        for i in range(kernel_h):
-            i_max = i + stride * out_h
-            for j in range(kernel_w):
-                j_max = j + stride * out_w
-                window = x_padded[:, :, i:i_max:stride, j:j_max:stride]
-                cols[:, i, j] = window.transpose(1, 0, 2, 3)
+    sn, sc, sh, sw = x_padded.strides
+    cols[...] = np.lib.stride_tricks.as_strided(
+        x_padded,
+        shape=cols.shape,
+        strides=(sc, sh, sw, sn, stride * sh, stride * sw),
+        writeable=False,
+    )
     return out, out_h, out_w
 
 
@@ -303,11 +234,8 @@ class Conv2d(Module):
 
         def run(first: int, last: int) -> None:
             for start, stop, cols, product in self._tiles(x, p, first, last):
-                if _contraction == "matmul":
-                    # One (O, K) @ (K, m * P) BLAS gemm per tile of m samples.
-                    np.matmul(weight_mat, cols, out=product)
-                else:
-                    np.einsum("ok,kq->oq", weight_mat, cols, out=product)
+                # One (O, K) @ (K, m * P) BLAS gemm per tile of m samples.
+                np.matmul(weight_mat, cols, out=product)
                 # Bias add and (O, m, P) -> (m, O, P) transpose in one pass,
                 # into the tile's slice of the C-contiguous output: downstream
                 # reductions sum in memory order, so a transposed view would
@@ -342,19 +270,13 @@ class Conv2d(Module):
                 columns = cols.reshape(-1, stop - start, p)
                 # Per-sample (O, P) @ (P, K) weight-gradient gemms over strided
                 # views of the tile's columns, summed over the batch below.
-                if _contraction == "matmul":
-                    np.matmul(grads, columns.transpose(1, 2, 0), out=per_sample[start:stop])
-                else:
-                    np.einsum("nop,knp->nok", grads, columns, out=per_sample[start:stop])
+                np.matmul(grads, columns.transpose(1, 2, 0), out=per_sample[start:stop])
                 # Input gradient: the tile's (O, m * P) gradients, one
                 # (K, O) @ (O, m * P) gemm into the columns' scratch, then
                 # col2im into the tile's slice of the input gradient.
                 np.copyto(grad_mat.reshape(self.out_channels, stop - start, p),
                           grads.transpose(1, 0, 2))
-                if _contraction == "matmul":
-                    np.matmul(weight_mat.T, grad_mat, out=cols)
-                else:
-                    np.einsum("ok,oq->kq", weight_mat, grad_mat, out=cols)
+                np.matmul(weight_mat.T, grad_mat, out=cols)
                 grad_input[start:stop] = col2im(
                     cols, (stop - start,) + input_shape[1:], k, k, self.stride, self.padding
                 )

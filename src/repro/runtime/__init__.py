@@ -25,12 +25,10 @@ this engine; later scaling work (memmapped fields, distributed backends,
 
 from repro.runtime.engine import assemble_robust_result, clean_stats_for, run_sweep
 from repro.runtime.executors import (
-    EXECUTORS,
     ParallelExecutor,
     SerialExecutor,
     execute_group,
     group_jobs,
-    register_executor,
     resolve_executor,
     subsample_plan,
 )
@@ -55,9 +53,7 @@ __all__ = [
     "execute_group",
     "group_jobs",
     "subsample_plan",
-    "register_executor",
     "resolve_executor",
-    "EXECUTORS",
     "SweepSpec",
     "EvalJob",
     "CellResult",

@@ -49,7 +49,7 @@ def run_sweep(
     ----------
     executor:
         Anything with ``run(context, groups) -> [[(key, CellResult)]]``, or
-        a registered executor name (``"serial"``, ``"parallel"``,
+        an executor name (``"serial"``, ``"parallel"``,
         ``"cluster"`` — see
         :func:`repro.runtime.executors.resolve_executor`); defaults to the
         in-process :class:`~repro.runtime.executors.SerialExecutor`.

@@ -27,7 +27,7 @@ provide a pool (e.g. missing ``/dev/shm`` semaphores on minimal containers).
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,9 +44,7 @@ __all__ = [
     "execute_group",
     "group_jobs",
     "subsample_plan",
-    "register_executor",
     "resolve_executor",
-    "EXECUTORS",
 ]
 
 GroupOutput = List[Tuple[str, CellResult]]
@@ -279,7 +277,12 @@ def _run_group_in_worker(group: Sequence[EvalJob]) -> GroupOutput:
     from repro import faults
 
     faults.fire("execute", group[0].content_key if group else "")
-    return execute_group(_WORKER_CONTEXT, group, chunk_size=_WORKER_CHUNK_SIZE)
+    out = execute_group(_WORKER_CONTEXT, group, chunk_size=_WORKER_CHUNK_SIZE)
+    # A pool worker ends through os._exit, which closes no recorder: its
+    # counters reach its sink as a snapshot after every group, the way a
+    # cluster worker snapshots after every item.
+    telemetry.get_recorder().flush_metrics()
+    return out
 
 
 class ParallelExecutor:
@@ -431,51 +434,28 @@ class ParallelExecutor:
         )
 
 
-#: Executor factories resolvable by name through :func:`resolve_executor`
-#: (and therefore through ``run_sweep(..., executor="name")`` and every sweep
-#: driver).  ``"cluster"`` registers itself lazily on first use so importing
-#: :mod:`repro.runtime` never pulls in the distributed subsystem.
-EXECUTORS: Dict[str, Callable[[], object]] = {}
-
-
-def register_executor(name: str, factory: Callable[[], object]) -> None:
-    """Register an executor ``factory`` under ``name``.
-
-    ``factory`` takes no arguments and returns an object with
-    ``run(context, groups)``; re-registering a name overwrites it (latest
-    wins), so tests and plugins can shadow the built-ins.
-    """
-    if not isinstance(name, str) or not name:
-        raise ValueError("executor name must be a non-empty string")
-    if not callable(factory):
-        raise TypeError(f"executor factory for {name!r} must be callable")
-    EXECUTORS[name] = factory
-
-
-register_executor("serial", SerialExecutor)
-register_executor("parallel", ParallelExecutor)
-
-
 def resolve_executor(executor: Union[None, str, object]):
     """Resolve ``executor`` to an executor instance.
 
     ``None`` yields the default :class:`SerialExecutor` (reference
-    semantics); a string is looked up in the :data:`EXECUTORS` registry
-    (``"serial"``, ``"parallel"``, ``"cluster"``); anything else is assumed
-    to already be an executor and passed through.
+    semantics); ``"serial"``, ``"parallel"`` and ``"cluster"`` build that
+    executor with its defaults; anything else is assumed to already be an
+    executor and passed through.
     """
     if executor is None:
         return SerialExecutor()
-    if isinstance(executor, str):
-        if executor == "cluster" and executor not in EXECUTORS:
-            # Importing the subsystem registers its executor.
-            import repro.cluster  # noqa: F401
+    if not isinstance(executor, str):
+        return executor
+    if executor == "serial":
+        return SerialExecutor()
+    if executor == "parallel":
+        return ParallelExecutor()
+    if executor == "cluster":
+        # Imported on use, so importing repro.runtime never pulls in the
+        # distributed subsystem.
+        from repro.cluster.coordinator import ClusterExecutor
 
-        factory = EXECUTORS.get(executor)
-        if factory is None:
-            raise ValueError(
-                f"unknown executor {executor!r}; registered executors: "
-                f"{sorted(EXECUTORS)}"
-            )
-        return factory()
-    return executor
+        return ClusterExecutor()
+    raise ValueError(
+        f"unknown executor {executor!r}; choose from 'serial', 'parallel', 'cluster'"
+    )

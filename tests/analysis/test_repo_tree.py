@@ -2,7 +2,8 @@
 
 Two guarantees: the committed tree is clean, and the guarantee is not
 vacuous — deleting a parity test makes REP004 fire (the acceptance check
-that the rule actually guards the ``fused=`` seam).
+that the rule actually guards the ``backend=`` seam of
+``evaluate_robust_error``).
 """
 
 import os
@@ -21,9 +22,9 @@ def test_repository_tree_is_clean():
     assert report.waived >= 1
 
 
-def test_rep004_fires_when_the_fused_parity_test_is_deleted():
+def test_rep004_fires_when_the_backend_parity_test_is_deleted():
     """Dropping tests/eval from the scan simulates deleting the parity tests
-    for `evaluate_robust_error`: its fused= seam must surface as REP004."""
+    for `evaluate_robust_error`: its backend= seam must surface as REP004."""
     tests_dir = os.path.join(REPO_ROOT, "tests")
     kept = sorted(
         os.path.join("tests", entry)
@@ -34,18 +35,18 @@ def test_rep004_fires_when_the_fused_parity_test_is_deleted():
     report = run_analysis(config, use_baseline=False)
     rep004 = [f for f in report.new_findings if f.rule_id == "REP004"]
     assert any(
-        "evaluate_robust_error(fused=...)" in finding.message for finding in rep004
+        "evaluate_robust_error(backend=...)" in finding.message for finding in rep004
     ), "\n" + report.render_text()
 
 
 def test_every_registered_rule_has_an_id_and_title():
     from repro.analysis.rules import ALL_RULES, rule_registry
 
-    assert len(ALL_RULES) == 9
+    assert len(ALL_RULES) == 8
     registry = rule_registry()
     assert sorted(registry) == [
         "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007",
-        "REP008", "REP009",
+        "REP008",
     ]
     for rule in ALL_RULES:
         assert rule.title

@@ -5,7 +5,7 @@ def findings_for(report, rule_id):
     return [f for f in report.new_findings if f.rule_id == rule_id]
 
 
-# -- REP001: no global RNG ----------------------------------------------------
+# -- REP001: RNG discipline ---------------------------------------------------
 
 
 def test_rep001_flags_numpy_global_calls(check):
@@ -74,6 +74,27 @@ def test_rep001_exempts_the_rng_module_itself(check):
             np.random.seed(seed)
     """
     report = check({"src/repro/utils/rng.py": source})
+    assert findings_for(report, "REP001") == []
+
+
+RAW_CONSTRUCTORS = """\
+    import numpy as np
+    from numpy.random import default_rng
+
+    def fresh(seed):
+        return np.random.default_rng(seed), default_rng(seed)
+"""
+
+
+def test_rep001_flags_raw_constructors_in_infrastructure_packages(check):
+    report = check({"src/repro/cluster/mod.py": RAW_CONSTRUCTORS})
+    found = findings_for(report, "REP001")
+    assert len(found) == 2
+    assert all("raw generator construction" in f.message for f in found)
+
+
+def test_rep001_allows_raw_constructors_outside_infrastructure(check):
+    report = check({"src/repro/eval/mod.py": RAW_CONSTRUCTORS})
     assert findings_for(report, "REP001") == []
 
 

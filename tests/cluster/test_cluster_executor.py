@@ -210,7 +210,7 @@ def test_cluster_executor_streams_every_group_exactly_once(grid, tmp_path):
     }
 
 
-def test_executor_registry_resolution():
+def test_executor_name_resolution():
     assert isinstance(resolve_executor(None), SerialExecutor)
     assert isinstance(resolve_executor("serial"), SerialExecutor)
     assert resolve_executor("parallel").max_workers >= 1

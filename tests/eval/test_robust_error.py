@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import unfused_robust_error
 from repro.biterror import ChipProfile, make_error_fields
 from repro.core import Trainer, TrainerConfig
 from repro.eval import evaluate_clean_error, evaluate_profiled_error, evaluate_robust_error
@@ -95,9 +96,7 @@ def test_fused_evaluation_is_bit_identical_to_reference(trained, blob_data, back
         fused = evaluate_robust_error(
             model, quantizer, test, rate, error_fields=fields
         )
-        reference = evaluate_robust_error(
-            model, quantizer, test, rate, error_fields=fields, fused=False
-        )
+        reference = unfused_robust_error(model, quantizer, test, rate, fields=fields)
         assert fused.errors == reference.errors  # exact floats, same order
         assert fused.clean_error == reference.clean_error
         assert fused.confidence_clean == reference.confidence_clean
@@ -119,9 +118,7 @@ def test_fused_evaluation_with_hoisted_inputs_matches_reference(trained, blob_da
         model, quantizer, test, 0.01, error_fields=fields,
         quantized=quantized, clean_stats=clean_stats,
     )
-    reference = evaluate_robust_error(
-        model, quantizer, test, 0.01, error_fields=fields, fused=False
-    )
+    reference = unfused_robust_error(model, quantizer, test, 0.01, fields=fields)
     assert hoisted.errors == reference.errors
     assert hoisted.confidence_perturbed == reference.confidence_perturbed
 

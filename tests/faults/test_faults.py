@@ -5,7 +5,10 @@ import json
 import pytest
 
 from repro import faults
+from repro.biterror import make_error_fields
 from repro.faults import FAULTS_ENV, FaultPlan, FaultRule, InjectedFault
+from repro.quant.qat import quantize_model
+from repro.runtime import ParallelExecutor, SweepSpec, run_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -146,6 +149,28 @@ def test_install_precedence(monkeypatch):
         faults.fire("execute", "x")
     faults.clear()
     assert faults.current() is None
+
+
+@pytest.mark.parametrize("start_method", ["spawn", "fork"])
+def test_pool_workers_start_without_the_installed_plan(
+    start_method, blob_data, small_mlp, rquant8, monkeypatch
+):
+    """A pool worker resolves its own schedule, from the environment here,
+    however it was started: the plan installed in the parent (an empty one,
+    which outranks the environment) stays in the parent."""
+    _, test = blob_data
+    quantized = quantize_model(small_mlp, rquant8)
+    spec = SweepSpec(test, batch_size=32)
+    spec.add_model("m", small_mlp, rquant8, quantized)
+    spec.add_field_set("f", make_error_fields(quantized.num_weights, 8, 2, seed=5))
+    for rate in (0.005, 0.01):
+        spec.add_field_jobs("m", "f", rate)
+    poison = FaultPlan([FaultRule(seam="execute", kind="exception")])
+    monkeypatch.setenv(FAULTS_ENV, poison.to_env()[FAULTS_ENV])
+    faults.install(FaultPlan())
+    with pytest.raises(InjectedFault):
+        run_sweep(spec, executor=ParallelExecutor(max_workers=2, start_method=start_method))
+    assert faults.current().rules == []  # the parent's own plan is untouched
 
 
 def test_stall_resume_sleeps_and_survives():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import repro.nn.conv as conv_module
 from helpers import check_layer_gradients, thread_budget
+from oracles import oracle_batch_columns
 from repro.nn import Conv2d, _threads
 from repro.nn.conv import col2im, conv_output_size, im2col
 
@@ -113,16 +114,16 @@ def test_conv_without_bias(rng):
     assert out.shape == (1, 1, 4, 4)
 
 
-# -- strided im2col and BLAS contraction vs. the references ----------------
+# -- im2col vs. the loop oracle ---------------------------------------------
 
 
 @pytest.mark.parametrize("stride,padding,kernel", [(1, 1, 3), (1, 0, 3), (2, 1, 3), (2, 0, 2), (3, 2, 5)])
-def test_im2col_strided_matches_loop_reference(rng, stride, padding, kernel):
+def test_im2col_matches_the_loop_oracle(rng, stride, padding, kernel):
     x = rng.normal(size=(2, 3, 9, 11))
-    strided, oh_s, ow_s = im2col(x, kernel, kernel, stride, padding, method="strided")
-    loop, oh_l, ow_l = im2col(x, kernel, kernel, stride, padding, method="loop")
-    assert (oh_s, ow_s) == (oh_l, ow_l)
-    np.testing.assert_array_equal(strided, loop)  # bit-identical
+    cols, out_h, out_w = im2col(x, kernel, kernel, stride, padding)
+    want, want_h, want_w = oracle_batch_columns(x, kernel, stride, padding)
+    assert (out_h, out_w) == (want_h, want_w)
+    np.testing.assert_array_equal(cols, want)  # bit-identical
 
 
 def test_im2col_strided_result_owns_its_memory(rng):
@@ -133,42 +134,9 @@ def test_im2col_strided_result_owns_its_memory(rng):
     np.testing.assert_array_equal(again + 1.0, cols)
 
 
-def test_im2col_unknown_method_raises(rng):
-    with pytest.raises(ValueError, match="im2col method"):
-        im2col(rng.normal(size=(1, 1, 4, 4)), 3, 3, 1, 1, method="magic")
-
-
-def test_matmul_contraction_matches_einsum_reference(rng):
-    from repro.nn.conv import conv_contraction
-
-    x = rng.normal(size=(3, 4, 8, 8))
-    grad_out = rng.normal(size=(3, 5, 8, 8))
-
-    results = {}
-    for mode in ("matmul", "einsum"):
-        layer = Conv2d(4, 5, kernel_size=3, padding=1, rng=np.random.default_rng(0))
-        with conv_contraction(mode):
-            out = layer(x)
-            grad_in = layer.backward(grad_out)
-        results[mode] = (out, grad_in, layer.weight.grad.copy(), layer.bias.grad.copy())
-    for a, b in zip(results["matmul"], results["einsum"]):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-def test_conv_contraction_context_restores_previous_mode():
-    from repro.nn.conv import conv_contraction, get_conv_contraction, set_conv_contraction
-
-    assert get_conv_contraction() == "matmul"  # the default
-    with conv_contraction("einsum"):
-        assert get_conv_contraction() == "einsum"
-    assert get_conv_contraction() == "matmul"
-    with pytest.raises(ValueError, match="contraction"):
-        set_conv_contraction("fft")
-
-
 def test_matmul_gradients_match_finite_differences(rng):
-    # The default (matmul) contraction must satisfy the same gradient checks
-    # as the einsum reference.
+    # Strided, over a batch of two: the per-sample weight-gradient GEMMs are
+    # summed over the batch.
     layer = Conv2d(2, 3, kernel_size=3, stride=2, padding=1, rng=rng)
     check_layer_gradients(layer, (2, 2, 6, 6), rng, atol=1e-4)
 
@@ -177,13 +145,13 @@ def test_im2col_strided_1x1_kernel_owns_its_memory(rng):
     # Degenerate 1x1 stride-1 windows are the input itself; im2col must still
     # hand back writable, unaliased columns (ResNet 1x1 projection shortcuts).
     x = rng.normal(size=(2, 3, 5, 5))
-    cols, _, _ = im2col(x, 1, 1, 1, 0, method="strided")
+    cols, _, _ = im2col(x, 1, 1, 1, 0)
     assert cols.flags.writeable
-    loop, _, _ = im2col(x, 1, 1, 1, 0, method="loop")
-    np.testing.assert_array_equal(cols, loop)
+    want, _, _ = oracle_batch_columns(x, 1, 1, 0)
+    np.testing.assert_array_equal(cols, want)
     cols += 1.0
     np.testing.assert_array_equal(x, x)  # input untouched
-    again, _, _ = im2col(x, 1, 1, 1, 0, method="strided")
+    again, _, _ = im2col(x, 1, 1, 1, 0)
     np.testing.assert_array_equal(again + 1.0, cols)
 
 
@@ -230,9 +198,8 @@ def check_conv_against_naive_loops(
     if bias:
         np.testing.assert_allclose(layer.bias.grad, want_b, atol=1e-10)
 
-    cols, _, _ = im2col(x, kernel, kernel, stride, padding, method="strided")
-    loop, _, _ = im2col(x, kernel, kernel, stride, padding, method="loop")
-    np.testing.assert_array_equal(cols, loop)
+    cols, _, _ = im2col(x, kernel, kernel, stride, padding)
+    np.testing.assert_array_equal(cols, oracle_batch_columns(x, kernel, stride, padding)[0])
     y = rng.normal(size=cols.shape)
     back = col2im(y, x.shape, kernel, kernel, stride, padding)
     assert np.isclose(float((cols * y).sum()), float((x * back).sum()))

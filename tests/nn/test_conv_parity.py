@@ -26,6 +26,7 @@ import pytest
 import repro.nn.activations as activations_module
 import repro.nn.pooling as pooling_module
 from helpers import thread_budget
+from oracles import oracle_im2col
 from repro.nn import Conv2d, GroupNorm, MaxPool2d, ReLU
 from repro.nn.conv import conv_output_size
 
@@ -36,20 +37,6 @@ BUDGETS = [1, 3]
 SIMPLENET_CONVS = [
     (3, 16, 32), (16, 16, 32), (16, 32, 16), (32, 32, 16), (32, 64, 8), (64, 64, 8)
 ]
-
-
-def oracle_im2col(x, k, stride, padding):
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, k, stride, padding)
-    out_w = conv_output_size(w, k, stride, padding)
-    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, k, k, out_h, out_w))
-    for i in range(k):
-        for j in range(k):
-            rows = slice(i, i + stride * out_h, stride)
-            columns = slice(j, j + stride * out_w, stride)
-            cols[:, :, i, j] = padded[:, :, rows, columns]
-    return cols.reshape(n, c * k * k, out_h * out_w), out_h, out_w
 
 
 def oracle_col2im(cols, input_shape, k, stride, padding):

@@ -1,0 +1,84 @@
+"""Reference implementations that more than one test file checks the library against.
+
+Each oracle spells out the plain formulation a fast library path replaced,
+so a parity test compares the library with code that production cannot
+select:
+
+* :func:`oracle_im2col` builds conv columns with one slice copy per kernel
+  offset; :func:`oracle_batch_columns` gives them :func:`repro.nn.conv.im2col`'s
+  ``(C * k * k, N * OH * OW)`` layout.  Both are copies of input values, so
+  the library must match them bit for bit.
+* :func:`unfused_robust_error` evaluates every draw by de-quantizing the
+  whole corrupted model and batching the dataset afresh, the data flow that
+  the fused RErr loop and the sweep engine must reproduce exactly.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+import numpy as np
+
+from repro.eval.robust_error import RobustErrorResult, model_error_and_confidence
+from repro.nn.conv import conv_output_size
+from repro.quant.qat import quantize_model
+
+
+def oracle_im2col(x, k, stride, padding):
+    """Per-sample columns ``(N, C * k * k, OH * OW)`` of a square ``k`` kernel."""
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, k, stride, padding)
+    out_w = conv_output_size(w, k, stride, padding)
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, k, k, out_h, out_w))
+    for i in range(k):
+        for j in range(k):
+            rows = slice(i, i + stride * out_h, stride)
+            columns = slice(j, j + stride * out_w, stride)
+            cols[:, :, i, j] = padded[:, :, rows, columns]
+    return cols.reshape(n, c * k * k, out_h * out_w), out_h, out_w
+
+
+def oracle_batch_columns(x, k, stride, padding):
+    """:func:`oracle_im2col` laid out as one ``(C * k * k, N * OH * OW)`` matrix."""
+    cols, out_h, out_w = oracle_im2col(x, k, stride, padding)
+    return cols.transpose(1, 0, 2).reshape(cols.shape[1], -1), out_h, out_w
+
+
+def unfused_robust_error(
+    model,
+    quantizer,
+    dataset,
+    rate: float,
+    fields: Optional[Sequence] = None,
+    chip=None,
+    offsets: Sequence[int] = (0,),
+    batch_size: int = 64,
+) -> RobustErrorResult:
+    """RErr over ``fields``, or over ``chip`` at each of ``offsets``, draw by draw.
+
+    Every draw corrupts the quantized codes, de-quantizes all of them and
+    evaluates the dataset batched afresh; the clean stats are computed the
+    same way.  A rate of zero is evaluated per draw too (the library's
+    ``evaluate_robust_error`` returns the clean error instead).
+    """
+    quantized = quantize_model(model, quantizer)
+    clean_weights = quantizer.dequantize(quantized)
+    clean_error, clean_confidence = model_error_and_confidence(
+        model, clean_weights, dataset, batch_size
+    )
+    result = RobustErrorResult(
+        bit_error_rate=rate, clean_error=clean_error, confidence_clean=clean_confidence
+    )
+    if chip is not None:
+        draws = (chip.apply_to_quantized(quantized, rate, offset=offset) for offset in offsets)
+    else:
+        draws = (field.apply_to_quantized(quantized, rate) for field in fields)
+    perturbed_confidences = []
+    for corrupted in draws:
+        weights = quantizer.dequantize(corrupted)
+        error, confidence = model_error_and_confidence(model, weights, dataset, batch_size)
+        result.errors.append(error)
+        perturbed_confidences.append(confidence)
+    result.confidence_perturbed = float(np.mean(perturbed_confidences))
+    return result

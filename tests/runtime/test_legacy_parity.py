@@ -1,7 +1,9 @@
 """Engine results must be bit-identical to the pre-engine reference loops.
 
 These tests re-implement the ad-hoc sweep loops the engine replaced (the
-exact code that shipped before the runtime subsystem) and assert **exact**
+exact code that shipped before the runtime subsystem; the pre-engine
+``evaluate_profiled_error`` body is ``oracles.unfused_robust_error`` over a
+chip's offsets) and assert **exact**
 float equality against the engine-routed drivers on fixed seeds — not
 closeness.  Serial execution is the reference semantics; any divergence is a
 correctness bug, not noise.
@@ -10,6 +12,7 @@ correctness bug, not noise.
 import numpy as np
 import pytest
 
+from oracles import unfused_robust_error
 from repro.biterror import ChipProfile, make_error_fields
 from repro.core import Trainer, TrainerConfig
 from repro.eval import (
@@ -52,31 +55,6 @@ def legacy_rerr_sweep(model, quantizer, dataset, rates, error_fields, batch_size
     ]
 
 
-def legacy_profiled_error(
-    model, quantizer, dataset, chip, rate, offsets, batch_size=64
-):
-    """The pre-engine evaluate_profiled_error body, verbatim."""
-    quantized = quantize_model(model, quantizer)
-    clean_weights = quantizer.dequantize(quantized)
-    clean_error, clean_confidence = model_error_and_confidence(
-        model, clean_weights, dataset, batch_size
-    )
-    result = RobustErrorResult(
-        bit_error_rate=rate, clean_error=clean_error, confidence_clean=clean_confidence
-    )
-    perturbed_confidences = []
-    for offset in offsets:
-        corrupted = chip.apply_to_quantized(quantized, rate, offset=offset)
-        weights = quantizer.dequantize(corrupted)
-        error, confidence = model_error_and_confidence(
-            model, weights, dataset, batch_size
-        )
-        result.errors.append(error)
-        perturbed_confidences.append(confidence)
-    result.confidence_perturbed = float(np.mean(perturbed_confidences))
-    return result
-
-
 def assert_results_identical(a: RobustErrorResult, b: RobustErrorResult):
     assert a.errors == b.errors  # exact — same floats, same order
     assert a.clean_error == b.clean_error
@@ -116,7 +94,9 @@ def test_evaluate_profiled_error_is_bit_identical_to_legacy(trained, blob_data):
     chip = ChipProfile(rows=256, columns=64, column_alignment=0.5, seed=9)
     offsets = (0, 1000, 5000)
     for rate in (0.0, 0.01, 0.03):
-        legacy = legacy_profiled_error(model, quantizer, test, chip, rate, offsets)
+        legacy = unfused_robust_error(
+            model, quantizer, test, rate, chip=chip, offsets=offsets
+        )
         ours = evaluate_profiled_error(
             model, quantizer, test, chip, rate, offsets=offsets
         )
@@ -132,7 +112,9 @@ def test_profiled_sweep_matches_per_rate_evaluations(trained, blob_data):
     curve = profiled_sweep(model, quantizer, test, chip, rates, offsets=offsets)
     assert curve.rates == rates and curve.offsets == [0, 2000]
     for rate, ours in zip(rates, curve.results):
-        legacy = legacy_profiled_error(model, quantizer, test, chip, rate, offsets)
+        legacy = unfused_robust_error(
+            model, quantizer, test, rate, chip=chip, offsets=offsets
+        )
         assert_results_identical(ours, legacy)
 
 

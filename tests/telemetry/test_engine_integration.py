@@ -85,17 +85,20 @@ def test_fork_pool_workers_never_write_to_the_parents_sink(
     blob_data, small_mlp, rquant8, tmp_path
 ):
     """A forked worker drops the recorder it inherits without closing it:
-    closing would flush the parent's counters into the parent's sink."""
+    closing would flush the parent's counters into the parent's sink.  Its
+    own counters still reach its own sink, although it exits without
+    closing a recorder."""
     with telemetry.recording(str(tmp_path), name="parent", echo=None) as rec:
         rec.count("parent.before_fork")  # counters every child inherits
-        run_sweep(make_spec(blob_data, small_mlp, rquant8),
-                  executor=ParallelExecutor(max_workers=2, start_method="fork"))
+        results = run_sweep(make_spec(blob_data, small_mlp, rquant8),
+                            executor=ParallelExecutor(max_workers=2, start_method="fork"))
     records = read_jsonl(rec.path)
     assert [record["type"] for record in records].count("metrics") == 1
     # The workers recorded their groups into sinks of their own.
     sinks = {record["sink"] for record in load_run_records(str(tmp_path))
              if record["type"] == "span" and record["name"] == "engine.group"}
     assert sinks and "parent" not in sinks
+    assert merged_run_metrics(str(tmp_path))["counters"]["engine.cells"] == len(results)
 
 
 def test_trainer_epoch_spans_note_loss_and_lr(tmp_path):
