@@ -9,7 +9,7 @@ curve with a small offset.
 Each model's curve is one :func:`repro.eval.sweeps.rerr_sweep` through the
 sweep-execution engine (:mod:`repro.runtime`): the model is quantized and
 clean-evaluated once per curve and every (rate, field) cell is an engine
-job, so the whole figure can be sharded with a ``ParallelExecutor`` or
+job, so the whole figure can be sharded with a ``ClusterExecutor`` or
 resumed from a ``ResultStore`` without touching this file.
 """
 

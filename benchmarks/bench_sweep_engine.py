@@ -3,16 +3,16 @@
 Builds a synthetic RErr grid — one MLP, ``--rates`` bit error rates x
 ``--fields`` pre-determined error fields — and executes the identical
 :class:`~repro.runtime.spec.SweepSpec` through the serial reference executor
-and through :class:`~repro.runtime.executors.ParallelExecutor`.  Cell
-results are checked for exact equality before any timing is reported, so the
-speedup is never bought with divergence.
+and through :class:`~repro.cluster.ClusterExecutor` with ``--workers``
+forked daemons on a temporary run directory.  Cell results are checked for
+exact equality before any timing is reported, so the speedup is never
+bought with divergence.
 
 **Acceptance criterion: >= 2x wall-clock speedup with 4 workers** on the
 full synthetic grid (the grid is embarrassingly parallel; the criterion
 mostly measures that the context ships once per worker instead of once per
-job).  The check is skipped when the host has fewer than 4 CPUs — the
-executor degrades gracefully there, but a speedup assertion would only
-measure oversubscription.
+job).  The check is skipped when the host has fewer than 4 CPUs — a speedup
+assertion there would only measure oversubscription.
 
 Run the full benchmark (a few seconds on >= 4 cores)::
 
@@ -32,11 +32,12 @@ import time
 import numpy as np
 
 from repro.biterror import make_error_fields
+from repro.cluster import ClusterExecutor
 from repro.data import make_blob_dataset, train_test_split
 from repro.models import MLP
 from repro.quant import FixedPointQuantizer, rquant
 from repro.quant.qat import quantize_model
-from repro.runtime import ParallelExecutor, SerialExecutor, SweepSpec, run_sweep
+from repro.runtime import SerialExecutor, SweepSpec, run_sweep
 from repro.utils.tables import Table
 
 
@@ -106,7 +107,7 @@ def main() -> int:
 
     serial_time, serial_results = time_run(args, SerialExecutor())
     parallel_time, parallel_results = time_run(
-        args, ParallelExecutor(max_workers=args.workers)
+        args, ClusterExecutor(max_workers=args.workers)
     )
 
     mismatched = [
@@ -114,7 +115,7 @@ def main() -> int:
         if parallel_results.get(key) != cell
     ]
     if mismatched or set(serial_results) != set(parallel_results):
-        print(f"FAIL: parallel results diverge from serial on "
+        print(f"FAIL: cluster results diverge from serial on "
               f"{len(mismatched) or 'missing'} cells")
         return 1
 
@@ -125,7 +126,7 @@ def main() -> int:
         float_digits=3,
     )
     table.add_row("serial", serial_time, cells / serial_time, "1.0x")
-    table.add_row(f"parallel ({args.workers}w)", parallel_time,
+    table.add_row(f"cluster ({args.workers}w)", parallel_time,
                   cells / parallel_time, f"{speedup:.1f}x")
     print("\n" + table.render() + "\n")
 

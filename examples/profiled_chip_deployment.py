@@ -14,7 +14,8 @@ the sweep-execution engine (:mod:`repro.runtime`):
 * each (chip, rate) cell is a :func:`repro.eval.sweeps.profiled_sweep`
   routed through :func:`repro.runtime.engine.run_sweep`, with quantization
   and the clean evaluation hoisted to once per chip;
-* ``--workers N`` shards the cells over worker processes;
+* ``--workers N`` shards the cells over ``N`` forked worker daemons
+  (:class:`repro.cluster.ClusterExecutor` on a temporary run directory);
 * ``--run-dir PATH`` persists every cell to a JSONL result store: re-running
   the command resumes an interrupted grid and re-executes only missing
   cells (delete the directory to start fresh);
@@ -35,12 +36,13 @@ import argparse
 import numpy as np
 
 from repro.biterror import LinearMemoryMap, make_profiled_chips
+from repro.cluster import ClusterExecutor
 from repro.core import train_robust_model
 from repro.data import synthetic_cifar10, train_test_split
 from repro.eval import profiled_sweep
 from repro.eval.robust_error import model_error_and_confidence
 from repro.quant.qat import quantize_model
-from repro.runtime import ParallelExecutor, ResultStore
+from repro.runtime import ResultStore
 from repro.utils.tables import Table
 
 CELL_FAULT_RATES = [0.005, 0.02]
@@ -68,7 +70,7 @@ def main() -> None:
     )
     print(result.summary())
 
-    executor = ParallelExecutor(max_workers=args.workers) if args.workers > 1 else None
+    executor = ClusterExecutor(max_workers=args.workers) if args.workers > 1 else None
     store = ResultStore(args.run_dir) if args.run_dir else None
     if store is not None:
         print(f"result store: {store.path} ({len(store)} cached cells)")

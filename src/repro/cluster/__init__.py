@@ -2,8 +2,8 @@
 
 The sweep-execution engine (:mod:`repro.runtime`) made every study an
 explicit job graph with location-independent SHA-256 content keys; this
-subsystem scales its execution from one process pool to a fleet of worker
-processes/hosts that share **only a filesystem**:
+subsystem runs it in parallel, on worker processes of one host or of a
+fleet of hosts that share **only a filesystem**:
 
 * :mod:`repro.cluster.queue` — :class:`JobQueue`, the one queue protocol:
   work items under ``<run_dir>/queue/``, one atomic rename per transition
@@ -17,9 +17,9 @@ processes/hosts that share **only a filesystem**:
   ``python -m repro.cluster worker <run_dir>``: claim →
   :func:`~repro.runtime.executors.execute_group` on the fused evaluation
   flow → append to a per-worker result shard → complete;
-* :mod:`repro.cluster.coordinator` — :class:`ClusterExecutor`, the drop-in
-  third executor (``executor="cluster"`` in every sweep driver): submits,
-  spawns local daemons when none are attached, streams group results as
+* :mod:`repro.cluster.coordinator` — :class:`ClusterExecutor`, the one
+  parallel executor (``executor="cluster"`` in every sweep driver): submits,
+  forks local daemons when none are attached, streams group results as
   they land, and always terminates (lease recovery + in-process fallback);
 * :mod:`repro.cluster.merge` — store tooling: idempotent shard merge into
   the canonical ``results.jsonl`` (content keys dedupe) behind the

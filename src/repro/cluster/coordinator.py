@@ -1,11 +1,11 @@
 """The cluster coordinator: submit a sweep, babysit workers, stream results.
 
-:class:`ClusterExecutor` is the drop-in third executor beside
-:class:`~repro.runtime.executors.SerialExecutor` and
-:class:`~repro.runtime.executors.ParallelExecutor` — same
-``run(context, groups)`` contract, so every sweep driver gains multi-host
-execution through ``executor="cluster"`` (or an explicit instance) with no
-other change.  ``run``:
+:class:`ClusterExecutor` is the parallel executor beside
+:class:`~repro.runtime.executors.SerialExecutor` — same
+``run(context, groups)`` contract, so every sweep driver gains parallel and
+multi-host execution through ``executor="cluster"`` (or an explicit
+instance such as ``ClusterExecutor(max_workers=4)``) with no other change.
+``run``:
 
 1. publishes the context and job groups to a run directory (a fresh
    temporary one by default; pass ``run_dir=`` to make the run resumable
@@ -15,8 +15,8 @@ other change.  ``run``:
    ``python -m repro.cluster worker`` in a copy of this process, with no
    new interpreter to start) unless live workers are already attached to
    the directory or ``spawn_workers=False``; each gets an equal share of
-   this host's CPUs as its BLAS thread count, unless the user set one of
-   ``OPENBLAS/OMP/MKL_NUM_THREADS``;
+   this host's CPUs, split among the daemons actually forked, as its BLAS
+   thread count, unless the user set one of ``OPENBLAS/OMP/MKL_NUM_THREADS``;
 3. polls: incrementally merges worker shards into the canonical store
    (idempotent, content keys dedupe), requeues expired leases so crashed
    workers' groups are retried, restarts dead local daemons within a
@@ -134,9 +134,8 @@ class ClusterExecutor:
         mounting the same filesystem) can join with
         ``python -m repro.cluster worker <run_dir>``.
     max_workers:
-        Local daemons to spawn when none are attached (default: host CPU
-        count, the :class:`ParallelExecutor` convention); never more than
-        there are work items.
+        Local daemons to spawn when none are attached (default: the host's
+        CPU count); never more than there are work items.
     lease_timeout:
         Seconds without a heartbeat before a claimed item is considered
         abandoned and retried elsewhere.
@@ -410,7 +409,7 @@ class ClusterExecutor:
                         run_dir,
                         worker_id=f"local-{os.getpid()}-{index}",
                         poll_interval=self.poll_interval,
-                        workers=self.max_workers,
+                        workers=count,
                     )
                 )
             # repro: ignore[REP008] fork refusal *is* the degradation signal
@@ -435,9 +434,10 @@ class ClusterExecutor:
                 "cluster.restart", level="warning",
                 dead=dead, restarts_left=restarts_left,
             )
-            while restarts_left > 0 and len(alive) < max(1, min(
+            target = max(1, min(
                 self.max_workers, len(queue.pending_ids()) + len(queue.leased_ids())
-            )):
+            ))
+            while restarts_left > 0 and len(alive) < target:
                 restarts_left -= 1
                 try:
                     alive.append(
@@ -445,7 +445,7 @@ class ClusterExecutor:
                             run_dir,
                             worker_id=f"local-{os.getpid()}-r{restarts_left}",
                             poll_interval=self.poll_interval,
-                            workers=self.max_workers,
+                            workers=target,
                         )
                     )
                 except OSError:

@@ -27,6 +27,8 @@ check                             hazard it detects
 ``store.fence_leak``              a canonical record traceable (via its
                                   worker/item provenance) to a stale-fenced
                                   shard line that slipped through
+``store.missing_key``             a done item's cell in neither the store
+                                  nor any shard: a result that was lost
 ================================  ===========================================
 
 ``repair`` handles each finding class: skewed leases get their mtimes
@@ -52,7 +54,7 @@ from repro.cluster.merge import (
     discover_shards,
     quarantine_entry,
 )
-from repro.cluster.queue import LEASED, STATES, JobQueue
+from repro.cluster.queue import DONE, LEASED, STATES, JobQueue
 from repro.runtime.store import RESULTS_FILENAME
 from repro.utils.serialization import atomic_write_text, parse_jsonl_line
 
@@ -233,7 +235,9 @@ def _check_shards(
     run_dir: str,
     fences: FenceTable,
     findings: List[IntegrityFinding],
-) -> None:
+) -> Set[str]:
+    """Check every shard line; returns the keys of the intact ones."""
+    keys: Set[str] = set()
     for path in discover_shards(run_dir):
         source = os.path.basename(path)
         for line in _raw_lines(path):
@@ -248,6 +252,8 @@ def _check_shards(
                     IntegrityFinding(check="shard.corrupt_line", source=source)
                 )
                 continue
+            if isinstance(record.get("key"), str):
+                keys.add(record["key"])
             item = record.get("item")
             fence = record.get("fence")
             if (
@@ -265,6 +271,7 @@ def _check_shards(
                         detail=f"fence {fence} behind the item's current epoch",
                     )
                 )
+    return keys
 
 
 def _check_store(
@@ -273,7 +280,8 @@ def _check_store(
     fences: FenceTable,
     shard_index: Dict[Tuple[str, str, str], int],
     findings: List[IntegrityFinding],
-) -> None:
+) -> Set[str]:
+    """Check every canonical line; returns the keys of the intact ones."""
     source = RESULTS_FILENAME
     dead_keys = guard.dead_letter_keys()
     seen: Set[str] = set()
@@ -327,6 +335,34 @@ def _check_store(
                         ),
                     )
                 )
+    return seen
+
+
+def _check_complete(
+    queue: JobQueue,
+    found: Set[str],
+    findings: List[IntegrityFinding],
+) -> None:
+    """Flag each key of a done item that no store or shard line holds.
+
+    A worker appends an item's cells to its shard before it marks the item
+    done, so every done item's keys must be somewhere.  Failed, pending and
+    leased items owe no results yet.
+    """
+    for item_id in queue.done_ids():
+        payload = queue._read(DONE, item_id) or {}
+        for job in payload.get("jobs") or []:
+            key = job.get("content_key") if isinstance(job, dict) else None
+            if isinstance(key, str) and key not in found:
+                findings.append(
+                    IntegrityFinding(
+                        check="store.missing_key",
+                        source=f"queue/done/{item_id}.json",
+                        key=key,
+                        item=item_id,
+                        detail="in neither results.jsonl nor any shard",
+                    )
+                )
 
 
 def _matches_only(check: str, only: Sequence[str]) -> bool:
@@ -371,10 +407,11 @@ def verify_run_dir(
     fences = guard.fences
     findings: List[IntegrityFinding] = []
     _check_queue(queue, lease_timeout, skew_tolerance, now, findings)
-    _check_shards(run_dir, fences, findings)
-    _check_store(
+    shard_keys = _check_shards(run_dir, fences, findings)
+    store_keys = _check_store(
         run_dir, guard, fences, _shard_fence_index(run_dir), findings
     )
+    _check_complete(queue, shard_keys | store_keys, findings)
     if only:
         findings = [f for f in findings if _matches_only(f.check, only)]
     report = IntegrityReport(run_dir=run_dir, findings=findings, ts=now)
@@ -487,14 +524,15 @@ def repair_run_dir(
     reset to the local clock, orphan leases requeued, and torn / corrupt /
     stale-fenced / duplicate / dead-lettered lines moved from the shards
     and the canonical store into ``quarantine.jsonl``.  Intact lines are
-    preserved byte-for-byte.  One finding class is deliberately left alone:
-    ``queue.duplicate_item`` (the same id in two state directories) has no
-    mechanical winner — which copy is truth depends on how the corruption
-    happened, so it stays an operator decision.  Requires a quiesced run
-    directory for the
-    same reason compaction does — rewriting a file an active worker is
-    appending to would lose its in-flight line (the CLI refuses while live
-    beacons are present).
+    preserved byte-for-byte.  Two finding classes are deliberately left
+    alone: ``queue.duplicate_item`` (the same id in two state directories)
+    has no mechanical winner — which copy is truth depends on how the
+    corruption happened, so it stays an operator decision — and
+    ``store.missing_key`` names a cell that must be recomputed, which no
+    rewrite can do.  Requires a quiesced run directory for the same reason
+    compaction does — rewriting a file an active worker is appending to
+    would lose its in-flight line (the CLI refuses while live beacons are
+    present).
 
     With ``dry_run=True`` nothing is written at all: the returned stats
     count would-be actions and :attr:`RepairStats.planned` itemizes each

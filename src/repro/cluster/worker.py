@@ -542,6 +542,10 @@ def _execute_item(
                 if job is not None:
                     record.update(job_metadata(job))
                 records.append(record)
+            # The counters too reach the sink before the results reach the
+            # shard: a coordinator that has merged its last cells stops its
+            # daemons at once.
+            rec.flush_metrics()
             faults.fire("publish", item.item_id)
             if faults.should_tear("publish", item.item_id):
                 _torn_publish(shard_path, records, checksum=checksum)

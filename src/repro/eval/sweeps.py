@@ -10,11 +10,10 @@ job per (model, rate, field-or-offset) cell — and executes it through
 :func:`repro.runtime.engine.run_sweep`.  That buys three things on top of
 the PR-1 hoisting (quantize once, clean-evaluate once per sweep):
 
-* **sharding** — pass ``executor=ParallelExecutor(...)`` to spread the cells
-  over worker processes, or an executor name — ``"parallel"``, or
-  ``"cluster"`` for the multi-host :class:`~repro.cluster.ClusterExecutor`
-  (the default :class:`SerialExecutor` reproduces the pre-engine results bit
-  for bit);
+* **sharding** — pass ``executor=ClusterExecutor(max_workers=...)`` (or the
+  name ``"cluster"``) to spread the cells over worker processes, on this
+  host or on several (:class:`~repro.cluster.ClusterExecutor`; the default
+  :class:`SerialExecutor` reproduces the pre-engine results bit for bit);
 * **caching / resumability** — pass ``store=<run_dir or ResultStore>`` and
   re-running a sweep only executes cells missing from the run directory;
 * **batched injection** — all fields of a cell scatter their XOR masks
@@ -168,10 +167,8 @@ def rerr_sweep(
     ``executor`` and ``store`` are forwarded to
     :func:`repro.runtime.engine.run_sweep`: the default serial executor
     reproduces the reference results bit for bit, a
-    :class:`~repro.runtime.executors.ParallelExecutor` (or
-    ``executor="parallel"``) shards the grid over worker processes,
-    ``executor="cluster"`` runs it on the multi-host
-    :class:`~repro.cluster.ClusterExecutor`, and a store (run directory path
+    :class:`~repro.cluster.ClusterExecutor` (or ``executor="cluster"``)
+    shards the grid over worker processes, and a store (run directory path
     or :class:`~repro.runtime.store.ResultStore`) makes the sweep resumable.
     ``subsample=n`` evaluates every cell on a reproducible ``n``-example
     subset drawn from its derived per-job seed (see

@@ -102,7 +102,6 @@ __all__ = [
     "should_fill_disk",
     "clock_skew",
     "plan_from_env",
-    "install_from_env",
 ]
 
 #: Environment variable holding a JSON-serialized plan (see
@@ -475,14 +474,3 @@ def plan_from_env() -> Optional[FaultPlan]:
     if not raw:
         return None
     return FaultPlan.from_json(json.loads(raw))
-
-
-def install_from_env() -> Optional[FaultPlan]:
-    """Install the env-var plan unless one is already installed."""
-    if _PLAN is not None:
-        return _PLAN
-    plan = plan_from_env()
-    if plan is not None:
-        install(plan)
-    return plan
-

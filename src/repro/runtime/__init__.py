@@ -9,9 +9,9 @@ and executes it fast:
   content-addressed cache keys and deterministic per-job seeds;
 * :mod:`repro.runtime.executors` — :class:`SerialExecutor` (in-process
   reference semantics, bit-identical to the pre-engine loops) and
-  :class:`ParallelExecutor` (``multiprocessing`` sharding; the heavy context
-  ships once per worker, a chip set's XOR masks scatter in one batched
-  pass, and the executor degrades to serial when no pool is available);
+  :func:`execute_group`, the one group primitive every executor runs (a
+  chip set's XOR masks scatter in one batched pass); parallel sweeps run
+  on :class:`repro.cluster.ClusterExecutor`;
 * :mod:`repro.runtime.store` — :class:`ResultStore`: JSONL + content-hash
   cache under a run directory, giving resumable, shareable sweeps;
 * :mod:`repro.runtime.engine` — :func:`run_sweep` orchestration plus result
@@ -25,7 +25,6 @@ this engine; later scaling work (memmapped fields, distributed backends,
 
 from repro.runtime.engine import assemble_robust_result, clean_stats_for, run_sweep
 from repro.runtime.executors import (
-    ParallelExecutor,
     SerialExecutor,
     execute_group,
     group_jobs,
@@ -49,7 +48,6 @@ __all__ = [
     "assemble_robust_result",
     "clean_stats_for",
     "SerialExecutor",
-    "ParallelExecutor",
     "execute_group",
     "group_jobs",
     "subsample_plan",

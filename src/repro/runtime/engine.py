@@ -11,8 +11,8 @@ through (:func:`repro.eval.sweeps.rerr_sweep`,
    zero jobs),
 2. groups the remaining jobs by cell and hands them to an executor
    (:class:`~repro.runtime.executors.SerialExecutor` by default — the
-   reference semantics; :class:`~repro.runtime.executors.ParallelExecutor`
-   for multiprocessing sharding),
+   reference semantics; :class:`~repro.cluster.ClusterExecutor` for worker
+   processes),
 3. persists fresh results and returns a ``{content_key: CellResult}``
    mapping.
 
@@ -49,8 +49,7 @@ def run_sweep(
     ----------
     executor:
         Anything with ``run(context, groups) -> [[(key, CellResult)]]``, or
-        an executor name (``"serial"``, ``"parallel"``,
-        ``"cluster"`` — see
+        an executor name (``"serial"`` or ``"cluster"`` — see
         :func:`repro.runtime.executors.resolve_executor`); defaults to the
         in-process :class:`~repro.runtime.executors.SerialExecutor`.
     store:

@@ -1,4 +1,4 @@
-"""Sweep executors: serial reference semantics and multiprocessing sharding.
+"""Sweep executors: the serial reference and the shared group primitive.
 
 The unit of execution is a **job group** (see
 :attr:`repro.runtime.spec.EvalJob.group_key`), sized to the work jobs can
@@ -13,34 +13,27 @@ share:
 
 :class:`SerialExecutor` runs groups in-process, in order — these are the
 reference semantics, bit-identical to the pre-engine ad-hoc loops.
-:class:`ParallelExecutor` shards groups across a ``multiprocessing`` pool:
-the heavy :class:`~repro.runtime.spec.SweepContext` (models, quantized
-weights, dataset, fields) is shipped **once per worker** via the pool
-initializer, and each task payload is only a list of small
-:class:`~repro.runtime.spec.EvalJob` records.  Every evaluation is a pure
-function of the shipped context, so parallel results equal serial results
-cell for cell; the executor degrades to the serial path when only one worker
-is requested, when there is nothing to shard, or when the host cannot
-provide a pool (e.g. missing ``/dev/shm`` semaphores on minimal containers).
+Parallel sweeps run on :class:`repro.cluster.ClusterExecutor`, whose worker
+daemons execute the same groups through :func:`execute_group`; every
+evaluation is a pure function of the shipped
+:class:`~repro.runtime.spec.SweepContext`, so their results equal serial
+results cell for cell.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
 from repro.biterror.random_errors import iter_apply_fields_batch
-from repro.nn import _threads
 from repro.runtime.spec import CellResult, EvalJob, SweepContext
 from repro.utils.markers import hot_path
 from repro.utils.rng import new_rng
 
 __all__ = [
     "SerialExecutor",
-    "ParallelExecutor",
     "execute_group",
     "group_jobs",
     "subsample_plan",
@@ -120,9 +113,10 @@ def execute_group(
 ) -> GroupOutput:
     """Execute one job group against the shipped context.
 
-    Pure function of ``(context, group, chunk_size)``; both executors, every
-    multiprocessing worker and every cluster worker daemon funnel through
-    here, which is what guarantees serial/parallel/distributed equivalence.
+    Pure function of ``(context, group, chunk_size)``; the serial executor
+    and every cluster worker (forked daemon, external host or the
+    coordinator's in-process fallback) funnel through here, which is what
+    guarantees serial/distributed equivalence.
     The evaluation runs the fused hot path — mini-batches cut once per
     process (:meth:`~repro.runtime.spec.SweepContext.batch_plan`), the
     model's clean de-quantization decoded and its delta patcher built once
@@ -236,211 +230,13 @@ class SerialExecutor:
             yield execute_group(context, group, chunk_size=self.chunk_size)
 
 
-# Per-worker context (and injection chunk size) installed by the pool
-# initializer; module-global so the heavy payload is shipped once per worker
-# process, not once per task.
-_WORKER_CONTEXT: Optional[SweepContext] = None
-_WORKER_CHUNK_SIZE: Optional[int] = None
-
-
-def _init_worker(
-    context: SweepContext,
-    chunk_size: Optional[int] = None,
-    telemetry_config: Optional[telemetry.TelemetryConfig] = None,
-    workers: Optional[int] = None,
-) -> None:
-    global _WORKER_CONTEXT, _WORKER_CHUNK_SIZE
-    _WORKER_CONTEXT = context
-    _WORKER_CHUNK_SIZE = chunk_size
-    if workers is not None:
-        # The pool's workers share the host's CPUs.  A forked child's BLAS
-        # is already initialized, so its thread count is set directly.
-        _threads.set_worker_threads(workers)
-    if telemetry_config is not None:
-        # Each pool worker records into its own per-pid sink (a forked
-        # child starts with the no-op recorder, never the parent's).
-        telemetry.configure(
-            telemetry_config.run_dir,
-            level=telemetry_config.level,
-            echo=telemetry_config.echo,
-        )
-    # Pool workers honor an env-propagated chaos schedule (repro.faults),
-    # so fault-injection tests can kill or poison a worker deterministically.
-    from repro import faults
-
-    faults.install_from_env()
-
-
-def _run_group_in_worker(group: Sequence[EvalJob]) -> GroupOutput:
-    if _WORKER_CONTEXT is None:  # pragma: no cover - misconfigured pool
-        raise RuntimeError("worker context was not initialized")
-    from repro import faults
-
-    faults.fire("execute", group[0].content_key if group else "")
-    out = execute_group(_WORKER_CONTEXT, group, chunk_size=_WORKER_CHUNK_SIZE)
-    # A pool worker ends through os._exit, which closes no recorder: its
-    # counters reach its sink as a snapshot after every group, the way a
-    # cluster worker snapshots after every item.
-    telemetry.get_recorder().flush_metrics()
-    return out
-
-
-class ParallelExecutor:
-    """Shard job groups across ``multiprocessing`` workers.
-
-    Parameters
-    ----------
-    max_workers:
-        Worker processes to use; defaults to the host CPU count.  A value of
-        1 (or a single-group workload) short-circuits to the serial path
-        without creating a pool.  Each worker's BLAS gets an equal share of
-        the host's CPUs, unless the user set one of
-        ``OPENBLAS/OMP/MKL_NUM_THREADS``.
-    start_method:
-        Optional ``multiprocessing`` start method (``"fork"``/``"spawn"``);
-        ``None`` uses the platform default.  Unknown names raise here, at
-        construction — a typo is a caller bug, not a host limitation.
-    chunk_size:
-        Per-worker bound on how many chips' corrupted codes a field group
-        materializes at once (see :func:`execute_group`); shipped to the
-        workers alongside the context.  Results are identical for every
-        value.
-    """
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        chunk_size: Optional[int] = None,
-    ):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        if start_method is not None:
-            import multiprocessing
-
-            available = multiprocessing.get_all_start_methods()
-            if start_method not in available:
-                raise ValueError(
-                    f"unknown start_method {start_method!r}; "
-                    f"choose from {available}"
-                )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-        self.max_workers = int(max_workers or (os.cpu_count() or 1))
-        self.start_method = start_method
-        self.chunk_size = chunk_size
-
-    def run(
-        self, context: SweepContext, groups: Sequence[Sequence[EvalJob]]
-    ) -> Iterator[GroupOutput]:
-        """Yield each group's results as it completes (submission order).
-
-        Streaming — not a barrier: the engine persists every yielded group
-        immediately, so killing a sweep mid-run loses at most the groups
-        still in flight.
-        """
-        groups = [list(group) for group in groups]
-        workers = min(self.max_workers, len(groups))
-        if workers <= 1:
-            return SerialExecutor(chunk_size=self.chunk_size).run(context, groups)
-        recorder = telemetry.get_recorder()
-        telemetry_config = recorder.config() if recorder.enabled else None
-        try:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            mp_context = multiprocessing.get_context(self.start_method)
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=mp_context,
-                initializer=_init_worker,
-                initargs=(context, self.chunk_size, telemetry_config, workers),
-            )
-        except (ImportError, OSError, PermissionError):
-            # No usable pool on this host (single-CPU CI runners, containers
-            # without POSIX semaphores, restricted sandboxes): degrade to the
-            # bit-identical serial path rather than failing the sweep.
-            recorder.event(
-                "parallel.degraded", level="warning", workers=workers,
-                reason="no usable multiprocessing pool",
-            )
-            return SerialExecutor(chunk_size=self.chunk_size).run(context, groups)
-        recorder.event(
-            "parallel.pool", workers=workers, groups=len(groups),
-            start_method=self.start_method or "default",
-        )
-        return self._stream(pool, context, groups)
-
-    def _stream(
-        self, pool, context: SweepContext, groups: List[List[EvalJob]]
-    ) -> Iterator[GroupOutput]:
-        """Yield group results in submission order, surviving pool breakage.
-
-        A worker process that dies *mid-job* (OOM-killed, segfaulted,
-        SIGKILLed by a fault schedule) breaks the whole
-        :class:`~concurrent.futures.ProcessPoolExecutor` — every unfinished
-        future raises ``BrokenProcessPool``.  Each such group is retried
-        serially in this process, **once**: results that completed before
-        the breakage are kept as-is, and since every evaluation is a pure
-        function of the shipped context, the serial rerun is bit-identical
-        to what the dead worker would have produced.  A group that fails
-        again serially raises for real — a deterministic job error is not a
-        pool problem.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        recorder = telemetry.get_recorder()
-        try:
-            futures = []
-            broken = False
-            for group in groups:
-                try:
-                    futures.append(pool.submit(_run_group_in_worker, group))
-                except BrokenProcessPool:
-                    # Pool died mid-submission; everything unsubmitted
-                    # retries serially below.
-                    broken = True
-                    self._note_broken(recorder, len(groups) - len(futures))
-                    break
-            for index, group in enumerate(groups):
-                future = futures[index] if index < len(futures) else None
-                if future is not None and not broken:
-                    try:
-                        yield future.result()
-                        continue
-                    except BrokenProcessPool:
-                        broken = True
-                        self._note_broken(recorder, len(groups) - index)
-                # Post-breakage: keep results that finished clean, retry the
-                # rest (and anything never submitted) serially.
-                if (
-                    future is not None
-                    and future.done()
-                    and not future.cancelled()
-                    and future.exception() is None
-                ):
-                    yield future.result()
-                else:
-                    recorder.count("parallel.serial_retries")
-                    yield execute_group(context, group, chunk_size=self.chunk_size)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    @staticmethod
-    def _note_broken(recorder, groups_left: int) -> None:
-        recorder.count("parallel.broken_pools")
-        recorder.event(
-            "parallel.broken_pool", level="warning", groups_left=groups_left,
-        )
-
-
 def resolve_executor(executor: Union[None, str, object]):
     """Resolve ``executor`` to an executor instance.
 
     ``None`` yields the default :class:`SerialExecutor` (reference
-    semantics); ``"serial"``, ``"parallel"`` and ``"cluster"`` build that
-    executor with its defaults; anything else is assumed to already be an
-    executor and passed through.
+    semantics); ``"serial"`` and ``"cluster"`` build that executor with its
+    defaults; anything else is assumed to already be an executor and passed
+    through.
     """
     if executor is None:
         return SerialExecutor()
@@ -448,8 +244,6 @@ def resolve_executor(executor: Union[None, str, object]):
         return executor
     if executor == "serial":
         return SerialExecutor()
-    if executor == "parallel":
-        return ParallelExecutor()
     if executor == "cluster":
         # Imported on use, so importing repro.runtime never pulls in the
         # distributed subsystem.
@@ -457,5 +251,6 @@ def resolve_executor(executor: Union[None, str, object]):
 
         return ClusterExecutor()
     raise ValueError(
-        f"unknown executor {executor!r}; choose from 'serial', 'parallel', 'cluster'"
+        f"unknown executor {executor!r}; choose None, 'serial', 'cluster' "
+        "or an executor instance"
     )

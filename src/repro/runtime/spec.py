@@ -137,7 +137,7 @@ class EvalJob:
         scatter in one batched pass, so splitting them would forfeit the
         shared injection work.  ``chip`` jobs share nothing across offsets
         (each offset corrupts independently), so every offset is its own
-        group and a ``ParallelExecutor`` shards offsets too.
+        group and a ``ClusterExecutor`` shards offsets too.
         """
         if self.kind == "chip":
             return (self.model_key, self.kind, self.source_key, self.rate, self.index)

@@ -37,7 +37,6 @@ from repro.telemetry.record import (
     NullRecorder,
     Recorder,
     Span,
-    TelemetryConfig,
     configure,
     disable,
     enabled,
@@ -53,7 +52,6 @@ __all__ = [
     "NullRecorder",
     "Recorder",
     "Span",
-    "TelemetryConfig",
     "compact_run_telemetry",
     "configure",
     "disable",

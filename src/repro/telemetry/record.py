@@ -42,7 +42,6 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
 from repro.telemetry.metrics import Metrics
@@ -50,7 +49,6 @@ from repro.telemetry.metrics import Metrics
 __all__ = [
     "TELEMETRY_DIRNAME",
     "LEVELS",
-    "TelemetryConfig",
     "NullRecorder",
     "Recorder",
     "Span",
@@ -70,20 +68,6 @@ LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
 def _severity(level: str) -> int:
     return LEVELS.get(level, LEVELS["info"])
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """A picklable description of a recorder, for shipping across processes.
-
-    The :class:`~repro.runtime.executors.ParallelExecutor` pool initializer
-    takes one of these so multiprocessing workers record into the same run
-    directory as their parent (each under its own per-pid sink).
-    """
-
-    run_dir: str
-    level: str = "info"
-    echo: Optional[str] = "warning"
 
 
 class _NullSpan:
@@ -236,10 +220,6 @@ class Recorder:
         self._handle: Optional[IO[str]] = None
         self._span_counter = itertools.count(1)
         self._pid = os.getpid()
-
-    def config(self) -> TelemetryConfig:
-        """The picklable description of this recorder (sans sink name)."""
-        return TelemetryConfig(run_dir=self.run_dir, level=self.level, echo=self.echo)
 
     # -- plumbing -------------------------------------------------------------
 

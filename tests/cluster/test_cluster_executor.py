@@ -213,12 +213,14 @@ def test_cluster_executor_streams_every_group_exactly_once(grid, tmp_path):
 def test_executor_name_resolution():
     assert isinstance(resolve_executor(None), SerialExecutor)
     assert isinstance(resolve_executor("serial"), SerialExecutor)
-    assert resolve_executor("parallel").max_workers >= 1
     assert isinstance(resolve_executor("cluster"), ClusterExecutor)
     sentinel = SerialExecutor()
     assert resolve_executor(sentinel) is sentinel
-    with pytest.raises(ValueError, match="unknown executor"):
+    with pytest.raises(ValueError, match="choose None, 'serial', 'cluster' or an executor"):
         resolve_executor("quantum")
+    # Parallel sweeps run on the cluster executor; the pool's name is gone.
+    with pytest.raises(ValueError, match="unknown executor 'parallel'"):
+        resolve_executor('parallel')
 
 
 def test_cluster_executor_validation():

@@ -10,6 +10,7 @@ intact record (byte-for-byte).
 
 import json
 import os
+import pathlib
 import shutil
 import time
 
@@ -25,7 +26,12 @@ from repro.cluster import (
     verify_run_dir,
     worker_loop,
 )
-from repro.utils.serialization import append_jsonl, jsonl_line, read_jsonl
+from repro.utils.serialization import (
+    append_jsonl,
+    jsonl_line,
+    parse_jsonl_line,
+    read_jsonl,
+)
 
 LEASE = 60.0
 
@@ -407,3 +413,90 @@ def test_real_cluster_run_verifies_clean_end_to_end(grid, tmp_path):
     report = verify_run_dir(run_dir)
     assert report.clean, report.to_json()
     assert len(read_jsonl(os.path.join(run_dir, "results.jsonl"))) > 0
+
+
+def _finished_run(grid, run_dir, merge=True):
+    """A real run drained by one in-process worker (and merged)."""
+    submit_spec(run_dir, grid())
+    worker_loop(run_dir, worker_id="w1", poll_interval=0.01)
+    if merge:
+        merge_shards(run_dir)
+
+
+def _lose_one_cell(run_dir):
+    """Delete a finished run's first stored cell from the store and the
+    shard; returns its canonical record."""
+    store = os.path.join(run_dir, "results.jsonl")
+    lost = read_jsonl(store)[0]
+    for path in (store, os.path.join(run_dir, "shards", "worker-w1.jsonl")):
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        kept = [line for line in lines if parse_jsonl_line(line)[0]["key"] != lost["key"]]
+        assert len(kept) == len(lines) - 1
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(kept)
+    return lost
+
+
+def test_verify_flags_a_done_items_cell_lost_from_store_and_shard(grid, tmp_path):
+    """A finished run that lost one cell from both the canonical store and
+    its shard is incomplete; items that owe no results yet are not."""
+    run_dir = str(tmp_path)
+    _finished_run(grid, run_dir)
+    lost = _lose_one_cell(run_dir)
+    queue = JobQueue(run_dir)
+    for state in ("pending", "leased", "failed"):
+        item_id = f"item-{state}"
+        queue._write(state, item_id, {
+            "item": item_id, "jobs": [{"content_key": f"{state}-key"}],
+        })
+
+    report = verify_run_dir(run_dir)
+    assert report.counts() == {"store.missing_key": 1}, report.to_json()
+    (finding,) = report.findings
+    assert (finding.key, finding.item) == (lost["key"], lost["item"])
+    assert finding.source == f"queue/done/{lost['item']}.json"
+
+
+def test_a_finished_run_verifies_clean_before_its_merge(grid, tmp_path):
+    """Cells a worker has published but nobody has merged yet are in the
+    shards, so they are not missing."""
+    run_dir = str(tmp_path)
+    _finished_run(grid, run_dir, merge=False)
+    assert JobQueue(run_dir).done_ids()
+    assert read_jsonl(os.path.join(run_dir, "results.jsonl")) == []
+    report = verify_run_dir(run_dir)
+    assert report.clean, report.to_json()
+
+
+def test_repair_leaves_a_lost_cell_for_verify_to_report(grid, tmp_path):
+    """No rewrite brings a lost cell back: repair plans and changes nothing
+    for it, and verify keeps reporting it."""
+    run_dir = str(tmp_path)
+    _finished_run(grid, run_dir)
+    lost = _lose_one_cell(run_dir)
+    paths = [pathlib.Path(run_dir, "results.jsonl"),
+             pathlib.Path(run_dir, "shards", "worker-w1.jsonl")]
+    before = [path.read_bytes() for path in paths]
+
+    dry = repair_run_dir(run_dir, dry_run=True)
+    assert not dry.changed and dry.planned == []
+    assert not repair_run_dir(run_dir).changed
+    assert [path.read_bytes() for path in paths] == before
+    assert not os.path.exists(os.path.join(run_dir, QUARANTINE_FILENAME))
+    report = verify_run_dir(run_dir)
+    assert [(f.check, f.key) for f in report.findings] == [
+        ("store.missing_key", lost["key"])
+    ]
+
+
+def test_verify_cli_fails_a_run_that_lost_a_cell(grid, tmp_path, capsys):
+    from repro.cluster.cli import main as cluster_main
+
+    run_dir = str(tmp_path)
+    _finished_run(grid, run_dir)
+    assert cluster_main(["verify", run_dir]) == 0
+    capsys.readouterr()
+    _lose_one_cell(run_dir)
+    assert cluster_main(["verify", run_dir, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["counts"] == {"store.missing_key": 1}

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+import repro.cluster.worker as cluster_worker
 from repro import telemetry
 from repro.cluster import JobQueue, merge_shards, submit_spec, worker_loop
 from repro.cluster.cli import main as cluster_main, run_status
@@ -100,6 +101,35 @@ def test_exactly_one_worker_span_per_execution_across_a_lost_lease(grid, tmp_pat
     assert merged["counters"]["queue.leases_lost"] == 1
     assert merged["counters"]["queue.requeued_expired"] == 1
     assert merged["counters"]["worker.items"] == items + 1
+
+
+def test_a_worker_flushes_its_counters_before_it_publishes_an_items_cells(
+    grid, tmp_path, monkeypatch
+):
+    """A coordinator stops its daemons as soon as it has merged their last
+    cells, so an item's counters must be in the worker's sink before the
+    item's cells are in its shard."""
+    run_dir = str(tmp_path)
+    with telemetry.recording(run_dir, name="submitter", echo=None):
+        submit_spec(run_dir, grid(), lease_timeout=600.0)
+    publishes = []
+    append_jsonl = cluster_worker.append_jsonl
+
+    def publish(path, records, **kwargs):
+        # The sink as a reader would find it if the worker stopped here.
+        snapshots = [r for r in load_run_records(run_dir)
+                     if r["type"] == "metrics" and r["sink"] == "worker-w1"]
+        counted = snapshots[-1]["counters"].get("engine.cells", 0) if snapshots else 0
+        publishes.append((counted, len(records)))
+        return append_jsonl(path, records, **kwargs)
+
+    monkeypatch.setattr(cluster_worker, "append_jsonl", publish)
+    stats = worker_loop(run_dir, worker_id="w1", lease_timeout=600.0)
+    assert len(publishes) == stats.items > 1
+    published = 0
+    for counted, cells in publishes:
+        published += cells
+        assert counted == published  # this item's cells included
 
 
 def test_caller_installed_recorder_wins_over_the_manifest_flag(grid, tmp_path):

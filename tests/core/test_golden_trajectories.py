@@ -9,9 +9,11 @@ the RNG stream of Alg. 1 changed, which silently invalidates every seeded
 experiment in the repository.
 
 The runs use MLP models on purpose: ``Linear`` multiplies through
-``np.dot``, whose reduction order is stable, whereas the Conv2d contraction
-engine is allowed to change reduction order (matmul vs. einsum) and is
-validated by tolerance elsewhere.  The digests are floating-point exact and
+``np.dot``, whose reduction order is stable, whereas a Conv2d result depends
+on the host's BLAS kernels (the GEMM's blocking and vector width set its
+reduction order), so a conv digest would differ between hosts; Conv2d is
+validated against loop oracles by tolerance elsewhere.  The digests are
+floating-point exact and
 therefore BLAS-build sensitive; if a digest mismatches on an exotic
 platform while the rest of the suite (including the trainer parity tests)
 passes, re-record by calling ``run_randbet()`` / ``run_pattbet()`` from this

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import unfused_robust_error
 from repro.biterror import ChipProfile, make_error_fields
 from repro.core import Trainer, TrainerConfig
+from repro.data import ArrayDataset
 from repro.eval import evaluate_clean_error, evaluate_profiled_error, evaluate_robust_error
 from repro.models import MLP
-from repro.quant import FixedPointQuantizer, rquant
+from repro.quant import FixedPointQuantizer, QuantizationScheme, rquant
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +103,83 @@ def test_fused_evaluation_is_bit_identical_to_reference(trained, blob_data, back
         assert fused.errors == reference.errors  # exact floats, same order
         assert fused.clean_error == reference.clean_error
         assert fused.confidence_clean == reference.confidence_clean
+        assert fused.confidence_perturbed == reference.confidence_perturbed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    in_features=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 8), min_size=0, max_size=2),
+    num_classes=st.integers(2, 4),
+    examples=st.integers(1, 12),
+    batch_size=st.integers(1, 8),
+    precision=st.integers(2, 16),
+    per_layer=st.booleans(),
+    asymmetric=st.booleans(),
+    unsigned=st.booleans(),
+    rounding=st.booleans(),
+    backend=st.sampled_from(["dense", "sparse"]),
+    rate=st.sampled_from([0.0, 1e-3, 0.01, 0.05, 0.2, 1.0]),
+    draws=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_evaluation_matches_the_unfused_oracle_over_random_cases(
+    in_features, hidden, num_classes, examples, batch_size, precision, per_layer,
+    asymmetric, unsigned, rounding, backend, rate, draws, seed,
+):
+    """Differential test: random MLPs, schemes, backends and rates, p = 0 and 1 too."""
+    rng = np.random.default_rng(seed)
+    model = MLP(in_features=in_features, num_classes=num_classes, hidden=tuple(hidden),
+                rng=rng)
+    dataset = ArrayDataset(rng.normal(size=(examples, in_features)),
+                           rng.integers(0, num_classes, size=examples),
+                           num_classes=num_classes)
+    quantizer = FixedPointQuantizer(QuantizationScheme(
+        precision=precision, per_layer=per_layer, asymmetric=asymmetric,
+        unsigned=unsigned, rounding=rounding,
+    ))
+    # A sparse field represents rates up to its max_rate (0.05 by default).
+    wide = backend == "sparse" and rate > 0.05
+    fields = make_error_fields(model.num_parameters(), precision, draws, seed=seed,
+                               backend=backend, max_rate=1.0 if wide else None)
+    fused = evaluate_robust_error(model, quantizer, dataset, rate, error_fields=fields,
+                                  batch_size=batch_size)
+    reference = unfused_robust_error(model, quantizer, dataset, rate, fields=fields,
+                                     batch_size=batch_size)
+    assert fused.clean_error == reference.clean_error
+    assert fused.confidence_clean == reference.confidence_clean
+    if rate > 0.0:
+        assert fused.errors == reference.errors  # exact floats, same order
+        assert fused.confidence_perturbed == reference.confidence_perturbed
+        return
+    # At p = 0 the library reports the clean evaluation as the one draw (as
+    # the sweep engine's zero-rate cells do); the oracle's draws, each an
+    # exact no-op, reproduce it exactly.
+    assert fused.errors == [reference.clean_error]
+    assert fused.confidence_perturbed == reference.confidence_clean
+    assert reference.errors == [reference.clean_error] * draws
+    assert reference.confidence_perturbed == float(np.mean([reference.confidence_clean] * draws))
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_fused_evaluation_matches_the_oracle_at_the_rate_extremes(trained, blob_data,
+                                                                  backend, rate):
+    """p = 0 and p = 1 on both backends in every run, whatever cases the
+    random search above draws."""
+    _, test = blob_data
+    model, quantizer = trained
+    fields = make_error_fields(model.num_parameters(), 8, 3, seed=17, backend=backend,
+                               max_rate=1.0 if backend == "sparse" else None)
+    fused = evaluate_robust_error(model, quantizer, test, rate, error_fields=fields)
+    reference = unfused_robust_error(model, quantizer, test, rate, fields=fields)
+    assert fused.clean_error == reference.clean_error
+    assert fused.confidence_clean == reference.confidence_clean
+    if rate == 0.0:
+        assert fused.errors == [reference.clean_error]
+        assert reference.errors == [reference.clean_error] * 3
+    else:
+        assert fused.errors == reference.errors  # exact floats, same order
         assert fused.confidence_perturbed == reference.confidence_perturbed
 
 

@@ -6,9 +6,10 @@ import pytest
 
 from repro import faults
 from repro.biterror import make_error_fields
+from repro.cluster import submit_spec, worker_loop
 from repro.faults import FAULTS_ENV, FaultPlan, FaultRule, InjectedFault
 from repro.quant.qat import quantize_model
-from repro.runtime import ParallelExecutor, SweepSpec, run_sweep
+from repro.runtime import SweepSpec
 
 
 @pytest.fixture(autouse=True)
@@ -134,43 +135,28 @@ def test_json_and_env_round_trip(monkeypatch):
         faults.plan_from_env()  # malformed schedules must not pass silently
 
 
-def test_install_precedence(monkeypatch):
+def test_install_precedence(blob_data, small_mlp, rquant8, monkeypatch, tmp_path):
     assert faults.current() is None
     faults.fire("execute", "x")  # no plan: free no-op
     assert not faults.should_tear("publish", "x")
 
-    env_plan = FaultPlan([FaultRule(seam="execute", kind="exception")])
-    monkeypatch.setenv(FAULTS_ENV, env_plan.to_env()[FAULTS_ENV])
-    installed = faults.install_from_env()
-    assert installed is not None and faults.current() is installed
-    # An already-installed plan wins over the environment.
-    assert faults.install_from_env() is installed
-    with pytest.raises(InjectedFault):
-        faults.fire("execute", "x")
-    faults.clear()
-    assert faults.current() is None
-
-
-@pytest.mark.parametrize("start_method", ["spawn", "fork"])
-def test_pool_workers_start_without_the_installed_plan(
-    start_method, blob_data, small_mlp, rquant8, monkeypatch
-):
-    """A pool worker resolves its own schedule, from the environment here,
-    however it was started: the plan installed in the parent (an empty one,
-    which outranks the environment) stays in the parent."""
     _, test = blob_data
     quantized = quantize_model(small_mlp, rquant8)
     spec = SweepSpec(test, batch_size=32)
     spec.add_model("m", small_mlp, rquant8, quantized)
     spec.add_field_set("f", make_error_fields(quantized.num_weights, 8, 2, seed=5))
-    for rate in (0.005, 0.01):
-        spec.add_field_jobs("m", "f", rate)
+    spec.add_field_jobs("m", "f", 0.01)
+    submission = submit_spec(str(tmp_path), spec)
     poison = FaultPlan([FaultRule(seam="execute", kind="exception")])
     monkeypatch.setenv(FAULTS_ENV, poison.to_env()[FAULTS_ENV])
-    faults.install(FaultPlan())
-    with pytest.raises(InjectedFault):
-        run_sweep(spec, executor=ParallelExecutor(max_workers=2, start_method=start_method))
-    assert faults.current().rules == []  # the parent's own plan is untouched
+    # An installed plan, even an empty one, wins over the environment.
+    mine = FaultPlan()
+    faults.install(mine)
+    stats = worker_loop(str(tmp_path), worker_id="w0", poll_interval=0.01)
+    assert stats.failures == 0 and stats.items == len(submission.enqueued)
+    assert faults.current() is mine
+    faults.clear()
+    assert faults.current() is None
 
 
 def test_stall_resume_sleeps_and_survives():

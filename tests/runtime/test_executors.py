@@ -1,20 +1,20 @@
-"""Tests for serial/parallel executors: equivalence, grouping, degradation."""
+"""Tests for the serial executor, job grouping and the cluster executor's parity."""
+
+import errno
+import os
 
 import numpy as np
 import pytest
 
+import repro.cluster.worker as cluster_worker
 from repro.biterror import ChipProfile, make_error_fields
+from repro.cluster import ClusterExecutor
 from repro.models import MLP
 from repro.quant import FixedPointQuantizer, rquant
 from repro.quant.qat import quantize_model
-from repro.runtime import (
-    ParallelExecutor,
-    SerialExecutor,
-    SweepSpec,
-    group_jobs,
-    run_sweep,
-)
+from repro.runtime import SerialExecutor, SweepSpec, group_jobs, run_sweep
 from repro.runtime import executors as executors_module
+from repro.utils.serialization import append_jsonl, read_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -58,68 +58,6 @@ def test_group_jobs_partitions_by_granularity_and_dedupes(grid):
     assert group_jobs(spec.jobs + spec.jobs) == groups
 
 
-@pytest.mark.slow
-def test_parallel_executor_matches_serial_cell_for_cell(grid):
-    serial = run_sweep(grid(), executor=SerialExecutor())
-    parallel = run_sweep(grid(), executor=ParallelExecutor(max_workers=2))
-    assert set(serial) == set(parallel)
-    for key, cell in serial.items():
-        # Same fixed seed + same shipped context: every cell is equal, not
-        # merely close.
-        assert parallel[key].error == cell.error
-        assert parallel[key].confidence == cell.confidence
-
-
-def test_single_worker_short_circuits_without_a_pool(grid, monkeypatch):
-    def forbid_pool(*args, **kwargs):  # pragma: no cover - would fail the test
-        raise AssertionError("a pool must not be created for max_workers=1")
-
-    import multiprocessing
-
-    monkeypatch.setattr(multiprocessing, "get_context", forbid_pool)
-    results = run_sweep(grid(), executor=ParallelExecutor(max_workers=1))
-    assert results == run_sweep(grid(), executor=SerialExecutor())
-
-
-def test_unavailable_pool_degrades_to_serial(grid, monkeypatch):
-    import multiprocessing
-
-    def broken_context(*args, **kwargs):
-        raise OSError("no POSIX semaphores on this host")
-
-    monkeypatch.setattr(multiprocessing, "get_context", broken_context)
-    results = run_sweep(grid(), executor=ParallelExecutor(max_workers=4))
-    assert results == run_sweep(grid(), executor=SerialExecutor())
-
-
-def test_parallel_executor_validates_workers():
-    with pytest.raises(ValueError, match="max_workers"):
-        ParallelExecutor(max_workers=0)
-
-
-def test_executor_context_ships_once_per_worker(grid):
-    """Tasks carry only job lists; the context travels via the initializer."""
-    spec = grid()
-    shipped = []
-
-    class RecordingPoolExecutor:
-        """Runs the worker protocol in-process to observe the payloads."""
-
-        def run(self, context, groups):
-            shipped.append(context)
-            executors_module._init_worker(context)
-            return [executors_module._run_group_in_worker(g) for g in groups]
-
-    results = run_sweep(spec, executor=RecordingPoolExecutor())
-    assert len(shipped) == 1  # one context shipment for many groups
-    assert results == run_sweep(grid(), executor=SerialExecutor())
-
-
-def test_invalid_start_method_raises_at_construction():
-    with pytest.raises(ValueError, match="start_method"):
-        ParallelExecutor(max_workers=2, start_method="forkserve")  # typo
-
-
 @pytest.mark.parametrize("chunk_size", [1, 2, 3])
 def test_chunked_injection_is_result_identical(grid, chunk_size):
     reference = run_sweep(grid(), executor=SerialExecutor())
@@ -127,30 +65,63 @@ def test_chunked_injection_is_result_identical(grid, chunk_size):
     assert chunked == reference
 
 
-def test_chunk_size_threads_through_parallel_degradation(grid, monkeypatch):
-    import multiprocessing
-
-    def broken_context(*args, **kwargs):
-        raise OSError("no POSIX semaphores on this host")
-
-    monkeypatch.setattr(multiprocessing, "get_context", broken_context)
-    chunked = run_sweep(grid(), executor=ParallelExecutor(max_workers=4, chunk_size=2))
+@pytest.mark.slow
+def test_cluster_chunked_matches_serial(grid):
+    """``chunk_size`` reaches the forked daemons through the manifest."""
+    chunked = run_sweep(grid(), executor=ClusterExecutor(max_workers=2, chunk_size=1))
     assert chunked == run_sweep(grid(), executor=SerialExecutor())
 
 
-@pytest.mark.slow
-def test_parallel_chunked_matches_serial(grid):
-    parallel = run_sweep(
-        grid(), executor=ParallelExecutor(max_workers=2, chunk_size=1)
-    )
-    assert parallel == run_sweep(grid(), executor=SerialExecutor())
+def test_chunk_size_threads_through_the_in_process_fallback(grid, monkeypatch, tmp_path):
+    """A host that refuses the fork leaves every group to the coordinator,
+    which reads the executor's ``chunk_size`` back from the manifest."""
+    chunk_sizes = []
+    execute_group = cluster_worker.execute_group
+
+    def recorded(context, jobs, **kwargs):
+        chunk_sizes.append(kwargs.get("chunk_size"))
+        return execute_group(context, jobs, **kwargs)
+
+    def refuse():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cluster_worker, "execute_group", recorded)
+    monkeypatch.setattr(os, "fork", refuse)
+    executor = ClusterExecutor(run_dir=str(tmp_path), max_workers=4, chunk_size=2,
+                               lease_timeout=5.0, poll_interval=0.01)
+    chunked = run_sweep(grid(), executor=executor)
+    assert chunked == run_sweep(grid(), executor=SerialExecutor())
+    assert chunk_sizes == [2] * len(group_jobs(grid().jobs))
+
+
+def test_each_daemon_loads_the_runs_context_once(grid, monkeypatch, tmp_path):
+    """Work items carry job records only: a forked daemon unpickles the
+    run's context once and runs every item it claims against that copy."""
+    log = str(tmp_path / "contexts.jsonl")
+    seen = []
+    execute_group = cluster_worker.execute_group
+
+    def recorded(context, jobs, **kwargs):
+        seen.append(context)  # held, so two loads cannot share an id
+        append_jsonl(log, [{"pid": os.getpid(), "contexts": len({id(c) for c in seen})}])
+        return execute_group(context, jobs, **kwargs)
+
+    monkeypatch.setattr(cluster_worker, "execute_group", recorded)
+    executor = ClusterExecutor(run_dir=str(tmp_path / "run"), max_workers=2,
+                               lease_timeout=10.0, poll_interval=0.02)
+    results = run_sweep(grid(), executor=executor)
+    assert results == run_sweep(grid(), executor=SerialExecutor())
+    records = read_jsonl(log)
+    assert len(records) == len(group_jobs(grid().jobs))
+    assert all(record["pid"] != os.getpid() for record in records)  # no fallback
+    # Two daemons shared seven items, so some daemon ran several.
+    assert len({record["pid"] for record in records}) < len(records)
+    assert {record["contexts"] for record in records} == {1}
 
 
 def test_executor_chunk_size_validation():
     with pytest.raises(ValueError, match="chunk_size"):
         SerialExecutor(chunk_size=0)
-    with pytest.raises(ValueError, match="chunk_size"):
-        ParallelExecutor(max_workers=2, chunk_size=0)
 
 
 def test_model_entry_clean_weights_memoized_and_not_pickled(grid):
@@ -188,19 +159,3 @@ def test_patcher_and_batch_plan_are_reused_across_groups(grid):
     assert "_plan_cache" not in blob.__dict__
     assert blob.models["m"]._patcher_cache is None
 
-
-@pytest.mark.slow
-def test_pool_worker_death_mid_job_is_salvaged_bit_identically(grid, monkeypatch):
-    """A pool worker SIGKILLed mid-job breaks the whole pool; the executor
-    keeps clean-finished groups and retries the rest serially, so the sweep
-    completes bit-identical to a clean run.  The fault schedule travels via
-    the environment and is installed by pool workers only — the parent
-    process (where the serial retry runs) never installs it."""
-    from repro.faults import FAULTS_ENV, FaultPlan, FaultRule
-
-    plan = FaultPlan([FaultRule(seam="execute", kind="sigkill", nth=1)])
-    monkeypatch.setenv(FAULTS_ENV, plan.to_env()[FAULTS_ENV])
-    results = run_sweep(grid(), executor=ParallelExecutor(max_workers=2))
-    monkeypatch.delenv(FAULTS_ENV)
-    serial = run_sweep(grid(), executor=SerialExecutor())
-    assert results == serial  # equal, not merely close — nothing lost

@@ -1,4 +1,4 @@
-"""Worker processes share the host's CPUs, and a fork never inherits a dead pool."""
+"""Forked worker daemons share the host's CPUs, and a fork never inherits a dead pool."""
 
 import os
 import signal
@@ -13,12 +13,12 @@ import repro.cluster.worker as cluster_worker
 from helpers import thread_budget
 from repro.biterror import make_error_fields
 from repro.cluster import ClusterExecutor
+from repro.faults import FaultPlan, FaultRule
 from repro.models import MLP
 from repro.nn import _threads
 from repro.quant import FixedPointQuantizer, rquant
 from repro.quant.qat import quantize_model
-from repro.runtime import ParallelExecutor, SweepSpec, group_jobs, run_sweep
-from repro.runtime import executors as executors_module
+from repro.runtime import SweepSpec, run_sweep
 from repro.utils.serialization import append_jsonl, read_jsonl
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
@@ -34,16 +34,16 @@ def no_thread_vars(monkeypatch):
         monkeypatch.delenv(name, raising=False)
 
 
-def _spec(blob_data):
+def _spec(blob_data, rates=(0.01, 0.02, 0.03, 0.04), clean_stats=None):
     _, test = blob_data
     model = MLP(in_features=test.input_shape[0], num_classes=test.num_classes,
                 hidden=(8,), rng=np.random.default_rng(1))
     quantizer = FixedPointQuantizer(rquant(8))
     quantized = quantize_model(model, quantizer)
     spec = SweepSpec(test, batch_size=16)
-    spec.add_model("m", model, quantizer, quantized)
+    spec.add_model("m", model, quantizer, quantized, clean_stats=clean_stats)
     spec.add_field_set("f", make_error_fields(quantized.num_weights, 8, 2, seed=3))
-    for rate in (0.01, 0.02, 0.03, 0.04):
+    for rate in rates:
         spec.add_field_jobs("m", "f", rate)
     return spec
 
@@ -64,11 +64,12 @@ def spawned_budgets(blob_data, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cluster_worker, "execute_group", logged)
 
-    def run(workers, parent_budget):
+    def run(workers, parent_budget, spec=None, **options):
+        options = {"lease_timeout": 10.0, "poll_interval": 0.02, **options}
         executor = ClusterExecutor(run_dir=str(tmp_path / "run"), max_workers=workers,
-                                   lease_timeout=10.0, poll_interval=0.02)
+                                   **options)
         with thread_budget(parent_budget):
-            run_sweep(_spec(blob_data), executor=executor)
+            run_sweep(spec or _spec(blob_data), executor=executor)
         records = read_jsonl(log)
         assert records and all(r["pid"] != os.getpid() for r in records)  # no fallback
         return {r["budget"] for r in records}
@@ -90,46 +91,51 @@ def test_a_thread_variable_the_user_set_is_left_alone(no_thread_vars, monkeypatc
     assert _threads.worker_share(2) is None
 
 
-def _budget_in_worker(group):
-    return [(job.content_key, _threads.blas_threads()) for job in group]
+def test_daemons_share_the_cpus_among_the_daemons_forked(blob_data, no_thread_vars,
+                                                         spawned_budgets):
+    # Given clean stats, the spec has no clean job: its one outstanding group
+    # forks one daemon of the two allowed, which gets the whole host.
+    lone = _spec(blob_data, rates=(0.01,), clean_stats=(0.0, 1.0))
+    assert spawned_budgets(2, parent_budget=cpu_share(1) + 1, spec=lone) == {cpu_share(1)}
 
 
-def _fork_pool_budgets(spec, monkeypatch):
-    monkeypatch.setattr(executors_module, "_run_group_in_worker", _budget_in_worker)
-    executor = ParallelExecutor(max_workers=2, start_method="fork")
-    outputs = list(executor.run(spec.context(), group_jobs(spec.jobs)))
-    return {budget for output in outputs for _, budget in output}
+def test_a_replacement_daemon_shares_the_cpus_among_the_daemons_restarted(
+        blob_data, no_thread_vars, spawned_budgets, tmp_path):
+    # The first daemon dies on its claim (the run-scoped budget kills one
+    # daemon in all); the one item left gets one replacement, which runs it
+    # with the whole host rather than a share of max_workers.
+    lone = _spec(blob_data, rates=(0.01,), clean_stats=(0.0, 1.0))
+    crash_once = FaultPlan([FaultRule(seam="claim", kind="sigkill", times=1, scope="run")])
+    budgets = spawned_budgets(2, parent_budget=cpu_share(1) + 1, spec=lone,
+                              fault_plan=crash_once, lease_timeout=1.0)
+    assert budgets == {cpu_share(1)}
+    logs = [name for name in os.listdir(tmp_path / "run" / "workers") if name.endswith(".log")]
+    assert len(logs) == 2  # the daemon that died and its replacement
 
 
-def test_fork_pool_workers_get_their_share_of_the_cpus(blob_data, no_thread_vars, monkeypatch):
-    budgets = _fork_pool_budgets(_spec(blob_data), monkeypatch)
-    if _threads._binding() is None:
-        assert budgets == {1}  # no settable BLAS: no budget beyond one thread
-    else:
-        assert budgets == {cpu_share(2)}
-
-
-def test_fork_pool_workers_read_a_thread_variable_set_after_numpy_loaded(
-        blob_data, no_thread_vars, monkeypatch):
+def test_forked_daemons_read_a_thread_variable_set_after_numpy_loaded(
+        no_thread_vars, monkeypatch, spawned_budgets):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    with thread_budget(2):  # what the workers would inherit
-        assert _fork_pool_budgets(_spec(blob_data), monkeypatch) == {1}
+    # The budget the daemon would inherit, and its share of this host's CPUs
+    # on a host with two or more.
+    assert spawned_budgets(1, parent_budget=2) == {1}
 
 
-#: After a threaded forward has started this process's tile pool, a fork
-#: pool sweep (whose workers keep a budget of 2, since the user set one)
+#: After a threaded forward has started this process's tile pool, a cluster
+#: sweep (whose forked daemons keep a budget of 2, since the user set one)
 #: must finish and match the serial sweep: each child needs its own pool.
 FORK_AFTER_THREADS = textwrap.dedent("""
     import numpy as np
 
     import repro.nn.conv as conv_module
     from repro.biterror import make_error_fields
+    from repro.cluster import ClusterExecutor
     from repro.data import synthetic_cifar10
     from repro.models import SimpleNet
     from repro.nn import _threads
     from repro.quant import FixedPointQuantizer, rquant
     from repro.quant.qat import quantize_model
-    from repro.runtime import ParallelExecutor, SerialExecutor, SweepSpec, run_sweep
+    from repro.runtime import SerialExecutor, SweepSpec, run_sweep
 
     conv_module._TILE_BYTES = 1  # one-sample tiles: every conv pass spreads
     if _threads._binding() is None:
@@ -156,15 +162,15 @@ FORK_AFTER_THREADS = textwrap.dedent("""
     model.eval()(data.inputs[:4])
     assert _threads._pool is not None, "the forward did not start a pool"
     serial = run_sweep(build(), executor=SerialExecutor())
-    forked = run_sweep(build(), executor=ParallelExecutor(max_workers=2, start_method="fork"))
+    forked = run_sweep(build(), executor=ClusterExecutor(max_workers=2))
     assert forked == serial
     print("ok")
 """)
 
 
-def test_a_fork_pool_after_threaded_regions_finishes_and_matches_serial():
+def test_a_cluster_sweep_after_threaded_regions_finishes_and_matches_serial():
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="2")
-    # A session of its own, so a hung run's pool children die with it.
+    # A session of its own, so a hung run's forked daemons die with it.
     process = subprocess.Popen([sys.executable, "-c", FORK_AFTER_THREADS], env=env,
                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                                start_new_session=True)
@@ -173,6 +179,6 @@ def test_a_fork_pool_after_threaded_regions_finishes_and_matches_serial():
     except subprocess.TimeoutExpired:
         os.killpg(process.pid, signal.SIGKILL)
         process.communicate()
-        pytest.fail("the fork pool sweep hung")
+        pytest.fail("the cluster sweep hung")
     assert process.returncode == 0, stderr
     assert stdout.strip() == "ok"

@@ -8,14 +8,9 @@ import numpy as np
 
 from repro import telemetry
 from repro.biterror import make_error_fields
+from repro.cluster import ClusterExecutor
 from repro.quant.qat import quantize_model
-from repro.runtime import (
-    ParallelExecutor,
-    ResultStore,
-    SerialExecutor,
-    SweepSpec,
-    run_sweep,
-)
+from repro.runtime import ResultStore, SerialExecutor, SweepSpec, run_sweep
 from repro.telemetry.report import load_run_records, merged_run_metrics
 from repro.utils.serialization import read_jsonl
 
@@ -81,17 +76,18 @@ def test_identical_results_with_and_without_telemetry(
     assert plain == observed
 
 
-def test_fork_pool_workers_never_write_to_the_parents_sink(
+def test_forked_workers_never_write_to_the_parents_sink(
     blob_data, small_mlp, rquant8, tmp_path
 ):
-    """A forked worker drops the recorder it inherits without closing it:
+    """A forked daemon drops the recorder it inherits without closing it:
     closing would flush the parent's counters into the parent's sink.  Its
-    own counters still reach its own sink, although it exits without
-    closing a recorder."""
+    own counters still reach its own sink, although it is terminated
+    without closing a recorder."""
+    executor = ClusterExecutor(run_dir=str(tmp_path), max_workers=2,
+                               lease_timeout=10.0, poll_interval=0.02)
     with telemetry.recording(str(tmp_path), name="parent", echo=None) as rec:
         rec.count("parent.before_fork")  # counters every child inherits
-        results = run_sweep(make_spec(blob_data, small_mlp, rquant8),
-                            executor=ParallelExecutor(max_workers=2, start_method="fork"))
+        results = run_sweep(make_spec(blob_data, small_mlp, rquant8), executor=executor)
     records = read_jsonl(rec.path)
     assert [record["type"] for record in records].count("metrics") == 1
     # The workers recorded their groups into sinks of their own.

@@ -157,10 +157,3 @@ def test_worker_named_sinks_mirror_result_shard_naming(tmp_path):
     assert os.path.basename(rec.path) == "worker-host-1.jsonl"
     assert os.path.dirname(rec.path) == str(tmp_path / "telemetry")
 
-
-def test_config_round_trips_through_the_pool_initializer_shape(tmp_path):
-    rec = telemetry.configure(str(tmp_path), name="t", level="debug", echo=None)
-    config = rec.config()
-    telemetry.disable()
-    assert config.run_dir == str(tmp_path)
-    assert config.level == "debug" and config.echo is None
