@@ -141,7 +141,6 @@ class Rep007Config:
     exempt_files: Tuple[str, ...] = (
         "src/repro/analysis/cli.py",  # linter front-end: reports to stdout
         "src/repro/cluster/cli.py",  # operator CLI: status text is the API
-        "src/repro/faults/cli.py",  # schedule validator CLI: stdout is the API
         "src/repro/service/cli.py",  # service operator CLI: stdout is the API
         "src/repro/telemetry/report.py",  # the telemetry renderer itself
         "src/repro/telemetry/record.py",  # the recorder's stderr echo

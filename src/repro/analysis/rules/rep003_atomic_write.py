@@ -1,8 +1,8 @@
 """REP003 — run-dir writes in the cluster/store modules must be atomic.
 
 A cluster run directory is shared mutable state across hosts: every file it
-publishes (queue items, the context, the manifest, beacons, compacted
-results) may be read mid-write by a concurrent worker.  The repository's
+publishes (queue items, the context, the manifest, beacons, repaired
+shard and result logs) may be read mid-write by a concurrent worker.  The repository's
 protocol is *atomic publication* — write a temporary sibling, ``os.replace``
 into place (:mod:`repro.utils.serialization`) — so readers observe either
 nothing or a complete file.  A raw ``open(path, "w")`` in these modules

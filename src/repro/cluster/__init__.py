@@ -21,17 +21,17 @@ fleet of hosts that share **only a filesystem**:
   parallel executor (``executor="cluster"`` in every sweep driver): submits,
   forks local daemons when none are attached, streams group results as
   they land, and always terminates (lease recovery + in-process fallback);
-* :mod:`repro.cluster.merge` — store tooling: idempotent shard merge into
-  the canonical ``results.jsonl`` (content keys dedupe) behind the
-  :class:`MergeGuard` integrity gate (fence epochs against zombie writers,
-  dead-letter key exclusion, quarantine of rejected records), log
-  compaction and run-directory gc;
+* :mod:`repro.cluster.merge` — idempotent shard merge into the canonical
+  ``results.jsonl`` (content keys dedupe) behind the :class:`MergeGuard`
+  integrity gate (fence epochs against zombie writers, dead-letter key
+  exclusion, quarantine of rejected records);
 * :mod:`repro.cluster.integrity` — :func:`verify_run_dir` /
   :func:`repair_run_dir`: the machine-checkable audit of every run-dir
-  invariant (leases, fences, checksums, dedupe) and the quarantine-and-
-  rewrite path that restores a verify-clean state;
+  invariant (leases, fences, checksums, dedupe, completeness against the
+  manifest) and the quarantine-and-rewrite path that restores a
+  verify-clean state;
 * :mod:`repro.cluster.cli` — the ``submit`` / ``worker`` / ``status`` /
-  ``merge`` / ``compact`` / ``gc`` / ``verify`` / ``repair`` commands.
+  ``retry-failed`` / ``merge`` / ``verify`` / ``repair`` commands.
 
 Every worker funnels through the engine's single execution primitive, so
 cluster results are **bit-identical** to ``SerialExecutor``'s by
@@ -60,9 +60,7 @@ from repro.cluster.merge import (
     FenceTable,
     MergeGuard,
     ShardTail,
-    compact_results,
     discover_shards,
-    gc_run_dir,
     merge_records,
     merge_shards,
 )
@@ -98,8 +96,6 @@ __all__ = [
     "default_worker_id",
     "merge_shards",
     "merge_records",
-    "compact_results",
-    "gc_run_dir",
     "discover_shards",
     "ShardTail",
     "FenceTable",

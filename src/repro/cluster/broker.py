@@ -152,7 +152,7 @@ def prepare_run_dir(
             raise ValueError(
                 f"run directory {run_dir!r} holds unfinished work items "
                 "published against a different context; drain the queue (or "
-                "gc the run directory) before submitting a different sweep"
+                "use a fresh run directory) before submitting a different sweep"
             )
     atomic_write_bytes(context_path, blob)
 

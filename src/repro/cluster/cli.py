@@ -19,10 +19,6 @@ programmatically::
     # when (or while) workers run: fold shards into the canonical results
     python -m repro.cluster merge runs/fig7
 
-    # long-lived run directories: drop duplicate log lines, collect debris
-    python -m repro.cluster compact runs/fig7
-    python -m repro.cluster gc runs/fig7
-
     # audit the run directory's integrity invariants; quarantine violations
     python -m repro.cluster verify runs/fig7 --json
     python -m repro.cluster repair runs/fig7
@@ -49,12 +45,7 @@ from repro.cluster.integrity import (
     require_run_dir,
     verify_run_dir,
 )
-from repro.cluster.merge import (
-    QUARANTINE_FILENAME,
-    compact_results,
-    gc_run_dir,
-    merge_shards,
-)
+from repro.cluster.merge import QUARANTINE_FILENAME, merge_shards
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue
 from repro.cluster.worker import live_worker_ids, worker_loop
 from repro.runtime.spec import SweepSpec
@@ -230,25 +221,6 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-def _cmd_compact(args) -> int:
-    live = live_worker_ids(args.run_dir, ttl=args.worker_ttl)
-    if live and not args.force:
-        print(
-            f"error: {len(live)} live worker(s) attached ({', '.join(live)}); "
-            "compaction must not race an active writer — wait for the run to "
-            "quiesce or pass --force",
-            file=sys.stderr,
-        )
-        return 2
-    stats = compact_results(args.run_dir)
-    print(
-        f"compacted results.jsonl: {stats.lines_before} -> {stats.lines_after} "
-        f"line(s) ({stats.duplicates_dropped} duplicate(s), "
-        f"{stats.malformed_dropped} malformed dropped)"
-    )
-    return 0
-
-
 def _render_report(report) -> None:
     print(f"run dir: {report.run_dir}")
     if report.clean:
@@ -336,16 +308,6 @@ def _cmd_repair(args) -> int:
     return 1
 
 
-def _cmd_gc(args) -> int:
-    stats = gc_run_dir(args.run_dir, worker_ttl=args.worker_ttl)
-    print(
-        f"gc: merged {stats.merge.merged} cell(s), removed "
-        f"{stats.done_items_removed} done item(s), {stats.shards_removed} "
-        f"shard(s), {stats.beacons_removed} stale beacon(s)"
-    )
-    return 0
-
-
 def _run_dir(path: str) -> str:
     """argparse type of ``status``, ``verify`` and ``repair``: a run dir.
 
@@ -408,15 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run_dir")
     p.set_defaults(func=_cmd_merge)
 
-    p = sub.add_parser("compact", help="rewrite results.jsonl without duplicates "
-                                       "(requires a quiesced run directory)")
-    p.add_argument("run_dir")
-    p.add_argument("--worker-ttl", type=float, default=DEFAULT_LEASE_TIMEOUT,
-                   help="beacon freshness horizon for the live-writer guard")
-    p.add_argument("--force", action="store_true",
-                   help="compact even with live workers attached (unsafe)")
-    p.set_defaults(func=_cmd_compact)
-
     p = sub.add_parser("verify",
                        help="audit run-dir integrity (fences, checksums, "
                             "leases, dedupe); exit 1 on findings")
@@ -454,11 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "quarantine the repair would perform")
     p.set_defaults(func=_cmd_repair)
 
-    p = sub.add_parser("gc", help="merge shards, then collect run-dir debris")
-    p.add_argument("run_dir")
-    p.add_argument("--worker-ttl", type=float, default=300.0,
-                   help="beacons older than this are considered dead")
-    p.set_defaults(func=_cmd_gc)
     return parser
 
 

@@ -338,8 +338,8 @@ class ClusterExecutor:
                     # always terminates.  Only protocol-expired leases are
                     # stolen — an actively heartbeating worker keeps its
                     # claim (stall detection already proved none is fresh);
-                    # items marked done without reachable results (a gc'd
-                    # unmerged shard) are re-published.
+                    # items marked done without reachable results (an
+                    # unmerged shard lost or rewritten) are re-published.
                     rec.event(
                         "cluster.fallback", level="warning",
                         items=len(outstanding),

@@ -29,6 +29,9 @@ check                             hazard it detects
                                   shard line that slipped through
 ``store.missing_key``             a done item's cell in neither the store
                                   nor any shard: a result that was lost
+``queue.missing_item``            a cell the manifest expects that is in
+                                  neither the store nor any shard and that
+                                  no queue item lists: work that was lost
 ================================  ===========================================
 
 ``repair`` handles each finding class: skewed leases get their mtimes
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
-from repro.cluster.broker import read_manifest
+from repro.cluster.broker import MANIFEST_FILENAME, read_manifest
 from repro.cluster.merge import (
     FenceTable,
     MergeGuard,
@@ -339,30 +342,53 @@ def _check_store(
 
 
 def _check_complete(
+    run_dir: str,
     queue: JobQueue,
     found: Set[str],
     findings: List[IntegrityFinding],
 ) -> None:
-    """Flag each key of a done item that no store or shard line holds.
+    """Flag each cell that no store or shard line holds and nothing owes.
 
     A worker appends an item's cells to its shard before it marks the item
-    done, so every done item's keys must be somewhere.  Failed, pending and
-    leased items owe no results yet.
+    done, so every done item's keys must be somewhere (``store.missing_key``).
+    Failed, pending and leased items owe no results yet, but they do own
+    their keys: a submission enqueues an item for every key the manifest
+    expects (or finds one already in some state), and no code path deletes
+    an item file, so an expected key that is neither found nor owned lost
+    its item (``queue.missing_item``).  Resubmitting the spec re-enqueues
+    that group.
     """
-    for item_id in queue.done_ids():
-        payload = queue._read(DONE, item_id) or {}
-        for job in payload.get("jobs") or []:
-            key = job.get("content_key") if isinstance(job, dict) else None
-            if isinstance(key, str) and key not in found:
-                findings.append(
-                    IntegrityFinding(
-                        check="store.missing_key",
-                        source=f"queue/done/{item_id}.json",
-                        key=key,
-                        item=item_id,
-                        detail="in neither results.jsonl nor any shard",
+    owned: Set[str] = set()
+    for state in STATES:
+        for item_id in queue._ids(state):
+            payload = queue._read(state, item_id) or {}
+            for job in payload.get("jobs") or []:
+                key = job.get("content_key") if isinstance(job, dict) else None
+                if not isinstance(key, str):
+                    continue
+                owned.add(key)
+                if state == DONE and key not in found:
+                    findings.append(
+                        IntegrityFinding(
+                            check="store.missing_key",
+                            source=f"queue/done/{item_id}.json",
+                            key=key,
+                            item=item_id,
+                            detail="in neither results.jsonl nor any shard",
+                        )
                     )
+    expected = (read_manifest(run_dir) or {}).get("expected_keys") or []
+    for key in dict.fromkeys(expected):
+        if key not in found and key not in owned:
+            findings.append(
+                IntegrityFinding(
+                    check="queue.missing_item",
+                    source=MANIFEST_FILENAME,
+                    key=key,
+                    detail="expected, but neither stored nor listed by any "
+                           "queue item",
                 )
+            )
 
 
 def _matches_only(check: str, only: Sequence[str]) -> bool:
@@ -411,7 +437,7 @@ def verify_run_dir(
     store_keys = _check_store(
         run_dir, guard, fences, _shard_fence_index(run_dir), findings
     )
-    _check_complete(queue, shard_keys | store_keys, findings)
+    _check_complete(run_dir, queue, shard_keys | store_keys, findings)
     if only:
         findings = [f for f in findings if _matches_only(f.check, only)]
     report = IntegrityReport(run_dir=run_dir, findings=findings, ts=now)
@@ -528,11 +554,11 @@ def repair_run_dir(
     alone: ``queue.duplicate_item`` (the same id in two state directories)
     has no mechanical winner — which copy is truth depends on how the
     corruption happened, so it stays an operator decision — and
-    ``store.missing_key`` names a cell that must be recomputed, which no
-    rewrite can do.  Requires a quiesced run directory for the same reason
-    compaction does — rewriting a file an active worker is appending to
-    would lose its in-flight line (the CLI refuses while live beacons are
-    present).
+    ``store.missing_key`` and ``queue.missing_item`` name cells that must be
+    recomputed, which no rewrite can do (for a missing item, resubmitting
+    the spec re-enqueues its group).  Requires a quiesced run directory:
+    rewriting a file an active worker is appending to would lose its
+    in-flight line (the CLI refuses while live beacons are present).
 
     With ``dry_run=True`` nothing is written at all: the returned stats
     count would-be actions and :attr:`RepairStats.planned` itemizes each

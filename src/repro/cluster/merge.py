@@ -1,4 +1,4 @@
-"""Store tooling: merge worker shards into the canonical results, compact, gc.
+"""Store tooling: merge worker shards into the canonical results.
 
 Every cluster worker appends completed cells to its own shard
 (``<run_dir>/shards/worker-<id>.jsonl``) — single-writer files, so no cross
@@ -11,14 +11,7 @@ host append races exist.  This module folds those shards into the canonical
   from a requeued-then-finished-twice group) never duplicates a result;
 * :class:`ShardTail` gives the coordinator incremental merging: it remembers
   a per-file byte offset and only parses complete new lines, tolerating a
-  shard whose writer is mid-append;
-* :func:`compact_results` rewrites a long-lived ``results.jsonl`` atomically,
-  dropping duplicate keys and malformed lines (the ROADMAP's compaction
-  follow-on) — the store's load-time semantics are unchanged, only the log
-  shrinks;
-* :func:`gc_run_dir` removes the run-directory debris a long campaign
-  accumulates: done queue items, fully-merged shards, and stale worker
-  beacons.
+  shard whose writer is mid-append.
 
 The merge path is also where the run's **integrity gate** lives: a
 :class:`MergeGuard` checks every record against the queue's fence epochs
@@ -35,20 +28,15 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro import telemetry
-from repro.cluster.broker import SHARDS_DIRNAME, WORKERS_DIRNAME, read_manifest
+from repro.cluster.broker import SHARDS_DIRNAME, read_manifest
 from repro.cluster.queue import JobQueue
 from repro.runtime.spec import CellResult
-from repro.runtime.store import RESULTS_FILENAME, ResultStore
-from repro.utils.serialization import (
-    append_jsonl,
-    atomic_write_text,
-    parse_jsonl_line,
-    read_jsonl,
-)
+from repro.runtime.store import ResultStore
+from repro.utils.serialization import append_jsonl, parse_jsonl_line, read_jsonl
 
 __all__ = [
     "ShardTail",
@@ -58,11 +46,7 @@ __all__ = [
     "discover_shards",
     "merge_records",
     "merge_shards",
-    "compact_results",
-    "gc_run_dir",
     "MergeStats",
-    "CompactStats",
-    "GcStats",
 ]
 
 #: Rejected records land here (run-dir root, beside ``results.jsonl``).
@@ -90,7 +74,8 @@ class ShardTail:
     The offset only advances past newline-terminated lines, so a record the
     writer is still flushing is picked up whole on a later call instead of
     being half-parsed — the property the coordinator's poll loop relies on.
-    A shard that shrinks (recreated after gc) resets the tail to the start.
+    A shard that shrinks (rewritten by ``repair``, or deleted and recreated
+    by hand) resets the tail to the start.
     """
 
     def __init__(self, path: str):
@@ -144,8 +129,9 @@ class FenceTable:
     happened since, with no disk access.  Only an unknown item or a record
     claiming a fence *ahead* of the cache forces a re-read of that item's
     file — the slow path that catches a re-claim the cache hasn't seen.
-    An item the queue no longer knows at all (gc'd after completion)
-    cannot be judged and is accepted.
+    An item the queue no longer knows at all (its file deleted by hand, or
+    collected in a run dir written by an older version) cannot be judged
+    and is accepted.
     """
 
     def __init__(self, queue: JobQueue):
@@ -331,7 +317,6 @@ def merge_records(
 def merge_shards(
     run_dir: str,
     store: Optional[ResultStore] = None,
-    remove: bool = False,
     guard: Optional[MergeGuard] = None,
 ) -> MergeStats:
     """Fold every worker shard into the canonical ``results.jsonl``.
@@ -342,9 +327,7 @@ def merge_shards(
     to at-least-once execution.  Every record passes the
     :class:`MergeGuard` integrity gate (a fresh one per call unless the
     caller shares its own): stale-fenced and dead-lettered records land in
-    quarantine instead of the store.  With ``remove=True`` fully-merged
-    shard files are deleted afterwards (only safe once their writers have
-    exited; the gc command gates on that).
+    quarantine instead of the store.
     """
     if store is None:
         manifest = read_manifest(run_dir) or {}
@@ -357,141 +340,4 @@ def merge_shards(
             store, read_jsonl(path), stats, guard=guard,
             source=os.path.basename(path),
         )
-        if remove:
-            try:
-                os.unlink(path)
-            # repro: ignore[REP008] best-effort removal — a shard that
-            # survives is simply re-merged (and deduped) on the next pass.
-            except OSError:
-                pass
-    return stats
-
-
-@dataclass
-class CompactStats:
-    """Outcome of one :func:`compact_results` pass."""
-
-    lines_before: int = 0
-    lines_after: int = 0
-    duplicates_dropped: int = 0
-    malformed_dropped: int = 0
-
-
-def compact_results(run_dir: str) -> CompactStats:
-    """Rewrite ``results.jsonl`` keeping one line per content key.
-
-    First-wins (matching :class:`ResultStore`'s append-only no-op-on-rewrite
-    semantics), malformed lines are dropped, and the rewrite is atomic — a
-    reader or crash mid-compaction sees either the old or the new log, never
-    a torn one.  Loadable state is unchanged; only the log shrinks.
-
-    **Quiesce requirement**: compaction is safe against readers and crashes
-    but not against concurrent *appenders* — a record appended between the
-    read and the atomic replace would be lost from the log (its shard copy
-    survives and the next merge restores it, but until then the canonical
-    store under-reports).  Run it only while no coordinator or merge is
-    writing to the run directory; the CLI refuses when live worker beacons
-    are present.
-    """
-    run_dir = os.path.abspath(run_dir)
-    path = os.path.join(run_dir, RESULTS_FILENAME)
-    stats = CompactStats()
-    if not os.path.exists(path):
-        return stats
-    with open(path, "r", encoding="utf-8") as handle:
-        raw_lines = [line for line in handle if line.strip()]
-    stats.lines_before = len(raw_lines)
-    kept: List[str] = []
-    seen: Dict[str, bool] = {}
-    for line in raw_lines:
-        record, status = parse_jsonl_line(line)
-        if status != "ok" or _record_result(record) is None:
-            stats.malformed_dropped += 1
-            continue
-        key = record["key"]
-        if key in seen:
-            stats.duplicates_dropped += 1
-            continue
-        seen[key] = True
-        # Keep the original bytes, not a re-serialization: a checksummed
-        # line keeps its verified footer, a plain line stays plain, and a
-        # byte-level diff against the pre-compaction log shows only
-        # deletions.
-        kept.append(line.strip())
-    stats.lines_after = len(kept)
-    atomic_write_text(path, "".join(line + "\n" for line in kept))
-    return stats
-
-
-@dataclass
-class GcStats:
-    """Outcome of one :func:`gc_run_dir` pass."""
-
-    done_items_removed: int = 0
-    shards_removed: int = 0
-    beacons_removed: int = 0
-    merge: MergeStats = field(default_factory=MergeStats)
-
-
-def gc_run_dir(
-    run_dir: str,
-    worker_ttl: float = 300.0,
-    now: Optional[float] = None,
-) -> GcStats:
-    """Garbage-collect a long-lived run directory.
-
-    Merges every shard first (so nothing is lost), then removes done queue
-    items, merged shard files whose writers look gone (no beacon fresher
-    than ``worker_ttl``), and stale worker beacons.  Pending and leased
-    items, the context, the manifest and the canonical results are never
-    touched — gc never loses work or results.
-    """
-    import time
-
-    run_dir = os.path.abspath(run_dir)
-    now = time.time() if now is None else float(now)
-    stats = GcStats()
-    stats.merge = merge_shards(run_dir)
-
-    queue = JobQueue(run_dir)
-    for item_id in queue.done_ids():
-        # Best-effort cleanup; a concurrent gc may remove the done marker
-        # first — the item stays gone either way.
-        if queue._remove("done", item_id):
-            stats.done_items_removed += 1
-
-    workers_dir = os.path.join(run_dir, WORKERS_DIRNAME)
-    live_workers = False
-    if os.path.isdir(workers_dir):
-        for name in os.listdir(workers_dir):
-            beacon = os.path.join(workers_dir, name)
-            try:
-                age = now - os.stat(beacon).st_mtime
-            # repro: ignore[REP008] beacon vanished between listdir and stat
-            # (its worker exited cleanly); nothing to age-check.
-            except OSError:
-                continue
-            if age > worker_ttl:
-                try:
-                    os.unlink(beacon)
-                    stats.beacons_removed += 1
-                # repro: ignore[REP008] best-effort cleanup; losing an unlink
-                # race to a concurrent gc leaves the directory just as clean.
-                except OSError:
-                    pass
-            else:
-                live_workers = True
-
-    if not live_workers:
-        # No live writers: merged shards are safe to drop (their contents
-        # are in the canonical store; a returning writer recreates its
-        # shard and the next merge dedupes any replayed cells).
-        for path in discover_shards(run_dir):
-            try:
-                os.unlink(path)
-                stats.shards_removed += 1
-            # repro: ignore[REP008] best-effort cleanup; an undeletable shard
-            # only costs disk — its cells are already merged.
-            except OSError:
-                pass
     return stats

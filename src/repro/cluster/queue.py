@@ -253,13 +253,6 @@ class JobQueue:
         except OSError:
             return None
 
-    def _remove(self, state: str, item_id: str) -> bool:
-        try:
-            os.unlink(self._path(state, item_id))
-        except FileNotFoundError:
-            return False
-        return True
-
     # -- producer side --------------------------------------------------------
 
     def enqueue(self, item_id: str, payload: Dict[str, object]) -> bool:
@@ -507,8 +500,9 @@ class JobQueue:
 
         Only the coordinator's last-resort path uses this — when an item is
         marked done but its results are nowhere to be found (e.g. a shard
-        deleted before it was merged).  Re-execution is safe: results are
-        keyed by content and deduplicated on merge.
+        rewritten by ``repair``, or deleted by hand, before it was merged).
+        Re-execution is safe: results are keyed by content and deduplicated
+        on merge.
         """
         return self._move(DONE, PENDING, item_id)
 
@@ -564,11 +558,13 @@ class JobQueue:
         return min(ages) if ages else None
 
     def fence_of(self, item_id: str) -> Optional[int]:
-        """The item's current fence epoch, or ``None`` if it is gone (gc'd).
+        """The item's current fence epoch, or ``None`` if no state holds it.
 
-        Reads the item's file in whichever state directory holds it; an
-        item mid-rename can briefly look absent, in which case the caller
-        must treat the fence as unknown rather than zero.
+        Reads the item's file in whichever state directory holds it.  No
+        code path deletes an item file, but an item mid-rename can briefly
+        look absent, and a run dir written by an older version may have had
+        its done items collected; either way the caller must treat the fence
+        as unknown rather than zero.
         """
         for state in STATES:
             payload = self._read(state, item_id)

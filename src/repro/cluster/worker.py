@@ -185,8 +185,8 @@ def live_worker_ids(run_dir: str, ttl: float) -> List[str]:
         try:
             if now - os.stat(os.path.join(workers_dir, name)).st_mtime <= ttl:
                 live.append(name)
-        # repro: ignore[REP008] beacon removed between listdir and stat (gc
-        # or a clean worker exit); that worker just isn't live.
+        # repro: ignore[REP008] beacon deleted between listdir and stat;
+        # that worker just isn't live.
         except OSError:
             continue
     return sorted(live)

@@ -55,13 +55,19 @@ class RobustErrorResult:
 
     @property
     def mean_error(self) -> float:
-        """Average RErr over all error draws."""
+        """Average RErr over all error draws.
+
+        Equal draws (every draw at p = 0) average to their common value
+        exactly, which summing them in floating point could miss by an ulp.
+        """
+        if len(set(self.errors)) == 1:
+            return float(self.errors[0])
         return float(np.mean(self.errors)) if self.errors else self.clean_error
 
     @property
     def std_error(self) -> float:
-        """Standard deviation of RErr over all error draws."""
-        return float(np.std(self.errors)) if len(self.errors) > 1 else 0.0
+        """Standard deviation of RErr over all error draws (0 if all agree)."""
+        return float(np.std(self.errors)) if len(set(self.errors)) > 1 else 0.0
 
     @property
     def max_error(self) -> float:
@@ -162,7 +168,10 @@ def evaluate_robust_error(
         confidence_clean=clean_confidence,
     )
     if bit_error_rate <= 0.0:
-        result.errors = [clean_error]
+        # Every chip is the clean model (injection at p = 0 is an exact
+        # no-op), so each draw reports the clean evaluation.
+        draws = num_samples if error_fields is None else len(error_fields)
+        result.errors = [clean_error] * draws
         result.confidence_perturbed = clean_confidence
         return result
 

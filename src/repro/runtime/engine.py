@@ -125,7 +125,8 @@ def assemble_robust_result(
 
     Matches the reference loops bit for bit: errors keep field/offset order,
     the perturbed confidence is the mean over draws, and a non-positive rate
-    on random-error cells reports the clean evaluation.
+    on random-error cells reports the clean evaluation for every field of
+    the cell's field set.
     """
     from repro.eval.robust_error import RobustErrorResult
 
@@ -136,7 +137,7 @@ def assemble_robust_result(
         confidence_clean=clean_confidence,
     )
     if kind == "field" and rate <= 0.0:
-        result.errors = [clean_error]
+        result.errors = [clean_error] * len(spec.field_sets[source_key])
         result.confidence_perturbed = clean_confidence
         return result
     jobs = spec.cell_jobs(model_key, kind, source_key, rate)

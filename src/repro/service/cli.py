@@ -23,7 +23,7 @@ The operator's view of a long-lived multi-tenant service directory::
 
 Each tenant is a full cluster run directory under ``svc/tenants/<id>/``, so
 ``python -m repro.cluster <cmd> svc/tenants/<id>`` remains available for
-single-tenant surgery (``retry-failed``, ``repair``, ``gc``, ...).
+single-tenant surgery (``retry-failed``, ``merge``, ``repair``, ...).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ long-lived, multi-tenant scheduler's shared state::
 Each **tenant** is one submitted :class:`~repro.runtime.spec.SweepSpec`
 run — its run directory is prepared by the ordinary cluster broker
 (:func:`repro.cluster.broker.submit_spec`), so every existing tool
-(``status``, ``merge``, ``verify``, ``repair``, ``gc``) works on a tenant
+(``status``, ``merge``, ``verify``, ``repair``) works on a tenant
 unchanged.  The registry adds only what the broker doesn't know: the
 tenant's **priority** (its fair-share weight) and **state**
 (``queued | active | paused | done | failed``).

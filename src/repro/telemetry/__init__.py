@@ -18,8 +18,6 @@ installs a real one, and instrumented hot seams guard their span setup on
 
     # then, from any shell:
     #   python -m repro.telemetry report runs/fig7
-    #   python -m repro.telemetry tail runs/fig7 -n 50
-    #   python -m repro.telemetry compact runs/fig7   # fold dead sinks
 
 Cluster propagation is automatic: a submission made while telemetry is
 enabled flags the run manifest, and every worker daemon that serves the
@@ -29,7 +27,6 @@ coordinator and workers need not share a process or host.
 records; :mod:`repro.telemetry.report` is the merged read path.
 """
 
-from repro.telemetry.compact import CompactTelemetryStats, compact_run_telemetry
 from repro.telemetry.metrics import Metrics, merge_snapshots
 from repro.telemetry.record import (
     LEVELS,
@@ -47,12 +44,10 @@ from repro.telemetry.record import (
 __all__ = [
     "LEVELS",
     "TELEMETRY_DIRNAME",
-    "CompactTelemetryStats",
     "Metrics",
     "NullRecorder",
     "Recorder",
     "Span",
-    "compact_run_telemetry",
     "configure",
     "disable",
     "enabled",

@@ -1,4 +1,4 @@
-"""``python -m repro.telemetry`` — the report/tail CLI."""
+"""``python -m repro.telemetry`` — the report CLI."""
 
 from repro.telemetry.report import main
 

@@ -10,10 +10,6 @@ per sink, counters summed) and renders:
     Per-stage time breakdown (spans aggregated by name), per-worker item
     spans, queue/worker health counters, and the merged event timeline.
 
-``python -m repro.telemetry tail <run_dir> [-n N]``
-    The last ``N`` merged records, one human-readable line each — the
-    "what just happened" view while a run is live.
-
 stdout is deliberately the interface here (this file is exempt from
 REP007); everything else in the package writes JSONL only.
 """
@@ -35,7 +31,6 @@ __all__ = [
     "load_run_records",
     "merged_run_metrics",
     "render_report",
-    "render_tail",
     "main",
 ]
 
@@ -266,19 +261,6 @@ def render_report(run_dir: str, stream=None, timeline_limit: int = 40) -> int:
     return 0
 
 
-def render_tail(run_dir: str, n: int = 20, stream=None) -> int:
-    """Print the last ``n`` merged records, one line each."""
-    stream = sys.stdout if stream is None else stream
-    records = load_run_records(run_dir)
-    if not records:
-        print(f"no telemetry records under {telemetry_dir(run_dir)}", file=stream)
-        return 1
-    t0 = _ts(records[0])
-    for record in records[-n:]:
-        print(_timeline_line(record, t0), file=stream)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
@@ -291,55 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeline", type=int, default=40, metavar="N",
         help="timeline rows to show (default 40)",
     )
-    tail = sub.add_parser("tail", help="last N merged records")
-    tail.add_argument("run_dir")
-    tail.add_argument("-n", type=int, default=20, help="records to show")
-    compact = sub.add_parser(
-        "compact", help="fold quiescent sinks into one summarized file"
-    )
-    compact.add_argument("run_dir")
-    compact.add_argument(
-        "--keep-level", default="warning", choices=("debug", "info", "warning", "error"),
-        help="minimum event severity kept verbatim (default: warning)",
-    )
-    compact.add_argument(
-        "--min-age", type=float, default=60.0, metavar="S",
-        help="skip sinks modified within the last S seconds (default: 60)",
-    )
     return parser
-
-
-def _render_compact(args, stream) -> int:
-    # Imported here: compact.py itself imports telemetry_dir from this module.
-    from repro.telemetry.compact import compact_run_telemetry
-
-    stream = sys.stdout if stream is None else stream
-    stats = compact_run_telemetry(
-        args.run_dir, keep_level=args.keep_level, min_age=args.min_age
-    )
-    if not stats.changed:
-        print(
-            f"nothing to compact under {telemetry_dir(args.run_dir)} "
-            f"({stats.sinks_skipped_live} live sink(s) skipped)",
-            file=stream,
-        )
-        return 0
-    print(
-        f"compacted {stats.sinks_folded} sink(s) "
-        f"({stats.records_read} record(s), {stats.events_kept} event(s) kept, "
-        f"{stats.events_dropped} dropped, {stats.spans_summarized} span(s) "
-        f"summarized) into {stats.output_path}",
-        file=stream,
-    )
-    if stats.sinks_skipped_live:
-        print(f"  {stats.sinks_skipped_live} live sink(s) skipped", file=stream)
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "report":
-        return render_report(args.run_dir, stream=stream, timeline_limit=args.timeline)
-    if args.command == "compact":
-        return _render_compact(args, stream)
-    return render_tail(args.run_dir, n=args.n, stream=stream)
+    return render_report(args.run_dir, stream=stream, timeline_limit=args.timeline)

@@ -28,7 +28,7 @@ format.
 
 The atomic-write helpers back the distributed sweep subsystem
 (:mod:`repro.cluster`): every shared file a cluster run directory publishes
-(queue items, the pickled context, the manifest, compacted result logs) is
+(queue items, the pickled context, the manifest, repaired result logs) is
 written to a temporary sibling and moved into place with :func:`os.replace`,
 so concurrent readers on other hosts only ever observe absent or complete
 files, never partial ones.

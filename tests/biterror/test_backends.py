@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.biterror import (
     BitErrorField,
@@ -9,7 +11,7 @@ from repro.biterror import (
     SparseFieldBackend,
     make_backend,
 )
-from repro.biterror.backends import xor_from_bit_positions
+from repro.biterror.backends import batch_apply, xor_from_bit_positions
 
 
 def test_xor_from_bit_positions_matches_bruteforce(rng):
@@ -238,6 +240,43 @@ def test_delta_apply_zero_rate_is_empty(rng):
     touched, values = backend.delta_apply(codes, 0.0)
     assert touched.size == 0 and values.size == 0
     assert values.dtype == codes.dtype
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_weights=st.integers(1, 400),
+    precision=st.integers(1, 16),
+    rates=st.lists(st.floats(0.0, 1.0), max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_dense_and_sparse_injection_agree_over_random_cases(
+    num_weights, precision, rates, seed,
+):
+    """Differential test: random geometries and rates, p = 0 and p = 1 always.
+
+    The two backends draw different chips, so they agree bit for bit only
+    at the edges: p = 0 flips nothing and p = 1 flips every bit.  At every
+    rate each backend's delta and batched paths reproduce its ``apply``.
+    """
+    rng = np.random.default_rng(seed)
+    dtype = np.dtype(np.uint8 if precision <= 8 else np.uint16)
+    codes = rng.integers(0, 2**precision, size=num_weights).astype(dtype)
+    dense = DenseFieldBackend(num_weights, precision, rng)
+    sparse = SparseFieldBackend(num_weights, precision, rng, max_rate=1.0)
+    for p in sorted({0.0, 1.0, *rates}):
+        batch = batch_apply([dense, sparse], codes, p)
+        for row, backend in zip(batch, (dense, sparse)):
+            full = backend.apply(codes, p)
+            assert full.dtype == dtype
+            np.testing.assert_array_equal(row, full)
+            touched, values = backend.delta_apply(codes, p)
+            np.testing.assert_array_equal(touched, np.flatnonzero(full != codes))
+            np.testing.assert_array_equal(values, full[touched])
+            if p == 0.0:
+                np.testing.assert_array_equal(full, codes)
+                assert touched.size == 0
+            if p == 1.0:
+                np.testing.assert_array_equal(full, codes ^ dtype.type(2**precision - 1))
 
 
 # -- chunked / streaming batched injection -----------------------------------

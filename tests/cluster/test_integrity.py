@@ -490,6 +490,108 @@ def test_repair_leaves_a_lost_cell_for_verify_to_report(grid, tmp_path):
     ]
 
 
+def test_verify_flags_expected_cells_whose_queue_item_was_lost(grid, tmp_path):
+    """A pending item deleted before any claim takes its cells out of every
+    queue state: the drained run stores all other cells, and only the
+    manifest still names the lost ones.  Repair cannot bring them back;
+    resubmitting the spec re-enqueues the group, whose id no state holds."""
+    run_dir = str(tmp_path)
+    submission = submit_spec(run_dir, grid())
+    queue = JobQueue(run_dir)
+    lost = submission.enqueued[0]
+    lost_keys = [job["content_key"] for job in queue._read("pending", lost)["jobs"]]
+    os.unlink(os.path.join(queue.queue_dir, "pending", f"{lost}.json"))
+    worker_loop(run_dir, worker_id="w1", poll_interval=0.01)
+
+    report = verify_run_dir(run_dir)
+    assert report.counts() == {"queue.missing_item": len(lost_keys)}, report.to_json()
+    assert [finding.key for finding in report.findings] == lost_keys
+    assert {finding.source for finding in report.findings} == {"manifest.json"}
+    assert not repair_run_dir(run_dir).changed
+    assert verify_run_dir(run_dir).counts() == report.counts()
+
+    assert submit_spec(run_dir, grid()).enqueued == [lost]
+    worker_loop(run_dir, worker_id="w1", poll_interval=0.01)
+    assert verify_run_dir(run_dir).clean
+
+
+@pytest.mark.parametrize("state", ["pending", "leased", "done", "failed", None])
+def test_a_lost_cell_is_a_missing_item_only_once_no_queue_item_lists_it(
+    grid, tmp_path, state,
+):
+    """The third condition of ``queue.missing_item``: a cell in neither the
+    store nor a shard is still owed while an item in any queue state lists
+    it (a done item's lost cell is ``store.missing_key`` instead).  Only
+    with the item file gone (``state=None``) is the cell reported lost."""
+    run_dir = str(tmp_path)
+    _finished_run(grid, run_dir)
+    lost = _lose_one_cell(run_dir)
+    queue = JobQueue(run_dir)
+    done_path = queue._path("done", lost["item"])
+    if state is None:
+        os.unlink(done_path)
+    elif state != "done":
+        os.rename(done_path, queue._path(state, lost["item"]))
+
+    report = verify_run_dir(run_dir)
+    missing = [f.key for f in report.findings if f.check == "queue.missing_item"]
+    assert missing == ([lost["key"]] if state is None else []), report.to_json()
+    assert ("store.missing_key" in report.counts()) == (state == "done")
+
+
+@pytest.mark.parametrize("holder", ["results.jsonl", "shard"])
+def test_a_stored_cell_needs_no_queue_item(grid, tmp_path, holder):
+    """The first two conditions: once a cell is in the canonical store or
+    in a shard line, deleting every queue item that listed it loses no
+    work, so verify stays clean."""
+    run_dir = str(tmp_path)
+    _finished_run(grid, run_dir, merge=holder == "results.jsonl")
+    if holder == "results.jsonl":
+        shutil.rmtree(os.path.join(run_dir, "shards"))
+    queue = JobQueue(run_dir)
+    assert queue.done_ids()
+    for item_id in queue.done_ids():
+        os.unlink(queue._path("done", item_id))
+    report = verify_run_dir(run_dir)
+    assert report.clean, report.to_json()
+
+
+def test_a_manifest_without_expected_keys_reports_no_missing_items(grid, tmp_path):
+    """Run directories whose manifest lists no expected cells (written
+    before the manifest recorded them) have nothing to reconcile against:
+    verify audits the rest as before."""
+    run_dir = str(tmp_path)
+    _finished_run(grid, run_dir)
+    lost = _lose_one_cell(run_dir)
+    queue = JobQueue(run_dir)
+    os.unlink(queue._path("done", lost["item"]))
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert lost["key"] in manifest.pop("expected_keys")
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    report = verify_run_dir(run_dir)
+    assert report.clean, report.to_json()
+
+
+def test_verify_cli_fails_a_run_that_lost_a_queue_item(grid, tmp_path, capsys):
+    from repro.cluster.cli import main as cluster_main
+
+    run_dir = str(tmp_path)
+    submission = submit_spec(run_dir, grid())
+    queue = JobQueue(run_dir)
+    lost = submission.enqueued[-1]
+    lost_keys = [job["content_key"] for job in queue._read("pending", lost)["jobs"]]
+    os.unlink(queue._path("pending", lost))
+    worker_loop(run_dir, worker_id="w1", poll_interval=0.01)
+
+    assert cluster_main(["verify", run_dir, "--json", "--only", "queue"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["counts"] == {"queue.missing_item": len(lost_keys)}
+    assert cluster_main(["verify", run_dir, "--only", "store"]) == 0
+
+
 def test_verify_cli_fails_a_run_that_lost_a_cell(grid, tmp_path, capsys):
     from repro.cluster.cli import main as cluster_main
 

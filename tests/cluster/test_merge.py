@@ -1,15 +1,9 @@
-"""Tests for shard merging, log compaction and run-directory gc."""
+"""Tests for shard merging and incremental shard tailing."""
 
 import json
 import os
 
-from repro.cluster import (
-    JobQueue,
-    ShardTail,
-    compact_results,
-    gc_run_dir,
-    merge_shards,
-)
+from repro.cluster import JobQueue, ShardTail, merge_shards
 from repro.runtime import ResultStore
 from repro.utils.serialization import append_jsonl
 
@@ -64,6 +58,38 @@ def test_merge_skips_malformed_records(tmp_path):
     assert stats.merged == 1
 
 
+def test_merge_without_shards_is_a_noop(tmp_path):
+    run_dir = str(tmp_path)
+    stats = merge_shards(run_dir)
+    assert (stats.shards, stats.records, stats.merged) == (0, 0, 0)
+    assert len(ResultStore(run_dir)) == 0
+    assert not os.path.exists(os.path.join(run_dir, "quarantine.jsonl"))
+
+
+def test_merge_removes_nothing(tmp_path):
+    """Merging only appends to ``results.jsonl``: shards, queue items and
+    worker beacons stay, so verify can still trace every stored cell."""
+    run_dir = str(tmp_path)
+    queue = JobQueue(run_dir)
+    queue.enqueue("a", {"jobs": [{"content_key": "k1"}]})
+    item = queue.claim("w")
+    shard = _shard(run_dir, "w", [_cell("k1", 0.1, item="a", fence=item.fence)])
+    queue.complete("a")
+    beacon = os.path.join(run_dir, "workers", "w")
+    os.makedirs(os.path.dirname(beacon), exist_ok=True)
+    with open(beacon, "w") as handle:
+        handle.write("1\n")
+    with open(shard, "rb") as handle:
+        shard_bytes = handle.read()
+
+    assert merge_shards(run_dir).merged == 1
+    with open(shard, "rb") as handle:
+        assert handle.read() == shard_bytes
+    assert queue.done_ids() == ["a"]
+    assert os.path.exists(beacon)
+    assert ResultStore(run_dir).get("k1").error == 0.1
+
+
 def test_shard_tail_reads_incrementally_and_tolerates_partial_lines(tmp_path):
     path = str(tmp_path / "shard.jsonl")
     tail = ShardTail(path)
@@ -76,60 +102,6 @@ def test_shard_tail_reads_incrementally_and_tolerates_partial_lines(tmp_path):
     with open(path, "a") as handle:
         handle.write(', "error": 0.5}\n')
     assert [r["key"] for r in tail.read_new()] == ["k2"]  # whole record now
-
-
-def test_compact_drops_duplicates_and_malformed(tmp_path):
-    run_dir = str(tmp_path)
-    path = os.path.join(run_dir, "results.jsonl")
-    append_jsonl(path, [_cell("k1", 0.1), _cell("k2", 0.2), _cell("k1", 0.9)])
-    with open(path, "a") as handle:
-        handle.write("not json at all\n")
-    stats = compact_results(run_dir)
-    assert stats.lines_before == 4 and stats.lines_after == 2
-    assert stats.duplicates_dropped == 1 and stats.malformed_dropped == 1
-    store = ResultStore(run_dir)
-    assert store.get("k1").error == 0.1  # first record wins, as on load
-    # Compacting an already-compact log is a no-op.
-    again = compact_results(run_dir)
-    assert again.lines_before == again.lines_after == 2
-
-
-def test_compact_missing_log_is_a_noop(tmp_path):
-    stats = compact_results(str(tmp_path))
-    assert stats.lines_before == 0 and stats.lines_after == 0
-
-
-def test_gc_merges_then_collects_debris(tmp_path):
-    run_dir = str(tmp_path)
-    queue = JobQueue(run_dir)
-    queue.enqueue("a", {"jobs": []})
-    item = queue.claim("w")
-    queue.complete(item.item_id)
-    _shard(run_dir, "w", [_cell("k1", 0.1)])
-    os.makedirs(os.path.join(run_dir, "workers"), exist_ok=True)
-    with open(os.path.join(run_dir, "workers", "w"), "w") as handle:
-        handle.write("1\n")
-    stats = gc_run_dir(run_dir, worker_ttl=0.0)
-    assert stats.merge.merged == 1  # merged before anything was removed
-    assert stats.done_items_removed == 1
-    assert stats.shards_removed == 1
-    assert stats.beacons_removed == 1
-    assert ResultStore(run_dir).get("k1") is not None  # results survive gc
-    # Pending work is never collected.
-    queue.enqueue("b", {"jobs": []})
-    gc_run_dir(run_dir, worker_ttl=0.0)
-    assert queue.counts()["pending"] == 1
-
-
-def test_gc_keeps_shards_of_live_workers(tmp_path):
-    run_dir = str(tmp_path)
-    path = _shard(run_dir, "w", [_cell("k1", 0.1)])
-    os.makedirs(os.path.join(run_dir, "workers"), exist_ok=True)
-    with open(os.path.join(run_dir, "workers", "w"), "w") as handle:
-        handle.write("1\n")  # fresh beacon: the worker is alive
-    stats = gc_run_dir(run_dir, worker_ttl=300.0)
-    assert stats.shards_removed == 0
-    assert os.path.exists(path)
 
 
 def test_shard_tail_counts_torn_terminated_lines(tmp_path):

@@ -415,13 +415,6 @@ def test_touch_and_mtime_report_a_missing_item(queue):
     assert not queue.heartbeat("missing")
 
 
-def test_remove_reports_whether_it_removed(queue):
-    queue._write("done", "a", {"item": "a"})
-    assert queue._remove("done", "a")
-    assert not queue._remove("done", "a")  # already gone
-    assert queue.done_ids() == []
-
-
 def test_ids_skip_in_flight_temporaries(queue):
     queue.enqueue("b", {"jobs": []})
     queue.enqueue("a", {"jobs": []})

@@ -9,7 +9,12 @@ from oracles import unfused_robust_error
 from repro.biterror import ChipProfile, make_error_fields
 from repro.core import Trainer, TrainerConfig
 from repro.data import ArrayDataset
-from repro.eval import evaluate_clean_error, evaluate_profiled_error, evaluate_robust_error
+from repro.eval import (
+    RobustErrorResult,
+    evaluate_clean_error,
+    evaluate_profiled_error,
+    evaluate_robust_error,
+)
 from repro.models import MLP
 from repro.quant import FixedPointQuantizer, QuantizationScheme, rquant
 
@@ -33,7 +38,17 @@ def test_clean_error_matches_zero_rate_result(trained, blob_data):
     clean = evaluate_clean_error(model, quantizer, test)
     result = evaluate_robust_error(model, quantizer, test, bit_error_rate=0.0)
     assert np.isclose(result.clean_error, clean)
+    assert result.errors == [result.clean_error] * 10  # one per chip
     assert result.mean_error == result.clean_error
+    assert result.std_error == 0.0
+
+
+def test_equal_draws_average_to_their_value_exactly():
+    """np.mean([0.1] * 3) is 0.1 + 1 ulp and np.std of it is not 0; equal
+    draws, as at p = 0, must still report the clean error and no spread."""
+    result = RobustErrorResult(bit_error_rate=0.0, clean_error=0.1, errors=[0.1] * 3)
+    assert float(np.mean(result.errors)) != 0.1
+    assert result.mean_error == 0.1 and result.max_error == 0.1
     assert result.std_error == 0.0
 
 
@@ -152,10 +167,10 @@ def test_fused_evaluation_matches_the_unfused_oracle_over_random_cases(
         assert fused.errors == reference.errors  # exact floats, same order
         assert fused.confidence_perturbed == reference.confidence_perturbed
         return
-    # At p = 0 the library reports the clean evaluation as the one draw (as
-    # the sweep engine's zero-rate cells do); the oracle's draws, each an
-    # exact no-op, reproduce it exactly.
-    assert fused.errors == [reference.clean_error]
+    # At p = 0 the library reports the clean evaluation for every draw
+    # without running one (as the sweep engine's zero-rate cells do); the
+    # oracle's draws, each an exact no-op, reproduce it exactly.
+    assert fused.errors == reference.errors
     assert fused.confidence_perturbed == reference.confidence_clean
     assert reference.errors == [reference.clean_error] * draws
     assert reference.confidence_perturbed == float(np.mean([reference.confidence_clean] * draws))
@@ -176,7 +191,7 @@ def test_fused_evaluation_matches_the_oracle_at_the_rate_extremes(trained, blob_
     assert fused.clean_error == reference.clean_error
     assert fused.confidence_clean == reference.confidence_clean
     if rate == 0.0:
-        assert fused.errors == [reference.clean_error]
+        assert fused.errors == reference.errors
         assert reference.errors == [reference.clean_error] * 3
     else:
         assert fused.errors == reference.errors  # exact floats, same order

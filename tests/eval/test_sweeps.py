@@ -41,6 +41,7 @@ def test_rerr_sweep_zero_rate_matches_clean(trained, blob_data):
     model, quantizer = trained
     curve = rerr_sweep(model, quantizer, test, [0.0], num_fields=2)
     assert curve.mean_errors()[0] == curve.clean_error
+    assert curve.results[0].errors == [curve.clean_error] * 2  # one per chip
 
 
 def test_rerr_sweep_quantizes_and_clean_evaluates_once(trained, blob_data, monkeypatch):

@@ -135,6 +135,53 @@ def test_json_and_env_round_trip(monkeypatch):
         faults.plan_from_env()  # malformed schedules must not pass silently
 
 
+def test_from_json_validates_every_rule_and_ignores_unknown_fields():
+    """A hand-written schedule passes the same validators as a coded one;
+    fields this version does not know are dropped, not fatal."""
+    with pytest.raises(ValueError, match="seam"):
+        FaultPlan.from_json({"rules": [{"seam": "teleport", "kind": "exception"}]})
+    with pytest.raises(ValueError, match="times"):
+        FaultPlan.from_json({"rules": [
+            {"seam": "claim", "kind": "exception", "scope": "run", "times": None},
+        ]})
+    plan = FaultPlan.from_json({"rules": [
+        {"seam": "claim", "kind": "sigkill", "comment": "from a newer writer"},
+    ]})
+    assert plan.rules == [FaultRule(seam="claim", kind="sigkill")]
+    assert plan.seed == 0
+    assert FaultPlan.from_json({}).rules == []
+
+
+def test_submission_records_its_schedule_for_replay(blob_data, small_mlp, rquant8, tmp_path):
+    """The manifest carries the submitted schedule verbatim, so the exact
+    plan a failed run ran under can be re-armed through ``FAULTS_ENV``."""
+    from repro.cluster.broker import read_manifest
+
+    _, test = blob_data
+    quantized = quantize_model(small_mlp, rquant8)
+    spec = SweepSpec(test, batch_size=32)
+    spec.add_model("m", small_mlp, rquant8, quantized)
+    spec.add_field_set("f", make_error_fields(quantized.num_weights, 8, 2, seed=5))
+    spec.add_field_jobs("m", "f", 0.01)
+    plan = FaultPlan(
+        [
+            FaultRule(seam="execute", kind="exception", match="group-a*",
+                      times=None, note="poison"),
+            FaultRule(seam="publish", kind="stall_resume", stall_s=0.5, p=0.25),
+            FaultRule(seam="heartbeat", kind="clock_skew", skew_s=90.0,
+                      times=2, scope="run"),
+        ],
+        seed=99,
+    )
+    submit_spec(str(tmp_path / "chaos"), spec, fault_plan=plan)
+    replayed = FaultPlan.from_json(read_manifest(str(tmp_path / "chaos"))["faults"])
+    assert replayed.rules == plan.rules and replayed.seed == plan.seed
+    assert replayed.to_env() == plan.to_env()
+
+    submit_spec(str(tmp_path / "calm"), spec)
+    assert read_manifest(str(tmp_path / "calm"))["faults"] is None
+
+
 def test_install_precedence(blob_data, small_mlp, rquant8, monkeypatch, tmp_path):
     assert faults.current() is None
     faults.fire("execute", "x")  # no plan: free no-op

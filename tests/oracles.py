@@ -60,7 +60,8 @@ def unfused_robust_error(
     Every draw corrupts the quantized codes, de-quantizes all of them and
     evaluates the dataset batched afresh; the clean stats are computed the
     same way.  A rate of zero is evaluated per draw too (the library's
-    ``evaluate_robust_error`` returns the clean error instead).
+    ``evaluate_robust_error`` reports the clean error for each draw without
+    evaluating it).
     """
     quantized = quantize_model(model, quantizer)
     clean_weights = quantizer.dequantize(quantized)
