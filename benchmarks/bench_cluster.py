@@ -5,16 +5,17 @@ rates x ``--fields`` pre-determined error fields — and executes the identical
 :class:`~repro.runtime.spec.SweepSpec` through the serial reference executor
 and through :class:`~repro.cluster.ClusterExecutor`, which shards the job
 groups into an atomically-leased filesystem queue served by ``--workers``
-local worker daemons (separate processes, coordinating through the run
-directory alone — exactly how a multi-host fleet would).
+local workers: the coordinator and ``--workers - 1`` forked daemons
+(separate processes, coordinating through the run directory alone —
+exactly how a multi-host fleet would).
 
 Before any timing is reported the merged cluster results are checked for
 **exact** equality with the serial run (cell for cell, plus one
 duplicate-free canonical ``results.jsonl`` line per cell), so the speedup is
 never bought with divergence or double counting.
 
-**Acceptance criterion: >= 2x wall-clock speedup with 4 worker daemons** on
-the full synthetic grid.  The check is skipped when the host has fewer CPUs
+**Acceptance criterion: >= 2x wall-clock speedup with 4 workers** (the
+coordinator and 3 daemons) on the full synthetic grid.  The check is skipped when the host has fewer CPUs
 than workers — the subsystem degrades gracefully there, but the assertion
 would only measure oversubscription.
 
@@ -22,7 +23,7 @@ Run the full benchmark (tens of seconds on >= 4 cores)::
 
     PYTHONPATH=src python benchmarks/bench_cluster.py
 
-Fast smoke mode for CI (tiny grid, 2 daemons, completion + bit-parity
+Fast smoke mode for CI (tiny grid, 2 workers, completion + bit-parity
 asserted, no speedup assertion)::
 
     PYTHONPATH=src python benchmarks/bench_cluster.py --smoke
@@ -112,11 +113,12 @@ def main() -> int:
     parser.add_argument("--hidden", type=int, default=256,
                         help="hidden width of the evaluated MLP")
     parser.add_argument("--workers", type=int, default=4,
-                        help="local worker daemons for the cluster run")
+                        help="local workers for the cluster run: the "
+                             "coordinator and N-1 forked daemons")
     parser.add_argument("--run-dir", default=None,
                         help="cluster run directory (default: fresh temp dir)")
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny fast run for CI; 2 daemons, parity asserted, "
+                        help="tiny fast run for CI; 2 workers, parity asserted, "
                              "no speedup assertion")
     parser.add_argument("--poison", action="store_true",
                         help="inject a permanent fault into one queue item and "
@@ -140,7 +142,7 @@ def main() -> int:
 
     cells = args.rates * args.fields + 1  # + the hoisted clean cell
     print(f"synthetic grid: {args.rates} rates x {args.fields} fields "
-          f"({cells} cells), {args.workers} worker daemon(s), "
+          f"({cells} cells), {args.workers} worker(s), "
           f"host CPUs: {os.cpu_count()}")
 
     serial_spec = build_spec(args)
@@ -153,7 +155,7 @@ def main() -> int:
         if args.telemetry:
             # Enabled only now, after the serial leg timed clean: the
             # coordinator records here and the manifest flag makes every
-            # worker daemon record its own sink into the same run dir.
+            # forked daemon record its own sink into the same run dir.
             telemetry.configure(run_dir, name="bench-coordinator")
         retry = None
         fault_plan = None
@@ -239,13 +241,13 @@ def main() -> int:
         float_digits=3,
     )
     table.add_row("serial", serial_time, cells / serial_time, "1.0x")
-    table.add_row(f"cluster ({args.workers} daemons)", cluster_time,
+    table.add_row(f"cluster ({args.workers} workers)", cluster_time,
                   cells / cluster_time, f"{speedup:.1f}x")
     print("\n" + table.render() + "\n")
 
     write_perf_records(args.json_path, [
         perf_row("cluster", "cluster_speedup", speedup,
-                 criterion=">= 2x at 4 daemons", workers=args.workers,
+                 criterion=">= 2x at 4 workers", workers=args.workers,
                  cells=cells, smoke=args.smoke),
         perf_row("cluster", "serial_wall_s", serial_time, smoke=args.smoke),
         perf_row("cluster", "cluster_wall_s", cluster_time, smoke=args.smoke),
@@ -262,14 +264,14 @@ def main() -> int:
         return 0
     if (os.cpu_count() or 1) < args.workers:
         print(f"only {os.cpu_count()} CPU(s): skipping the >=2x assertion "
-              f"(criterion is defined at {args.workers} daemons on >= "
+              f"(criterion is defined at {args.workers} workers on >= "
               f"{args.workers} cores)")
         return 0
     if speedup < 2.0:
         print(f"FAIL: speedup {speedup:.2f}x below the 2x criterion "
-              f"at {args.workers} worker daemons")
+              f"at {args.workers} workers")
         return 1
-    print(f"OK: {speedup:.1f}x >= 2x speedup at {args.workers} worker daemons, "
+    print(f"OK: {speedup:.1f}x >= 2x speedup at {args.workers} workers, "
           "results bit-identical, merge duplicate-free")
     return 0
 

@@ -4,7 +4,8 @@ Builds a synthetic RErr grid — one MLP, ``--rates`` bit error rates x
 ``--fields`` pre-determined error fields — and executes the identical
 :class:`~repro.runtime.spec.SweepSpec` through the serial reference executor
 and through :class:`~repro.cluster.ClusterExecutor` with ``--workers``
-forked daemons on a temporary run directory.  Cell results are checked for
+workers (the coordinator and ``--workers - 1`` forked daemons) on a
+temporary run directory.  Cell results are checked for
 exact equality before any timing is reported, so the speedup is never
 bought with divergence.
 

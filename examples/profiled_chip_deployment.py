@@ -14,8 +14,9 @@ the sweep-execution engine (:mod:`repro.runtime`):
 * each (chip, rate) cell is a :func:`repro.eval.sweeps.profiled_sweep`
   routed through :func:`repro.runtime.engine.run_sweep`, with quantization
   and the clean evaluation hoisted to once per chip;
-* ``--workers N`` shards the cells over ``N`` forked worker daemons
-  (:class:`repro.cluster.ClusterExecutor` on a temporary run directory);
+* ``--workers N`` shards the cells over ``N`` workers, this process and
+  ``N - 1`` forked daemons (:class:`repro.cluster.ClusterExecutor` on a
+  temporary run directory);
 * ``--run-dir PATH`` persists every cell to a JSONL result store: re-running
   the command resumes an interrupted grid and re-executes only missing
   cells (delete the directory to start fresh);

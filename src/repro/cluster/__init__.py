@@ -19,8 +19,9 @@ fleet of hosts that share **only a filesystem**:
   flow → append to a per-worker result shard → complete;
 * :mod:`repro.cluster.coordinator` — :class:`ClusterExecutor`, the one
   parallel executor (``executor="cluster"`` in every sweep driver): submits,
-  forks local daemons when none are attached, streams group results as
-  they land, and always terminates (lease recovery + in-process fallback);
+  serves items itself beside ``max_workers - 1`` forked daemons (none when
+  other workers are attached), streams group results as they land, and
+  always terminates, since the coordinator is always a live worker;
 * :mod:`repro.cluster.merge` — idempotent shard merge into the canonical
   ``results.jsonl`` (content keys dedupe) behind the :class:`MergeGuard`
   integrity gate (fence epochs against zombie writers, dead-letter key

@@ -1,31 +1,34 @@
-"""The cluster coordinator: submit a sweep, babysit workers, stream results.
+"""The cluster coordinator: submit a sweep, serve it beside forked daemons.
 
 :class:`ClusterExecutor` is the parallel executor beside
 :class:`~repro.runtime.executors.SerialExecutor` — same
 ``run(context, groups)`` contract, so every sweep driver gains parallel and
 multi-host execution through ``executor="cluster"`` (or an explicit
 instance such as ``ClusterExecutor(max_workers=4)``) with no other change.
+``max_workers`` is the number of processes on this host that serve the run:
+the coordinator itself and up to ``max_workers - 1`` forked daemons.
 ``run``:
 
 1. publishes the context and job groups to a run directory (a fresh
    temporary one by default; pass ``run_dir=`` to make the run resumable
    and joinable by workers on other hosts), skipping groups the
    directory's canonical store already answers;
-2. forks local worker daemons (:func:`spawn_local_worker`: each runs
-   ``python -m repro.cluster worker`` in a copy of this process, with no
-   new interpreter to start) unless live workers are already attached to
-   the directory or ``spawn_workers=False``; each gets an equal share of
-   this host's CPUs, split among the daemons actually forked, as its BLAS
-   thread count, unless the user set one of ``OPENBLAS/OMP/MKL_NUM_THREADS``;
+2. forks ``min(max_workers, outstanding groups) - 1`` local worker daemons
+   (:func:`spawn_local_worker`: each runs ``python -m repro.cluster worker``
+   in a copy of this process, with no new interpreter to start) unless
+   live workers are already attached to the directory; the coordinator and
+   each daemon get an equal share of this host's CPUs as their BLAS thread
+   count, unless the user set one of ``OPENBLAS/OMP/MKL_NUM_THREADS``;
 3. polls: incrementally merges worker shards into the canonical store
-   (idempotent, content keys dedupe), requeues expired leases so crashed
-   workers' groups are retried, restarts dead local daemons within a
-   budget, and yields each group's results as soon as its cells are all
-   stored — the same streaming contract the other executors honour;
-4. if every avenue of delegation is exhausted (daemons kept dying, or no
-   worker showed up for ``stall_timeout`` seconds), finishes the remaining
-   items **in-process** through the very same queue protocol, so a sweep
-   handed to the cluster executor always completes.
+   (idempotent, content keys dedupe), yields each group's results as soon
+   as its cells are all stored — the same streaming contract the other
+   executors honour — restarts dead local daemons within a budget, and
+   then serves at most one item itself through the one worker loop
+   (:func:`~repro.cluster.worker.serve`), waiting about one poll when
+   nothing can be claimed.
+
+The coordinator is always a live worker, so every sweep terminates: a host
+that refuses the fork, or daemons that keep dying, leave every item to it.
 
 Workers run :func:`repro.runtime.executors.execute_group` on the shipped
 context — the engine's single execution primitive — so cluster results are
@@ -40,7 +43,6 @@ import shutil
 import signal
 import sys
 import tempfile
-import time
 from multiprocessing.process import BaseProcess
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -60,7 +62,7 @@ from repro.cluster.merge import (
     quarantine_entry,
 )
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, RetryPolicy
-from repro.cluster.worker import live_worker_ids, worker_loop
+from repro.cluster.worker import RunSource, live_worker_ids, remove_beacons, serve
 from repro.nn import _threads
 from repro.runtime.executors import GroupOutput
 from repro.runtime.spec import EvalJob, SweepContext
@@ -78,16 +80,16 @@ def spawn_local_worker(
     """Fork one local worker daemon serving ``run_dir``; return its process.
 
     The return value is the started fork-context
-    :class:`multiprocessing.Process`.  The child is a copy of this process,
-    so it starts without a new interpreter or a single import.  It first
-    sheds what a freshly started worker would not have: its stdout and
-    stderr go to ``<run_dir>/workers/<worker_id>.log``, SIGTERM and SIGINT
-    get their default handlers (the installed fault plan and telemetry
-    recorder are dropped at every fork), and BLAS gets the thread
-    count of :func:`repro.nn._threads.set_worker_threads` for one of
-    ``workers`` daemons.  It then runs ``python -m repro.cluster worker
-    <run_dir> --id <worker_id> --poll <poll_interval>`` and exits with its
-    code.  ``OSError`` means the host refused the fork.
+    :class:`multiprocessing.Process`, named ``worker_id``.  The child is a
+    copy of this process, so it starts without a new interpreter or a single
+    import.  It first sheds what a freshly started worker would not have:
+    its stdout and stderr go to ``<run_dir>/workers/<worker_id>.log``,
+    SIGTERM and SIGINT get their default handlers (the installed fault plan
+    and telemetry recorder are dropped at every fork), and BLAS gets the
+    thread count of :func:`repro.nn._threads.set_worker_threads` for one of
+    ``workers`` processes serving the run.  It then runs ``python -m
+    repro.cluster worker <run_dir> --id <worker_id> --poll <poll_interval>``
+    and exits with its code.  ``OSError`` means the host refused the fork.
     """
     os.makedirs(os.path.join(run_dir, WORKERS_DIRNAME), exist_ok=True)
     # A daemonic process is terminated, not waited for, if this interpreter
@@ -95,6 +97,7 @@ def spawn_local_worker(
     process = multiprocessing.get_context("fork").Process(
         target=_serve_forked,
         args=(run_dir, worker_id, poll_interval, workers),
+        name=worker_id,
         daemon=True,
     )
     process.start()
@@ -123,7 +126,7 @@ def _serve_forked(run_dir: str, worker_id: str, poll_interval: float, workers: i
 
 
 class ClusterExecutor:
-    """Execute job groups across worker daemons sharing a filesystem.
+    """Execute job groups on this process and forked daemons sharing a filesystem.
 
     Parameters
     ----------
@@ -134,30 +137,29 @@ class ClusterExecutor:
         mounting the same filesystem) can join with
         ``python -m repro.cluster worker <run_dir>``.
     max_workers:
-        Local daemons to spawn when none are attached (default: the host's
-        CPU count); never more than there are work items.
+        Processes on this host that serve the run (default: the host's CPU
+        count): the coordinator and ``max_workers - 1`` forked daemons, never
+        more than there are work items.  ``1`` forks no daemon.  No daemon
+        is forked while other workers are attached to the directory.
     lease_timeout:
         Seconds without a heartbeat before a claimed item is considered
         abandoned and retried elsewhere.
     poll_interval:
-        Coordinator poll cadence (shard merging, lease expiry, liveness).
-    spawn_workers:
-        ``False`` delegates exclusively to externally-started workers (the
-        coordinator still merges, requeues and — after ``stall_timeout``
-        with no live worker — completes in-process rather than hanging).
+        Coordinator poll cadence (shard merging, liveness), and about how
+        long the coordinator waits when it finds nothing to claim.
     chunk_size:
         Forwarded to every worker's :func:`execute_group` (see the serial
         executor; results are identical for every value).
-    stall_timeout:
-        Seconds without progress or live workers before the coordinator
-        falls back to in-process execution (``None``: ``2 * lease_timeout``).
     retry:
         The run's :class:`~repro.cluster.queue.RetryPolicy` (attempt budget
         and backoff); recorded in the manifest so spawned and external
         workers enforce the same budget.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` chaos schedule, propagated
-        to every worker through the manifest (the chaos tests' hook).
+        to every worker through the manifest (the chaos tests' hook).  The
+        coordinator serves under the same precedence as any worker: a plan
+        installed in this process, then ``REPRO_FAULT_SCHEDULE``, then the
+        manifest's, so a ``sigkill`` rule can fire in this process.
 
     Every shard and canonical-store line carries a per-line checksum footer
     (see :mod:`repro.utils.serialization`).
@@ -175,9 +177,7 @@ class ClusterExecutor:
         max_workers: Optional[int] = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         poll_interval: float = 0.05,
-        spawn_workers: bool = True,
         chunk_size: Optional[int] = None,
-        stall_timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[faults_module.FaultPlan] = None,
     ):
@@ -193,11 +193,7 @@ class ClusterExecutor:
         self.max_workers = int(max_workers or (os.cpu_count() or 1))
         self.lease_timeout = float(lease_timeout)
         self.poll_interval = float(poll_interval)
-        self.spawn_workers = spawn_workers
         self.chunk_size = chunk_size
-        self.stall_timeout = (
-            2.0 * self.lease_timeout if stall_timeout is None else float(stall_timeout)
-        )
         self.retry = retry
         self.fault_plan = fault_plan
         #: The last run's dead-letter report (``None``: nothing failed).
@@ -237,6 +233,8 @@ class ClusterExecutor:
         )
         rec = telemetry.get_recorder()
         procs: List[BaseProcess] = []
+        coordinator_id = f"coordinator-{os.getpid()}"
+        served_by = {coordinator_id}  # the worker ids of this process's workers
         self.failure_report = None
         report = FailureReport()
         # Manual enter/exit rather than `with`: _run is a generator, and the
@@ -268,17 +266,19 @@ class ClusterExecutor:
             queue = JobQueue(run_dir, lease_timeout=self.lease_timeout, retry=self.retry)
             guard = MergeGuard(run_dir, queue=queue)
             procs = self._maybe_spawn(run_dir, len(outstanding))
+            served_by.update(proc.name for proc in procs)
             if procs:
                 rec.event("cluster.spawn", workers=len(procs), run_dir=run_dir)
-            spawn_failed = (
-                self.spawn_workers
-                and not procs
-                and not live_worker_ids(run_dir, ttl=self.lease_timeout)
-            )
+            # The coordinator's own source, kept for the whole run: it loads
+            # the context from the run dir once, as every daemon does.
+            source = RunSource(run_dir, lease_timeout=self.lease_timeout)
             tails: Dict[str, ShardTail] = {}
             restarts_left = self.max_workers
-            last_progress = time.monotonic()
             while outstanding:
+                # Read before the merge: a worker appends its shard before it
+                # completes the item, so every item done by now has its
+                # cells on disk for this merge to find.
+                was_drained = queue.is_drained()
                 merged = self._merge_new(run_dir, store, tails, guard)
                 if merged:
                     rec.count("cluster.merged_cells", merged)
@@ -292,9 +292,6 @@ class ClusterExecutor:
                     del outstanding[item_id]
                 if not outstanding:
                     return
-                if merged or drained:
-                    last_progress = time.monotonic()
-                queue.requeue_expired()
                 # Dead-lettered items will never produce results: drop them
                 # from the wait set (graceful degradation — the run
                 # terminates with partial results plus a failure report
@@ -320,7 +317,6 @@ class ClusterExecutor:
                                 source="coordinator",
                             )
                             store.discard(job.content_key)
-                    last_progress = time.monotonic()
                     rec.count("cluster.dead_lettered")
                     rec.event(
                         "cluster.dead_lettered", level="error",
@@ -331,34 +327,14 @@ class ClusterExecutor:
                 procs, restarts_left = self._babysit(
                     run_dir, procs, restarts_left, queue
                 )
-                if spawn_failed or self._stalled(run_dir, queue, procs, last_progress):
-                    # Nobody is (or stays) alive to serve the queue: finish
-                    # the remaining items here, through the same protocol
-                    # (claim, execute, shard-append, complete), so the sweep
-                    # always terminates.  Only protocol-expired leases are
-                    # stolen — an actively heartbeating worker keeps its
-                    # claim (stall detection already proved none is fresh);
-                    # items marked done without reachable results (an
-                    # unmerged shard lost or rewritten) are re-published.
-                    rec.event(
-                        "cluster.fallback", level="warning",
-                        items=len(outstanding),
-                        reason="spawn failed" if spawn_failed else "stalled",
-                    )
-                    queue.requeue_expired()
-                    if queue.is_drained():
-                        for item_id in outstanding:
-                            queue.requeue_done(item_id)
-                    worker_loop(
-                        run_dir,
-                        worker_id=f"coordinator-{os.getpid()}",
-                        lease_timeout=self.lease_timeout,
-                        poll_interval=self.poll_interval,
-                        max_idle=self.poll_interval,
-                    )
-                    last_progress = time.monotonic()
-                    continue
-                time.sleep(self.poll_interval)
+                served_by.update(proc.name for proc in procs)
+                if was_drained:
+                    # Done before the merge, yet not stored: the item's shard
+                    # lines were lost (rewritten or deleted unmerged).  Run it
+                    # again; content keys dedupe whatever does turn up.
+                    for item_id in outstanding:
+                        queue.requeue_done(item_id)
+                self._serve(source, coordinator_id, workers=len(procs) + 1)
         finally:
             if report:
                 self.failure_report = report
@@ -376,6 +352,9 @@ class ClusterExecutor:
                     proc.kill()
                     proc.join()
                 proc.close()
+            # Reaped: no beacon of this run may look live to `repair` or to
+            # the next run into this directory.  The logs stay.
+            remove_beacons(run_dir, served_by)
             span.__exit__(*sys.exc_info())
             if own_tmp:
                 shutil.rmtree(run_dir, ignore_errors=True)
@@ -396,25 +375,23 @@ class ClusterExecutor:
         return output
 
     def _maybe_spawn(self, run_dir: str, num_items: int) -> List[BaseProcess]:
-        if not self.spawn_workers:
-            return []
+        """Fork the daemons that serve beside the coordinator."""
         if live_worker_ids(run_dir, ttl=self.lease_timeout):
             return []  # external workers already attached: don't double up
-        count = max(1, min(self.max_workers, num_items))
+        workers = min(self.max_workers, num_items)
         procs = []
-        for index in range(count):
+        for index in range(workers - 1):
             try:
                 procs.append(
                     spawn_local_worker(
                         run_dir,
                         worker_id=f"local-{os.getpid()}-{index}",
                         poll_interval=self.poll_interval,
-                        workers=count,
+                        workers=workers,
                     )
                 )
             # repro: ignore[REP008] fork refusal *is* the degradation signal
-            # — the caller falls back to in-process execution with however
-            # many daemons did start.
+            # — the coordinator serves what no daemon takes.
             except OSError:
                 break
         return procs
@@ -434,10 +411,12 @@ class ClusterExecutor:
                 "cluster.restart", level="warning",
                 dead=dead, restarts_left=restarts_left,
             )
-            target = max(1, min(
+            # As at the start: one process per item left, the coordinator
+            # being one of them.
+            workers = min(
                 self.max_workers, len(queue.pending_ids()) + len(queue.leased_ids())
-            ))
-            while restarts_left > 0 and len(alive) < target:
+            )
+            while restarts_left > 0 and len(alive) < workers - 1:
                 restarts_left -= 1
                 try:
                     alive.append(
@@ -445,7 +424,7 @@ class ClusterExecutor:
                             run_dir,
                             worker_id=f"local-{os.getpid()}-r{restarts_left}",
                             poll_interval=self.poll_interval,
-                            workers=target,
+                            workers=workers,
                         )
                     )
                 except OSError:
@@ -453,23 +432,22 @@ class ClusterExecutor:
                     break
         return alive, restarts_left
 
-    def _stalled(
-        self,
-        run_dir: str,
-        queue: JobQueue,
-        procs: List[BaseProcess],
-        last_progress: float,
-    ) -> bool:
-        if any(proc.is_alive() for proc in procs):
-            return False  # our own daemons are alive; give them time
-        if time.monotonic() - last_progress <= self.stall_timeout:
-            return False
-        if live_worker_ids(run_dir, ttl=self.stall_timeout):
-            return False  # an idle-looping worker will claim eventually
-        # Beacons are only refreshed between items; a worker deep inside a
-        # long group announces itself through its lease heartbeats instead.
-        freshest = queue.freshest_lease_age()
-        return freshest is None or freshest > self.lease_timeout
+    def _serve(self, source: RunSource, worker_id: str, workers: int) -> None:
+        """Serve at most one item, at one of ``workers`` processes' BLAS share.
+
+        Nothing to claim (every item leased, backing off or lost) costs a
+        wait of about one poll, never a spin.
+        """
+        threads = _threads.blas_threads()
+        _threads.set_worker_threads(workers)
+        try:
+            serve(
+                source, worker_id, poll_interval=self.poll_interval,
+                max_poll=self.poll_interval, max_idle=self.poll_interval,
+                max_items=1, exit_when_drained=False,
+            )
+        finally:
+            _threads.set_blas_threads(threads)
 
     def _merge_new(
         self,

@@ -498,9 +498,9 @@ class JobQueue:
     def requeue_done(self, item_id: str) -> bool:
         """Return a done item to pending (recovery from lost results).
 
-        Only the coordinator's last-resort path uses this — when an item is
-        marked done but its results are nowhere to be found (e.g. a shard
-        rewritten by ``repair``, or deleted by hand, before it was merged).
+        The coordinator uses this when an item is marked done but its
+        results are nowhere to be found (e.g. a shard rewritten by
+        ``repair``, or deleted by hand, before it was merged).
         Re-execution is safe: results are keyed by content and deduplicated
         on merge.
         """
@@ -538,24 +538,6 @@ class JobQueue:
         return requeued
 
     # -- inspection -----------------------------------------------------------
-
-    def freshest_lease_age(self, now: Optional[float] = None) -> Optional[float]:
-        """Age in seconds of the most recently heartbeaten lease.
-
-        ``None`` when nothing is leased.  A small value proves some worker
-        is alive and executing *right now* even if its idle-loop beacon has
-        gone stale (beacons are only touched between items, heartbeats
-        throughout) — the signal the coordinator's stall detection trusts
-        before stealing work.
-        """
-        now = time.time() if now is None else float(now)
-        ages = []
-        for item_id in self._ids(LEASED):
-            heartbeat_at = self._mtime(LEASED, item_id)
-            if heartbeat_at is None:
-                continue  # the lease ended between list and read
-            ages.append(now - heartbeat_at)
-        return min(ages) if ages else None
 
     def fence_of(self, item_id: str) -> Optional[int]:
         """The item's current fence epoch, or ``None`` if no state holds it.

@@ -49,7 +49,7 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import faults, telemetry
 from repro.cluster.broker import (
@@ -72,7 +72,7 @@ from repro.utils.serialization import append_jsonl, atomic_write_text, jsonl_lin
 
 __all__ = [
     "WorkerStats", "ServiceWorkerStats", "RunHandle", "RunSource", "serve",
-    "worker_loop", "default_worker_id", "live_worker_ids",
+    "worker_loop", "default_worker_id", "live_worker_ids", "remove_beacons",
 ]
 
 
@@ -169,6 +169,16 @@ def _touch_beacon(root: str, worker_id: str) -> None:
         atomic_write_text(path, str(os.getpid()) + "\n")
 
 
+def remove_beacons(root: str, worker_ids: Iterable[str]) -> None:
+    """Delete the beacons of workers known to be gone; their logs stay."""
+    for worker_id in worker_ids:
+        try:
+            os.unlink(os.path.join(root, WORKERS_DIRNAME, worker_id))
+        # repro: ignore[REP008] a worker that never served has no beacon.
+        except FileNotFoundError:
+            continue
+
+
 def live_worker_ids(run_dir: str, ttl: float) -> List[str]:
     """Workers whose beacon under ``run_dir`` (or a service dir) is fresher
     than ``ttl`` seconds."""
@@ -180,8 +190,10 @@ def live_worker_ids(run_dir: str, ttl: float) -> List[str]:
     now = time.time()
     live = []
     for name in names:
-        if name.endswith(".log"):
-            continue  # daemon stdout logs share the directory, not beacons
+        if name.endswith(".log") or name.startswith("."):
+            # Daemon stdout logs share the directory, and so does the temp
+            # file of a beacon's atomic create when its writer was killed.
+            continue
         try:
             if now - os.stat(os.path.join(workers_dir, name)).st_mtime <= ttl:
                 live.append(name)
@@ -257,7 +269,9 @@ class RunSource:
 
     :func:`serve` asks its source only what differs between a run and a
     service; :mod:`repro.service.worker` implements the same hooks over a
-    registry of tenants.
+    registry of tenants.  The source holds the :class:`RunHandle` of each
+    tenant served, so a process that calls :func:`serve` more than once
+    over one source loads each context once.
     """
 
     #: The one-shot exit waits for leased items, so a one-shot fleet rescues
@@ -268,6 +282,7 @@ class RunSource:
         self.root = os.path.abspath(run_dir)  # beacons and a worker-owned sink
         self.tenant = os.path.basename(self.root)
         self.lease_timeout = lease_timeout  # None: the manifest's
+        self.handles: Dict[str, RunHandle] = {}
 
     def runnable(self) -> List[Tuple[str, str, float]]:
         """``(tenant_id, run_dir, priority)`` of every tenant to serve."""
@@ -384,7 +399,9 @@ def serve(source, worker_id: str, poll_interval: float = 0.2,
           exit_when_drained: bool = True) -> ServiceWorkerStats:
     """Drain ``source`` (a :class:`RunSource` or the service's registry).
 
-    The knobs are :func:`worker_loop`'s.  With ``exit_when_drained`` the
+    The knobs are :func:`worker_loop`'s.  The tenants' handles live on
+    ``source``, so a later call over the same source finds each context
+    already loaded.  With ``exit_when_drained`` the
     loop returns once the source has nothing to pick — and, for a source
     that :attr:`~RunSource.waits_on_leases`, nothing leased either.  The
     caller's fault plan and telemetry recorder are in place on return.
@@ -394,7 +411,7 @@ def serve(source, worker_id: str, poll_interval: float = 0.2,
     plan = faults.current()
     if plan is None:
         plan = faults.plan_from_env()
-    handles: Dict[str, RunHandle] = {}
+    handles = source.handles
     warm: Optional[str] = None
     max_poll = max(poll_interval, 2.0) if max_poll is None else float(max_poll)
     idle_rng = new_rng(derived_seed("worker-idle", worker_id))
@@ -471,7 +488,9 @@ def worker_loop(
         Exit after this many seconds without claiming anything (``None``: no
         idle limit).
     max_items:
-        Execute at most this many items (testing hook).
+        Execute at most this many items (``None``: no limit).  The cluster
+        coordinator calls :func:`serve` with ``1`` once per poll, over a
+        :class:`RunSource` it keeps for the run.
     exit_when_drained:
         Exit as soon as the queue holds no pending or leased items (the
         default — right for one-shot fleets and coordinator-spawned

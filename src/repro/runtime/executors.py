@@ -13,9 +13,9 @@ share:
 
 :class:`SerialExecutor` runs groups in-process, in order — these are the
 reference semantics, bit-identical to the pre-engine ad-hoc loops.
-Parallel sweeps run on :class:`repro.cluster.ClusterExecutor`, whose worker
-daemons execute the same groups through :func:`execute_group`; every
-evaluation is a pure function of the shipped
+Parallel sweeps run on :class:`repro.cluster.ClusterExecutor`, whose
+workers (the coordinator and its daemons) execute the same groups through
+:func:`execute_group`; every evaluation is a pure function of the shipped
 :class:`~repro.runtime.spec.SweepContext`, so their results equal serial
 results cell for cell.
 """
@@ -115,7 +115,7 @@ def execute_group(
 
     Pure function of ``(context, group, chunk_size)``; the serial executor
     and every cluster worker (forked daemon, external host or the
-    coordinator's in-process fallback) funnel through here, which is what
+    coordinator itself) funnel through here, which is what
     guarantees serial/distributed equivalence.
     The evaluation runs the fused hot path — mini-batches cut once per
     process (:meth:`~repro.runtime.spec.SweepContext.batch_plan`), the

@@ -86,7 +86,9 @@ class ResultStore:
             except (KeyError, TypeError, ValueError):
                 malformed += 1
                 continue
-            self._cache[key] = result
+            # A key's first record wins, as in `put` (which never clobbers)
+            # and in repair (which quarantines the later copies).
+            self._cache.setdefault(key, result)
         if malformed:
             # A record we cannot type is dropped (the cell will simply be
             # recomputed), but never silently: surface it in telemetry.

@@ -118,6 +118,7 @@ class _RegistrySource:
         self.scheduler = scheduler
         self.worker_id = worker_id
         self.tenants: Dict[str, Tenant] = {}
+        self.handles: Dict[str, RunHandle] = {}
 
     def runnable(self) -> List[Tuple[str, str, float]]:
         self.tenants = self.registry.runnable()

@@ -155,8 +155,8 @@ def test_cluster_executor_returns_partial_results_and_a_failure_report(
                    times=None, note="poison")]
     )
     executor = ClusterExecutor(
-        run_dir=str(tmp_path), spawn_workers=False, poll_interval=0.01,
-        stall_timeout=0.0, retry=retry, fault_plan=plan,
+        run_dir=str(tmp_path), max_workers=1, poll_interval=0.01,
+        retry=retry, fault_plan=plan,
     )
     results = run_sweep(grid(), executor=executor)
     serial = run_sweep(grid(), executor=SerialExecutor())

@@ -1,11 +1,13 @@
-"""Tests for the broker, worker loop and ClusterExecutor (in-process paths).
+"""Tests for the broker, worker loop and ClusterExecutor.
 
-Daemon-spawning end-to-end runs are exercised by
-``tests/cluster/test_failure_modes.py`` (marked slow) and the cluster
-benchmark; these tests drive the same protocol in-process so they stay fast
-and deterministic.
+Most drive the protocol in-process (``max_workers=1``: the coordinator
+serves every item) so they stay fast and deterministic; the few that fork
+daemons check how many, and what a finished run leaves behind.  Crash and
+chaos runs are in ``tests/cluster/test_failure_modes.py`` and
+``tests/cluster/test_chaos.py``.
 """
 
+import itertools
 import os
 import pickle
 
@@ -15,6 +17,7 @@ from repro.cluster import (
     ClusterExecutor,
     JobQueue,
     group_item_id,
+    live_worker_ids,
     merge_shards,
     prepare_run_dir,
     read_manifest,
@@ -23,6 +26,7 @@ from repro.cluster import (
     verify_run_dir,
     worker_loop,
 )
+from repro.cluster.cli import main as cluster_main
 from repro.cluster.cli import run_status
 from repro.runtime import (
     ResultStore,
@@ -165,29 +169,81 @@ def test_worker_shards_are_single_writer_and_durable(grid, tmp_path):
     assert all(store.get(key) == cell for key, cell in serial.items())
 
 
-def test_cluster_executor_inline_fallback_matches_serial(grid, tmp_path):
-    """With spawning disabled and no workers, the coordinator self-serves."""
-    executor = ClusterExecutor(
-        run_dir=str(tmp_path),
-        spawn_workers=False,
-        lease_timeout=5.0,
-        poll_interval=0.01,
-        stall_timeout=0.0,  # no workers will ever come: fall back at once
-    )
+def test_a_lone_coordinator_forks_nothing_and_matches_serial(grid, tmp_path, forks):
+    """``max_workers=1``: the coordinator serves every item itself."""
+    executor = ClusterExecutor(run_dir=str(tmp_path), max_workers=1,
+                               lease_timeout=5.0, poll_interval=0.01)
     results = run_sweep(grid(), executor=executor)
     assert results == run_sweep(grid(), executor=SerialExecutor())
+    assert forks == []
+    assert os.listdir(tmp_path / "shards") == [f"worker-coordinator-{os.getpid()}.jsonl"]
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_the_coordinator_is_one_of_max_workers(grid, tmp_path, forks, workers):
+    spec = grid()
+    assert len(group_jobs(spec.jobs)) >= workers
+    executor = ClusterExecutor(run_dir=str(tmp_path), max_workers=workers,
+                               lease_timeout=10.0, poll_interval=0.02)
+    assert run_sweep(spec, executor=executor) == run_sweep(grid(), executor=SerialExecutor())
+    assert forks == [workers] * (workers - 1)  # each daemon one of `workers`
+
+
+def _two_worker_run(grid, run_dir):
+    executor = ClusterExecutor(run_dir=run_dir, max_workers=2, lease_timeout=10.0,
+                               poll_interval=0.02)
+    run_sweep(grid(), executor=executor)
+    return executor
+
+
+def test_a_finished_run_leaves_no_live_worker(grid, tmp_path):
+    """The reaped daemon's beacon and the coordinator's are gone; the
+    daemon's log stays."""
+    run_dir = str(tmp_path)
+    executor = _two_worker_run(grid, run_dir)
+    assert live_worker_ids(run_dir, ttl=executor.lease_timeout) == []
+    left = [name for name in os.listdir(os.path.join(run_dir, "workers"))
+            if not name.startswith(".")]  # see the temp-file test below
+    assert left == [f"local-{os.getpid()}-0.log"]
+
+
+def test_a_killed_beacon_writers_temp_file_is_not_a_live_worker(tmp_path):
+    """A daemon terminated inside its first beacon write leaves the atomic
+    write's temp file behind; it names no worker."""
+    workers = tmp_path / "workers"
+    workers.mkdir()
+    (workers / ".tmp-k1ll3d~").write_text("")
+    (workers / "w1.log").write_text("")
+    (workers / "w1").write_text("1\n")
+    assert live_worker_ids(str(tmp_path), ttl=60.0) == ["w1"]
+
+
+def test_repair_needs_no_force_right_after_a_run(grid, tmp_path, capsys):
+    run_dir = str(tmp_path)
+    _two_worker_run(grid, run_dir)
+    assert cluster_main(["repair", run_dir]) == 0
+    assert "live worker" not in capsys.readouterr().err
+
+
+def test_a_second_run_into_the_same_dir_forks_its_daemons_again(grid, tmp_path, forks):
+    run_dir = str(tmp_path)
+    spec = grid()
+    groups = group_jobs(spec.jobs)
+    counts = []
+    for part in (groups[:2], groups[2:4]):
+        executor = ClusterExecutor(run_dir=run_dir, max_workers=2, lease_timeout=10.0,
+                                   poll_interval=0.02)
+        assert len(list(executor.run(spec.context(), part))) == 2
+        counts.append(len(forks))
+    assert counts[0] and counts[1] == 2 * counts[0]
 
 
 def test_cluster_executor_resumes_from_warm_run_dir(grid, tmp_path):
     run_dir = str(tmp_path)
-    executor = ClusterExecutor(
-        run_dir=run_dir, spawn_workers=False, poll_interval=0.01, stall_timeout=0.0
-    )
+    executor = ClusterExecutor(run_dir=run_dir, max_workers=1, poll_interval=0.01)
     first = run_sweep(grid(), executor=executor)
     # Warm store: the second run answers everything without queue traffic.
-    again = ClusterExecutor(
-        run_dir=run_dir, spawn_workers=False, poll_interval=0.01, stall_timeout=0.0
-    )
+    again = ClusterExecutor(run_dir=run_dir, max_workers=1, poll_interval=0.01)
     second = run_sweep(grid(), executor=again)
     assert second == first
     assert JobQueue(run_dir).counts()["pending"] == 0
@@ -196,10 +252,7 @@ def test_cluster_executor_resumes_from_warm_run_dir(grid, tmp_path):
 def test_cluster_executor_streams_every_group_exactly_once(grid, tmp_path):
     spec = grid()
     groups = group_jobs(spec.jobs)
-    executor = ClusterExecutor(
-        run_dir=str(tmp_path), spawn_workers=False, poll_interval=0.01,
-        stall_timeout=0.0,
-    )
+    executor = ClusterExecutor(run_dir=str(tmp_path), max_workers=1, poll_interval=0.01)
     outputs = list(executor.run(spec.context(), groups))
     assert len(outputs) == len(groups)
     yielded = [key for output in outputs for key, _ in output]
@@ -250,37 +303,40 @@ def test_same_dir_store_and_executor_stay_duplicate_free(grid, tmp_path):
     from repro.utils.serialization import read_jsonl
 
     run_dir = str(tmp_path)
-    executor = ClusterExecutor(
-        run_dir=run_dir, spawn_workers=False, poll_interval=0.01, stall_timeout=0.0
-    )
+    executor = ClusterExecutor(run_dir=run_dir, max_workers=1, poll_interval=0.01)
     results = run_sweep(grid(), executor=executor, store=run_dir)
     keys = [r["key"] for r in read_jsonl(os.path.join(run_dir, "results.jsonl"))]
     assert sorted(keys) == sorted(results)  # one line per cell, no doubles
     # A store in a *different* directory is still written as usual.
     other_dir = str(tmp_path / "elsewhere")
-    executor2 = ClusterExecutor(
-        run_dir=str(tmp_path / "run2"), spawn_workers=False,
-        poll_interval=0.01, stall_timeout=0.0,
-    )
+    executor2 = ClusterExecutor(run_dir=str(tmp_path / "run2"), max_workers=1,
+                                poll_interval=0.01)
     run_sweep(grid(), executor=executor2, store=other_dir)
     assert len(ResultStore(other_dir)) == len(results)
 
 
-def test_stall_detection_trusts_fresh_lease_heartbeats(grid, tmp_path):
-    """A worker deep in a long group (stale beacon, fresh lease) keeps its
-    claim: the coordinator must not declare the run stalled."""
+def test_the_coordinator_serves_around_a_freshly_heartbeaten_lease(grid, tmp_path):
+    """A worker deep in a long group (fresh lease) keeps its claim: the
+    coordinator serves every other item and leaves that lease, and its
+    fence, alone, until the lease expires."""
     spec = grid()
+    groups = group_jobs(spec.jobs)
     run_dir = str(tmp_path)
     submit_spec(run_dir, spec, lease_timeout=30.0)
     queue = JobQueue(run_dir, lease_timeout=30.0)
     item = queue.claim("busy-worker")  # lease just heartbeaten (claim touches)
-    executor = ClusterExecutor(
-        run_dir=run_dir, spawn_workers=False, poll_interval=0.01,
-        lease_timeout=30.0, stall_timeout=0.0,
-    )
-    assert not executor._stalled(run_dir, queue, [], 0.0)
-    # Once the lease goes protocol-stale, the stall may fire.
-    leased = os.path.join(queue.queue_dir, "leased", item.item_id + ".json")
-    old = 0.0
-    os.utime(leased, (old, old))
-    assert executor._stalled(run_dir, queue, [], 0.0)
+    fence = queue.fence_of(item.item_id)
+    executor = ClusterExecutor(run_dir=run_dir, max_workers=1, poll_interval=0.01,
+                               lease_timeout=30.0)
+    outputs = executor.run(spec.context(), groups)
+    served = list(itertools.islice(outputs, len(groups) - 1))
+    (busy,) = [group for group in groups if group_item_id(group) == item.item_id]
+    assert {key for output in served for key, _ in output} == (
+        {job.content_key for job in spec.jobs} - {job.content_key for job in busy})
+    assert queue.leased_ids() == [item.item_id]
+    assert queue.pending_ids() == []
+    assert queue.fence_of(item.item_id) == fence
+    # The busy worker dies: once its lease is stale the coordinator takes it.
+    os.utime(os.path.join(queue.queue_dir, "leased", item.item_id + ".json"), (0.0, 0.0))
+    assert [key for key, _ in next(outputs)] == [job.content_key for job in busy]
+    assert list(outputs) == [] and queue.is_drained()

@@ -21,6 +21,7 @@ from repro.cluster import (
     ClusterExecutor,
     JobQueue,
     merge_shards,
+    spawn_local_worker,
     submit_spec,
     worker_loop,
 )
@@ -155,20 +156,21 @@ def test_coordinator_survives_a_crashing_daemon_fleet(grid, tmp_path, monkeypatc
 
     The daemons (and their respawned replacements) read the SIGKILL
     schedule from the environment and keep killing themselves until the
-    restart budget runs out and the coordinator finishes in-process.  This
-    process installs an empty plan first: an installed plan outranks the
-    environment, so the in-process fallback does not kill the test runner.
+    restart budget runs out, while the coordinator serves the rest.  This
+    process installs a plan of its own first: an installed plan outranks the
+    environment, so the coordinator's items do not kill the test runner, and
+    its stall on every item lets each daemon claim before the queue drains.
     A forked daemon must not inherit that plan, or none would ever die.
     """
     monkeypatch.setenv(FAULTS_ENV, CRASH_AFTER_FIRST_CLAIM.to_env()[FAULTS_ENV])
-    faults.install(FaultPlan())
+    faults.install(FaultPlan([FaultRule(seam="execute", kind="stall", stall_s=0.2,
+                                        times=None)]))
     run_dir = str(tmp_path / "run")
     executor = ClusterExecutor(
         run_dir=run_dir,
         max_workers=2,
         lease_timeout=1.0,
         poll_interval=0.02,
-        stall_timeout=2.0,
     )
     try:
         with telemetry.recording(str(tmp_path), name="coordinator", echo=None) as rec:
@@ -179,28 +181,33 @@ def test_coordinator_survives_a_crashing_daemon_fleet(grid, tmp_path, monkeypatc
     assert results == serial
     keys = _results_keys(run_dir)
     assert len(keys) == len(set(keys))  # recovery introduced no duplicates
-    events = [r["name"] for r in read_jsonl(rec.path) if r["type"] == "event"]
+    records = read_jsonl(rec.path)
+    events = [r["name"] for r in records if r["type"] == "event"]
     assert "cluster.restart" in events  # daemons died and were replaced
-    assert "cluster.fallback" in events  # ... until the budget ran out
+    # ... and the coordinator served items itself, in this process.
+    items = [r for r in records if r.get("name") == "worker.item"]
+    assert items and {r["worker"] for r in items} == {f"coordinator-{os.getpid()}"}
 
 
-def test_a_refused_fork_falls_back_in_process(grid, tmp_path, monkeypatch):
-    """A host that refuses the fork gets the sweep finished in-process."""
+def test_a_refused_fork_leaves_every_item_to_the_coordinator(grid, tmp_path, monkeypatch):
+    """A host that refuses the fork gets the sweep finished by the coordinator."""
     def refuse():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", refuse)
-    executor = ClusterExecutor(run_dir=str(tmp_path / "run"), max_workers=2,
+    run_dir = str(tmp_path / "run")
+    executor = ClusterExecutor(run_dir=run_dir, max_workers=2,
                                lease_timeout=5.0, poll_interval=0.01)
     with telemetry.recording(str(tmp_path), name="coordinator", echo=None) as rec:
         results = run_sweep(grid(), executor=executor)
     assert results == run_sweep(grid(), executor=SerialExecutor())
-    reasons = {r["reason"] for r in read_jsonl(rec.path) if r.get("name") == "cluster.fallback"}
-    assert reasons == {"spawn failed"}
+    assert os.listdir(os.path.join(run_dir, "shards")) == [
+        f"worker-coordinator-{os.getpid()}.jsonl"]
+    assert "cluster.spawn" not in {r.get("name") for r in read_jsonl(rec.path)}
 
 
 def test_a_forked_daemon_starts_clean(grid, tmp_path, monkeypatch):
-    """A daemon forked from the coordinator keeps none of its per-process
+    """A daemon forked from this process keeps none of its per-process
     state: no fault plan, telemetry recorder or SIGTERM handler, and its
     output goes to its own log."""
     seen = str(tmp_path / "seen.jsonl")
@@ -217,29 +224,35 @@ def test_a_forked_daemon_starts_clean(grid, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cluster_worker, "execute_group", probe)
     run_dir = str(tmp_path / "run")
-    executor = ClusterExecutor(run_dir=run_dir, max_workers=1, lease_timeout=10.0,
-                               poll_interval=0.02)
+    worker_id = "daemon"
     handler = signal.signal(signal.SIGTERM, lambda signum, frame: None)
     faults.install(FaultPlan())
     try:
-        with telemetry.recording(str(tmp_path), name="coordinator", echo=None) as rec:
-            results = run_sweep(grid(), executor=executor)
+        with telemetry.recording(str(tmp_path), name="parent", echo=None) as rec:
+            # Submitted while recording: the manifest asks workers for sinks.
+            submission = submit_spec(run_dir, grid(), lease_timeout=10.0)
+            daemon = spawn_local_worker(run_dir, worker_id, poll_interval=0.02)
+            daemon.join(timeout=60)
     finally:
         faults.clear()
         signal.signal(signal.SIGTERM, handler)
-    assert results == run_sweep(grid(), executor=SerialExecutor())
+    assert daemon.exitcode == 0
+    merge_shards(run_dir)
+    store = ResultStore(run_dir)
+    assert all(store.get(key) == cell
+               for key, cell in run_sweep(grid(), executor=SerialExecutor()).items())
 
-    (log,) = [name for name in os.listdir(os.path.join(run_dir, "workers"))
-              if name.endswith(".log")]
-    worker_id = log[: -len(".log")]
-    for record in read_jsonl(seen):
-        assert record["pid"] != os.getpid()  # run by the daemon, not a fallback
+    records = read_jsonl(seen)
+    assert len(records) == len(submission.enqueued)
+    for record in records:
+        assert record["pid"] == daemon.pid
         assert not record["plan"]
         assert record["sink"] == os.path.join(run_dir, "telemetry",
                                               f"worker-{worker_id}.jsonl")
         assert record["sigterm"]
-    coordinator = read_jsonl(rec.path)
-    assert not [r for r in coordinator if r.get("name", "").startswith("worker.")]
-    assert [r["type"] for r in coordinator].count("metrics") == 1
-    with open(os.path.join(run_dir, "workers", log), encoding="utf-8") as handle:
+    parent = read_jsonl(rec.path)
+    assert not [r for r in parent if r.get("name", "").startswith("worker.")]
+    assert [r["type"] for r in parent].count("metrics") == 1
+    with open(os.path.join(run_dir, "workers", f"{worker_id}.log"),
+              encoding="utf-8") as handle:
         assert f"worker {worker_id}: " in handle.read()

@@ -26,6 +26,7 @@ from repro.cluster import (
     verify_run_dir,
     worker_loop,
 )
+from repro.runtime import ResultStore
 from repro.utils.serialization import (
     append_jsonl,
     jsonl_line,
@@ -401,6 +402,17 @@ def test_repair_cli_refuses_live_workers_without_force(clean_run, capsys):
     assert "live worker" in capsys.readouterr().err
     assert cluster_main(["repair", run_dir, "--force",
                          "--lease-timeout", str(LEASE)]) == 0
+
+
+def test_a_duplicated_key_reads_as_its_first_record_before_and_after_repair(clean_run):
+    """The store's load, ``put`` and ``repair`` agree on which copy wins."""
+    run_dir, _, _ = clean_run
+    store_path = os.path.join(run_dir, "results.jsonl")
+    append_jsonl(store_path, [{**_store_record("a1"), "error": 0.9}], checksum=True)
+    assert ResultStore(run_dir).get("a1").error == 0.1
+    repair_run_dir(run_dir, lease_timeout=LEASE)
+    assert [r["error"] for r in read_jsonl(store_path) if r["key"] == "a1"] == [0.1]
+    assert ResultStore(run_dir).get("a1").error == 0.1
 
 
 def test_real_cluster_run_verifies_clean_end_to_end(grid, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import repro.cluster.coordinator as coordinator
 from repro.data import make_blob_dataset, train_test_split
 from repro.models import MLP
 from repro.quant import FixedPointQuantizer, rquant
@@ -41,3 +42,17 @@ def small_mlp() -> MLP:
 @pytest.fixture
 def rquant8() -> FixedPointQuantizer:
     return FixedPointQuantizer(rquant(8))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``workers`` share of every daemon ClusterExecutor forks."""
+    calls = []
+    spawn = coordinator.spawn_local_worker
+
+    def recorded(run_dir, worker_id, **kwargs):
+        calls.append(kwargs["workers"])
+        return spawn(run_dir, worker_id, **kwargs)
+
+    monkeypatch.setattr(coordinator, "spawn_local_worker", recorded)
+    return calls

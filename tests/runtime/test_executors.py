@@ -72,7 +72,7 @@ def test_cluster_chunked_matches_serial(grid):
     assert chunked == run_sweep(grid(), executor=SerialExecutor())
 
 
-def test_chunk_size_threads_through_the_in_process_fallback(grid, monkeypatch, tmp_path):
+def test_chunk_size_reaches_the_coordinators_own_items(grid, monkeypatch, tmp_path):
     """A host that refuses the fork leaves every group to the coordinator,
     which reads the executor's ``chunk_size`` back from the manifest."""
     chunk_sizes = []
@@ -94,27 +94,31 @@ def test_chunk_size_threads_through_the_in_process_fallback(grid, monkeypatch, t
     assert chunk_sizes == [2] * len(group_jobs(grid().jobs))
 
 
-def test_each_daemon_loads_the_runs_context_once(grid, monkeypatch, tmp_path):
-    """Work items carry job records only: a forked daemon unpickles the
-    run's context once and runs every item it claims against that copy."""
+def test_every_serving_process_loads_the_runs_context_once(grid, monkeypatch, tmp_path):
+    """Work items carry job records only: each serving process, the
+    coordinator included, unpickles the run's context once and runs every
+    item it claims against that copy, never against the caller's."""
     log = str(tmp_path / "contexts.jsonl")
-    seen = []
+    seen = []  # (pid, context): a forked daemon starts with a copy
     execute_group = cluster_worker.execute_group
 
     def recorded(context, jobs, **kwargs):
-        seen.append(context)  # held, so two loads cannot share an id
-        append_jsonl(log, [{"pid": os.getpid(), "contexts": len({id(c) for c in seen})}])
+        seen.append((os.getpid(), context))  # held, so two loads cannot share an id
+        loaded = {id(c) for pid, c in seen if pid == os.getpid()}
+        append_jsonl(log, [{"pid": os.getpid(), "contexts": len(loaded)}])
         return execute_group(context, jobs, **kwargs)
 
     monkeypatch.setattr(cluster_worker, "execute_group", recorded)
+    spec = grid()
+    context, groups = spec.context(), group_jobs(spec.jobs)
     executor = ClusterExecutor(run_dir=str(tmp_path / "run"), max_workers=2,
                                lease_timeout=10.0, poll_interval=0.02)
-    results = run_sweep(grid(), executor=executor)
+    results = dict(cell for output in executor.run(context, groups) for cell in output)
     assert results == run_sweep(grid(), executor=SerialExecutor())
     records = read_jsonl(log)
-    assert len(records) == len(group_jobs(grid().jobs))
-    assert all(record["pid"] != os.getpid() for record in records)  # no fallback
-    # Two daemons shared seven items, so some daemon ran several.
+    assert len(records) == len(groups)
+    assert seen and all(c is not context for _, c in seen)  # the coordinator's items
+    # The coordinator and one daemon shared seven items, so one ran several.
     assert len({record["pid"] for record in records}) < len(records)
     assert {record["contexts"] for record in records} == {1}
 

@@ -1,5 +1,6 @@
-"""Forked worker daemons share the host's CPUs, and a fork never inherits a dead pool."""
+"""Cluster workers share the host's CPUs, and a fork never inherits a dead pool."""
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -12,8 +13,7 @@ import pytest
 import repro.cluster.worker as cluster_worker
 from helpers import thread_budget
 from repro.biterror import make_error_fields
-from repro.cluster import ClusterExecutor
-from repro.faults import FaultPlan, FaultRule
+from repro.cluster import ClusterExecutor, JobQueue, spawn_local_worker, submit_spec
 from repro.models import MLP
 from repro.nn import _threads
 from repro.quant import FixedPointQuantizer, rquant
@@ -34,14 +34,14 @@ def no_thread_vars(monkeypatch):
         monkeypatch.delenv(name, raising=False)
 
 
-def _spec(blob_data, rates=(0.01, 0.02, 0.03, 0.04), clean_stats=None):
+def _spec(blob_data, rates=(0.01, 0.02, 0.03, 0.04)):
     _, test = blob_data
     model = MLP(in_features=test.input_shape[0], num_classes=test.num_classes,
                 hidden=(8,), rng=np.random.default_rng(1))
     quantizer = FixedPointQuantizer(rquant(8))
     quantized = quantize_model(model, quantizer)
     spec = SweepSpec(test, batch_size=16)
-    spec.add_model("m", model, quantizer, quantized, clean_stats=clean_stats)
+    spec.add_model("m", model, quantizer, quantized)
     spec.add_field_set("f", make_error_fields(quantized.num_weights, 8, 2, seed=3))
     for rate in rates:
         spec.add_field_jobs("m", "f", rate)
@@ -49,12 +49,9 @@ def _spec(blob_data, rates=(0.01, 0.02, 0.03, 0.04), clean_stats=None):
 
 
 @pytest.fixture
-def spawned_budgets(blob_data, monkeypatch, tmp_path):
-    """BLAS thread counts ClusterExecutor's forked daemons run their items with.
-
-    The daemons inherit the patched ``execute_group``, which logs each
-    item's process and budget before running it.
-    """
+def budgets_log(monkeypatch, tmp_path):
+    """Make every worker log its process and BLAS budget per item; return
+    a reader of the log."""
     log = str(tmp_path / "budgets.jsonl")
     execute_group = cluster_worker.execute_group
 
@@ -63,15 +60,23 @@ def spawned_budgets(blob_data, monkeypatch, tmp_path):
         return execute_group(context, jobs, **kwargs)
 
     monkeypatch.setattr(cluster_worker, "execute_group", logged)
+    return lambda: read_jsonl(log)
 
-    def run(workers, parent_budget, spec=None, **options):
-        options = {"lease_timeout": 10.0, "poll_interval": 0.02, **options}
-        executor = ClusterExecutor(run_dir=str(tmp_path / "run"), max_workers=workers,
-                                   **options)
+
+@pytest.fixture
+def spawned_budgets(blob_data, budgets_log, tmp_path):
+    """BLAS thread counts a forked daemon, one of ``workers``, runs its items with."""
+
+    def run(workers, parent_budget, spec=None):
+        run_dir = str(tmp_path / "run")
+        submit_spec(run_dir, spec or _spec(blob_data), lease_timeout=10.0)
         with thread_budget(parent_budget):
-            run_sweep(spec or _spec(blob_data), executor=executor)
-        records = read_jsonl(log)
-        assert records and all(r["pid"] != os.getpid() for r in records)  # no fallback
+            daemon = spawn_local_worker(run_dir, "daemon", poll_interval=0.02,
+                                        workers=workers)
+            daemon.join(timeout=60)
+        assert daemon.exitcode == 0
+        records = budgets_log()
+        assert records and all(r["pid"] == daemon.pid for r in records)
         return {r["budget"] for r in records}
 
     return run
@@ -91,26 +96,48 @@ def test_a_thread_variable_the_user_set_is_left_alone(no_thread_vars, monkeypatc
     assert _threads.worker_share(2) is None
 
 
-def test_daemons_share_the_cpus_among_the_daemons_forked(blob_data, no_thread_vars,
-                                                         spawned_budgets):
-    # Given clean stats, the spec has no clean job: its one outstanding group
-    # forks one daemon of the two allowed, which gets the whole host.
-    lone = _spec(blob_data, rates=(0.01,), clean_stats=(0.0, 1.0))
-    assert spawned_budgets(2, parent_budget=cpu_share(1) + 1, spec=lone) == {cpu_share(1)}
+def test_daemons_share_the_cpus_among_the_workers_forked(blob_data, no_thread_vars,
+                                                         forks, tmp_path):
+    # Without clean stats the spec has a clean job: two groups, so of the
+    # four workers allowed the coordinator forks one daemon, one of two.
+    pair = _spec(blob_data, rates=(0.01,))
+    executor = ClusterExecutor(run_dir=str(tmp_path / "run"), max_workers=4,
+                               lease_timeout=10.0, poll_interval=0.02)
+    run_sweep(pair, executor=executor)
+    assert forks == [2]
 
 
-def test_a_replacement_daemon_shares_the_cpus_among_the_daemons_restarted(
-        blob_data, no_thread_vars, spawned_budgets, tmp_path):
-    # The first daemon dies on its claim (the run-scoped budget kills one
-    # daemon in all); the one item left gets one replacement, which runs it
-    # with the whole host rather than a share of max_workers.
-    lone = _spec(blob_data, rates=(0.01,), clean_stats=(0.0, 1.0))
-    crash_once = FaultPlan([FaultRule(seam="claim", kind="sigkill", times=1, scope="run")])
-    budgets = spawned_budgets(2, parent_budget=cpu_share(1) + 1, spec=lone,
-                              fault_plan=crash_once, lease_timeout=1.0)
-    assert budgets == {cpu_share(1)}
-    logs = [name for name in os.listdir(tmp_path / "run" / "workers") if name.endswith(".log")]
-    assert len(logs) == 2  # the daemon that died and its replacement
+def test_the_coordinator_serves_at_the_daemons_share_and_restores_its_own(
+        blob_data, no_thread_vars, budgets_log, tmp_path):
+    parent_budget = cpu_share(2) + 1
+    executor = ClusterExecutor(run_dir=str(tmp_path / "run"), max_workers=2,
+                               lease_timeout=10.0, poll_interval=0.02)
+    with thread_budget(parent_budget):
+        run_sweep(_spec(blob_data), executor=executor)
+        assert _threads.blas_threads() == parent_budget
+    mine = [r["budget"] for r in budgets_log() if r["pid"] == os.getpid()]
+    assert mine and set(mine) == {cpu_share(2)}
+
+
+def test_a_replacement_daemon_shares_the_cpus_among_the_workers_left(
+        blob_data, forks, tmp_path):
+    # One daemon of four workers has died; two items are left, so one
+    # replacement serves beside the coordinator as one of two workers.
+    run_dir = str(tmp_path / "run")
+    submission = submit_spec(run_dir, _spec(blob_data, rates=(0.01,)), lease_timeout=10.0)
+    assert len(submission.enqueued) == 2
+    dead = multiprocessing.get_context("fork").Process(target=os._exit, args=(0,))
+    dead.start()
+    dead.join()
+    executor = ClusterExecutor(run_dir=run_dir, max_workers=4, lease_timeout=10.0,
+                               poll_interval=0.02)
+    alive, restarts_left = executor._babysit(run_dir, [dead], 4, JobQueue(run_dir))
+    for proc in [dead, *alive]:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+        proc.close()
+    assert forks == [2]
+    assert restarts_left == 3 and len(alive) == 1
 
 
 def test_forked_daemons_read_a_thread_variable_set_after_numpy_loaded(

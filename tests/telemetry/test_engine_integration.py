@@ -8,7 +8,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.biterror import make_error_fields
-from repro.cluster import ClusterExecutor
+from repro.cluster import spawn_local_worker, submit_spec
 from repro.quant.qat import quantize_model
 from repro.runtime import ResultStore, SerialExecutor, SweepSpec, run_sweep
 from repro.telemetry.report import load_run_records, merged_run_metrics
@@ -81,20 +81,25 @@ def test_forked_workers_never_write_to_the_parents_sink(
 ):
     """A forked daemon drops the recorder it inherits without closing it:
     closing would flush the parent's counters into the parent's sink.  Its
-    own counters still reach its own sink, although it is terminated
-    without closing a recorder."""
-    executor = ClusterExecutor(run_dir=str(tmp_path), max_workers=2,
-                               lease_timeout=10.0, poll_interval=0.02)
+    own counters still reach its own sink, although it exits without
+    closing a recorder."""
+    run_dir = str(tmp_path)
     with telemetry.recording(str(tmp_path), name="parent", echo=None) as rec:
         rec.count("parent.before_fork")  # counters every child inherits
-        results = run_sweep(make_spec(blob_data, small_mlp, rquant8), executor=executor)
+        # Submitted while recording: the manifest asks workers for sinks.
+        submission = submit_spec(run_dir, make_spec(blob_data, small_mlp, rquant8),
+                                 lease_timeout=10.0)
+        daemon = spawn_local_worker(run_dir, "daemon", poll_interval=0.02)
+        daemon.join(timeout=60)
+    assert daemon.exitcode == 0
     records = read_jsonl(rec.path)
     assert [record["type"] for record in records].count("metrics") == 1
-    # The workers recorded their groups into sinks of their own.
+    # The worker recorded its groups into a sink of its own.
     sinks = {record["sink"] for record in load_run_records(str(tmp_path))
              if record["type"] == "span" and record["name"] == "engine.group"}
     assert sinks and "parent" not in sinks
-    assert merged_run_metrics(str(tmp_path))["counters"]["engine.cells"] == len(results)
+    assert (merged_run_metrics(str(tmp_path))["counters"]["engine.cells"]
+            == len(set(submission.expected_keys)))
 
 
 def test_trainer_epoch_spans_note_loss_and_lr(tmp_path):
