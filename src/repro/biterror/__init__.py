@@ -16,7 +16,6 @@ from repro.biterror.backends import (
     DenseFieldBackend,
     InjectionBackend,
     SparseFieldBackend,
-    batch_apply,
     make_backend,
 )
 from repro.biterror.ecc import (
@@ -31,7 +30,6 @@ from repro.biterror.patterns import ChipProfile, FaultMap, make_profiled_chips
 from repro.biterror.random_errors import (
     DRAW_METHODS,
     BitErrorField,
-    apply_fields_batch,
     expected_bit_errors,
     flip_probability_from_counts,
     inject_into_quantized,
@@ -45,8 +43,6 @@ __all__ = [
     "DenseFieldBackend",
     "SparseFieldBackend",
     "make_backend",
-    "batch_apply",
-    "apply_fields_batch",
     "inject_random_bit_errors",
     "inject_into_quantized",
     "DRAW_METHODS",

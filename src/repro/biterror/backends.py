@@ -30,16 +30,15 @@ array (:func:`xor_from_bit_positions`, via ``np.bincount``) instead of the
 dense ``(W, m)`` bool -> int64 multiply-reduce, so injection cost scales with
 the number of *erroneous* bits, not the number of stored bits.
 
-This module is the seam future scaling work plugs into (multi-chip batching,
-multiprocessing, memmapped fields): anything implementing the
-:class:`InjectionBackend` interface can be handed to
-:class:`~repro.biterror.random_errors.BitErrorField` and flows unchanged
-through ``evaluate_robust_error`` / ``rerr_sweep``.
+Anything implementing the :class:`InjectionBackend` interface can be handed
+to :class:`~repro.biterror.random_errors.BitErrorField` and flows unchanged
+through ``evaluate_robust_error`` / ``rerr_sweep``, which corrupt one chip
+at a time.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,8 +53,6 @@ __all__ = [
     "make_backend",
     "xor_from_bit_positions",
     "sample_distinct_positions",
-    "batch_apply",
-    "iter_batch_apply",
     "BACKENDS",
 ]
 
@@ -307,137 +304,6 @@ class SparseFieldBackend(InjectionBackend):
             bit_idx = positions % self.precision
             np.bitwise_xor.at(out, weight_idx, (1 << bit_idx).astype(out.dtype))
         return out
-
-
-def _checked_batch(
-    backends: Sequence[InjectionBackend],
-    flat_codes: np.ndarray,
-    p: float,
-    chunk_size: Optional[int],
-) -> Tuple[list, np.ndarray, int]:
-    """Shared validation of the batched-injection entry points.
-
-    Includes the rate, so the streaming entry point rejects a bad ``p`` at
-    the call instead of at first iteration.
-    """
-    _validate_rate(p)
-    backends = list(backends)
-    if not backends:
-        raise ValueError("batch_apply requires at least one backend")
-    num_weights = backends[0].num_weights
-    precision = backends[0].precision
-    for backend in backends[1:]:
-        if (backend.num_weights, backend.precision) != (num_weights, precision):
-            raise ValueError(
-                "all backends in a batch must share one geometry; got "
-                f"({backend.num_weights}, {backend.precision}) vs "
-                f"({num_weights}, {precision})"
-            )
-    flat_codes = np.asarray(flat_codes)
-    if flat_codes.size != num_weights:
-        raise ValueError(f"expected {num_weights} codes, got {flat_codes.size}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-    step = len(backends) if chunk_size is None else int(chunk_size)
-    return backends, flat_codes.reshape(-1), step
-
-
-@hot_path
-def _scatter_xor_blocks(
-    rows: np.ndarray, position_blocks: Sequence[np.ndarray], precision: int
-) -> None:
-    """XOR every block's erroneous bits into its row of ``rows``, in place.
-
-    Each chip's flat bit positions are offset into a disjoint block of a
-    virtual ``len(rows) * W`` weight space and scattered in **one**
-    ``np.bitwise_xor.at`` pass.  Distinct ``(chip, weight, bit)`` triples
-    never collide, so the batched result is bit-identical to per-chip
-    :meth:`InjectionBackend.apply` calls.
-    """
-    if not sum(block.size for block in position_blocks):
-        return
-    num_weights = rows.shape[1]
-    flat_view = rows.reshape(-1)
-    weight_idx = np.concatenate(
-        [
-            chip * num_weights + block // precision
-            for chip, block in enumerate(position_blocks)
-        ]
-    )
-    bit_idx = np.concatenate(position_blocks) % precision
-    np.bitwise_xor.at(flat_view, weight_idx, (1 << bit_idx).astype(rows.dtype))
-
-
-@hot_path
-def batch_apply(
-    backends: Sequence[InjectionBackend],
-    flat_codes: np.ndarray,
-    p: float,
-    chunk_size: Optional[int] = None,
-) -> np.ndarray:
-    """Apply a whole chip-set's errors to one code vector in batched scatters.
-
-    Returns a ``(len(backends), num_weights)`` array whose ``i``-th row equals
-    ``backends[i].apply(flat_codes, p)`` exactly, paying the scatter
-    bookkeeping once per ``chunk_size`` chips instead of once per chip.  By
-    default (``chunk_size=None``) the whole set scatters in one pass — the
-    historical single-scatter behaviour.  A chunk size bounds the *working*
-    set (position blocks and scatter indices) to ``chunk_size`` chips at a
-    time; the result array itself is still ``O(len(backends) * W)``, so
-    callers that consume chips one at a time should use
-    :func:`iter_batch_apply`, which holds at most one ``chunk_size``-row
-    block in memory.
-    """
-    backends, flat, step = _checked_batch(backends, flat_codes, p, chunk_size)
-    precision = backends[0].precision
-    out = np.tile(flat, (len(backends), 1))
-    for start in range(0, len(backends), step):
-        chunk = backends[start : start + step]
-        blocks = [backend.error_positions(p) for backend in chunk]
-        _scatter_xor_blocks(out[start : start + len(chunk)], blocks, precision)
-    return out
-
-
-@hot_path
-def iter_batch_apply(
-    backends: Sequence[InjectionBackend],
-    flat_codes: np.ndarray,
-    p: float,
-    chunk_size: Optional[int] = None,
-    return_positions: bool = False,
-):
-    """Stream a chip-set's corrupted code vectors, ``chunk_size`` at a time.
-
-    Yields one row per backend, in order, each bit-identical to
-    ``backends[i].apply(flat_codes, p)``.  Rows are views into per-chunk
-    arrays, so a consumer that drops each row after use keeps peak memory at
-    ``O(chunk_size * W)`` instead of the ``O(len(backends) * W)`` a
-    materialized :func:`batch_apply` costs — the memory seam the sweep
-    engine's chunked injection rides on (``chunk_size=None`` processes the
-    whole set as one chunk, the historical peak).  With
-    ``return_positions=True`` every row comes as a ``(row, touched)`` pair,
-    ``touched`` being the sorted distinct flat *weight* indices with at
-    least one erroneous bit — the input of delta de-quantization.
-
-    Validation happens eagerly, at the call; only the corruption work is
-    deferred to iteration.
-    """
-    backends, flat, step = _checked_batch(backends, flat_codes, p, chunk_size)
-    precision = backends[0].precision
-
-    def _rows():
-        for start in range(0, len(backends), step):
-            chunk = backends[start : start + step]
-            blocks = [backend.error_positions(p) for backend in chunk]
-            rows = np.tile(flat, (len(chunk), 1))
-            _scatter_xor_blocks(rows, blocks, precision)
-            for row, block in zip(rows, blocks):
-                if return_positions:
-                    yield row, sorted_unique(block // precision)
-                else:
-                    yield row
-
-    return _rows()
 
 
 def sample_distinct_positions(

@@ -366,41 +366,14 @@ class ChipProfile:
         return sorted_unique(idx // precision)
 
     def apply_to_quantized(
-        self,
-        quantized: QuantizedWeights,
-        rate: float,
-        offset: int = 0,
-        return_positions: bool = False,
-    ):
-        """Corrupt a :class:`QuantizedWeights` stored linearly on this chip.
-
-        With ``return_positions=True`` the sorted distinct flat weight
-        indices whose payload bits sit on faulty cells are returned alongside
-        (see :meth:`touched_weight_indices`) — a superset of the weights
-        whose codes actually changed, which is exactly what delta
-        de-quantization needs on the profiled evaluation hot path.  On the
-        sparse backend the payload hits are enumerated once and shared
-        between the corruption and the touched set; the dense backend keeps
-        its ``O(capacity)`` unpack-repack reference path and enumerates the
-        hits separately.
-        """
-        flat = quantized.flat_codes(copy=False)
-        precision = quantized.scheme.precision
-        if not return_positions:
-            corrupted = self.apply_to_codes(flat, precision, rate, offset=offset)
-            return quantized.with_flat_codes(corrupted, copy=False)
-        if self.backend == "sparse":
-            idx, stuck = self._payload_hits(rate, offset, flat.size * precision)
-            corrupted = self._corrupt_codes_with_hits(
-                flat.reshape(-1), precision, idx, stuck
-            )
-            touched = sorted_unique(idx // precision)
-        else:
-            corrupted = self.apply_to_codes(flat, precision, rate, offset=offset)
-            touched = self.touched_weight_indices(
-                quantized.num_weights, precision, rate, offset=offset
-            )
-        return quantized.with_flat_codes(corrupted, copy=False), touched
+        self, quantized: QuantizedWeights, rate: float, offset: int = 0
+    ) -> QuantizedWeights:
+        """Corrupt a :class:`QuantizedWeights` stored linearly on this chip."""
+        corrupted = self.apply_to_codes(
+            quantized.flat_codes(copy=False), quantized.scheme.precision, rate,
+            offset=offset,
+        )
+        return quantized.with_flat_codes(corrupted, copy=False)
 
     @hot_path
     def delta_apply(

@@ -19,15 +19,13 @@ no-op, regardless of backend.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.biterror.backends import (
     MAX_PRECISION,
     InjectionBackend,
-    batch_apply,
-    iter_batch_apply,
     make_backend,
     sample_distinct_positions,
     xor_from_bit_positions,
@@ -42,7 +40,6 @@ __all__ = [
     "inject_into_quantized",
     "BitErrorField",
     "make_error_fields",
-    "apply_fields_batch",
     "iter_apply_fields_batch",
     "expected_bit_errors",
     "flip_probability_from_counts",
@@ -262,6 +259,10 @@ class BitErrorField:
                 f"field precision ({self.precision}) does not match "
                 f"quantization precision ({quantized.scheme.precision})"
             )
+        if quantized.num_weights != self.num_weights:
+            raise ValueError(
+                f"expected {self.num_weights} codes, got {quantized.num_weights}"
+            )
 
     def apply_to_quantized(
         self,
@@ -273,8 +274,8 @@ class BitErrorField:
 
         With ``return_positions=True`` the sorted distinct flat *weight*
         indices whose codes had at least one bit flipped are returned
-        alongside — the input of delta de-quantization
-        (:meth:`repro.quant.fixed_point.FixedPointQuantizer.dequantize_delta`).
+        alongside — the input of delta patching
+        (:meth:`repro.eval.fast_eval.DeltaWeightPatcher.patched_quantized`).
         That path is also cheaper, not just more informative: the corrupted
         vector is built as one memcpy plus an ``O(touched)`` scatter of the
         delta codes instead of a code-shaped XOR mask.
@@ -290,91 +291,32 @@ class BitErrorField:
         return quantized.with_flat_codes(perturbed, copy=False), touched
 
 
-def _checked_field_backends(
-    fields: Sequence["BitErrorField"], quantized: QuantizedWeights
-) -> List[InjectionBackend]:
-    for field in fields:
-        if field.precision != quantized.scheme.precision:
-            raise ValueError(
-                f"field precision ({field.precision}) does not match "
-                f"quantization precision ({quantized.scheme.precision})"
-            )
-    return [field.backend for field in fields]
-
-
-@hot_path
-def apply_fields_batch(
-    fields: Sequence["BitErrorField"],
-    quantized: QuantizedWeights,
-    p: float,
-    chunk_size: Optional[int] = None,
-) -> List[QuantizedWeights]:
-    """Corrupt ``quantized`` with every field of a chip set in batched scatters.
-
-    Equivalent — bit for bit — to ``[f.apply_to_quantized(quantized, p) for f
-    in fields]``, but the chips' XOR masks are scattered through the backend
-    seam in batched :func:`repro.biterror.backends.batch_apply` passes
-    (``chunk_size`` chips per pass; ``None`` scatters the whole set at once),
-    so the per-chip bookkeeping (flatten, validate, scatter setup) is paid
-    once per chunk.  The returned list still materializes every chip's codes;
-    :func:`iter_apply_fields_batch` is the ``O(chunk_size * W)``-peak
-    streaming variant the sweep-execution engine (:mod:`repro.runtime`)
-    consumes.
-    """
-    fields = list(fields)
-    if not fields:
-        return []
-    batch = batch_apply(
-        _checked_field_backends(fields, quantized),
-        quantized.flat_codes(copy=False),
-        p,
-        chunk_size=chunk_size,
-    )
-    # Each chip's row of the batch is exclusively owned by its result, so the
-    # rebuilt QuantizedWeights can view it without a copy.
-    return [quantized.with_flat_codes(row, copy=False) for row in batch]
-
-
 @hot_path
 def iter_apply_fields_batch(
-    fields: Sequence["BitErrorField"],
+    fields: Sequence[BitErrorField],
     quantized: QuantizedWeights,
     p: float,
-    chunk_size: Optional[int] = None,
-    return_positions: bool = False,
-):
-    """Stream a chip set's corrupted :class:`QuantizedWeights`, chunk by chunk.
+) -> Iterator[Tuple[QuantizedWeights, np.ndarray]]:
+    """Stream a chip set's corrupted :class:`QuantizedWeights`, chip by chip.
 
-    Yields one corrupted instance per field, in order, each bit-identical to
-    ``field.apply_to_quantized(quantized, p)`` — but at most ``chunk_size``
-    chips' codes are alive at any moment (``None``: the whole set, the
-    historical :func:`apply_fields_batch` peak), so a chip set of ``n``
-    fields corrupts in ``O(chunk_size * W)`` peak memory instead of
-    ``O(n * W)``.  With ``return_positions=True`` each item is a
-    ``(quantized, touched)`` pair, ``touched`` being the sorted distinct
-    flat weight indices the chip perturbs — what the engine's delta
-    de-quantization patches.  Validation is eager; corruption is lazy.
+    Yields one ``(corrupted, touched)`` pair per field, in order:
+    ``field.apply_to_quantized(quantized, p, return_positions=True)``, so
+    ``corrupted`` is bit-identical to ``field.apply_to_quantized(quantized,
+    p)`` and ``touched`` holds the sorted distinct flat weight indices the
+    chip perturbs — what the sweep engine's delta patching decodes.  One
+    chip's codes are alive at a time, so a chip set of ``n`` fields
+    corrupts in ``O(W)`` peak memory instead of ``O(n * W)``.  Validation
+    (the rate, and each field's precision and size) is eager; corruption
+    is lazy.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"bit error rate p must be in [0, 1], got {p}")
     fields = list(fields)
-    if not fields:
-        return iter(())
-    stream = iter_batch_apply(
-        _checked_field_backends(fields, quantized),
-        quantized.flat_codes(copy=False),
-        p,
-        chunk_size=chunk_size,
-        return_positions=return_positions,
+    for field in fields:
+        field._check_quantized(quantized)
+    return (
+        field.apply_to_quantized(quantized, p, return_positions=True) for field in fields
     )
-
-    def _items():
-        for item in stream:
-            if return_positions:
-                row, touched = item
-                yield quantized.with_flat_codes(row, copy=False), touched
-            else:
-                yield quantized.with_flat_codes(item, copy=False)
-
-    return _items()
 
 
 def make_error_fields(

@@ -6,7 +6,7 @@ liveness)::
 
     <run_dir>/
         context.pkl       # pickled SweepContext (models, dataset, fields)
-        manifest.json     # expected content keys, chunk_size, lease timeout
+        manifest.json     # expected content keys, lease timeout, retry policy
         queue/            # the leased work-item queue (repro.cluster.queue)
         shards/           # per-worker result shards (worker-<id>.jsonl)
         workers/          # worker liveness beacons (mtime = last seen)
@@ -116,7 +116,6 @@ def prepare_run_dir(
     run_dir: str,
     context: SweepContext,
     groups: Sequence[Sequence[EvalJob]],
-    chunk_size: Optional[int] = None,
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[faults.FaultPlan] = None,
@@ -175,7 +174,6 @@ def prepare_run_dir(
         os.path.join(run_dir, MANIFEST_FILENAME),
         {
             "context": digest,
-            "chunk_size": chunk_size,
             "lease_timeout": float(lease_timeout),
             "subsample": context.subsample,
             "expected_keys": expected,
@@ -206,7 +204,6 @@ def prepare_run_dir(
 def submit_spec(
     run_dir: str,
     spec: SweepSpec,
-    chunk_size: Optional[int] = None,
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[faults.FaultPlan] = None,
@@ -234,7 +231,6 @@ def submit_spec(
         run_dir,
         spec.context(),
         group_jobs(missing),
-        chunk_size=chunk_size,
         lease_timeout=lease_timeout,
         retry=retry,
         fault_plan=fault_plan,

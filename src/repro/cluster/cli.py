@@ -64,7 +64,6 @@ def _cmd_submit(args) -> int:
     submission = submit_spec(
         args.run_dir,
         spec,
-        chunk_size=args.chunk_size,
         lease_timeout=args.lease_timeout,
     )
     print(
@@ -330,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("submit", help="publish a pickled SweepSpec as work items")
     p.add_argument("run_dir")
     p.add_argument("--spec", required=True, help="path to a pickled SweepSpec")
-    p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT)
     p.set_defaults(func=_cmd_submit)
 

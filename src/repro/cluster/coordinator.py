@@ -23,9 +23,10 @@ the coordinator itself and up to ``max_workers - 1`` forked daemons.
    (idempotent, content keys dedupe), yields each group's results as soon
    as its cells are all stored — the same streaming contract the other
    executors honour — restarts dead local daemons within a budget, and
-   then serves at most one item itself through the one worker loop
-   (:func:`~repro.cluster.worker.serve`), waiting about one poll when
-   nothing can be claimed.
+   then runs one round of the one worker loop
+   (:class:`~repro.cluster.worker.ServeLoop`, kept for the whole run) to
+   serve at most one item itself, waiting about one poll when nothing can
+   be claimed.
 
 The coordinator is always a live worker, so every sweep terminates: a host
 that refuses the fork, or daemons that keep dying, leave every item to it.
@@ -62,7 +63,7 @@ from repro.cluster.merge import (
     quarantine_entry,
 )
 from repro.cluster.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, RetryPolicy
-from repro.cluster.worker import RunSource, live_worker_ids, remove_beacons, serve
+from repro.cluster.worker import RunSource, ServeLoop, live_worker_ids, remove_beacons
 from repro.nn import _threads
 from repro.runtime.executors import GroupOutput
 from repro.runtime.spec import EvalJob, SweepContext
@@ -147,9 +148,6 @@ class ClusterExecutor:
     poll_interval:
         Coordinator poll cadence (shard merging, liveness), and about how
         long the coordinator waits when it finds nothing to claim.
-    chunk_size:
-        Forwarded to every worker's :func:`execute_group` (see the serial
-        executor; results are identical for every value).
     retry:
         The run's :class:`~repro.cluster.queue.RetryPolicy` (attempt budget
         and backoff); recorded in the manifest so spawned and external
@@ -177,7 +175,6 @@ class ClusterExecutor:
         max_workers: Optional[int] = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         poll_interval: float = 0.05,
-        chunk_size: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[faults_module.FaultPlan] = None,
     ):
@@ -187,13 +184,10 @@ class ClusterExecutor:
             raise ValueError(f"lease_timeout must be positive, got {lease_timeout}")
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be positive, got {poll_interval}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
         self.run_dir = run_dir
         self.max_workers = int(max_workers or (os.cpu_count() or 1))
         self.lease_timeout = float(lease_timeout)
         self.poll_interval = float(poll_interval)
-        self.chunk_size = chunk_size
         self.retry = retry
         self.fault_plan = fault_plan
         #: The last run's dead-letter report (``None``: nothing failed).
@@ -233,6 +227,7 @@ class ClusterExecutor:
         )
         rec = telemetry.get_recorder()
         procs: List[BaseProcess] = []
+        loop: Optional[ServeLoop] = None
         coordinator_id = f"coordinator-{os.getpid()}"
         served_by = {coordinator_id}  # the worker ids of this process's workers
         self.failure_report = None
@@ -258,7 +253,6 @@ class ClusterExecutor:
                 run_dir,
                 context,
                 list(outstanding.values()),
-                chunk_size=self.chunk_size,
                 lease_timeout=self.lease_timeout,
                 retry=self.retry,
                 fault_plan=self.fault_plan,
@@ -269,9 +263,14 @@ class ClusterExecutor:
             served_by.update(proc.name for proc in procs)
             if procs:
                 rec.event("cluster.spawn", workers=len(procs), run_dir=run_dir)
-            # The coordinator's own source, kept for the whole run: it loads
-            # the context from the run dir once, as every daemon does.
-            source = RunSource(run_dir, lease_timeout=self.lease_timeout)
+            # The coordinator's own claim loop, kept for the whole run: it
+            # loads the context from the run dir once, as every daemon does,
+            # and records one worker.start and one worker.exit.
+            loop = ServeLoop(
+                RunSource(run_dir, lease_timeout=self.lease_timeout), coordinator_id,
+                poll_interval=self.poll_interval, max_poll=self.poll_interval,
+            )
+            loop.start()
             tails: Dict[str, ShardTail] = {}
             restarts_left = self.max_workers
             while outstanding:
@@ -334,15 +333,10 @@ class ClusterExecutor:
                     # again; content keys dedupe whatever does turn up.
                     for item_id in outstanding:
                         queue.requeue_done(item_id)
-                self._serve(source, coordinator_id, workers=len(procs) + 1)
+                self._serve(loop, workers=len(procs) + 1)
         finally:
             if report:
                 self.failure_report = report
-                span.note(failed_items=len(report.items), failed_cells=len(report.keys))
-                rec.event(
-                    "cluster.failure_report", level="warning",
-                    items=len(report.items), cells=len(report.keys),
-                )
             for proc in procs:
                 if proc.is_alive():
                     proc.terminate()
@@ -355,9 +349,21 @@ class ClusterExecutor:
             # Reaped: no beacon of this run may look live to `repair` or to
             # the next run into this directory.  The logs stay.
             remove_beacons(run_dir, served_by)
-            span.__exit__(*sys.exc_info())
-            if own_tmp:
-                shutil.rmtree(run_dir, ignore_errors=True)
+            try:
+                # Telemetry last: a write that fails (a full disk) must not
+                # skip the reap above.
+                if report:
+                    span.note(failed_items=len(report.items), failed_cells=len(report.keys))
+                    rec.event(
+                        "cluster.failure_report", level="warning",
+                        items=len(report.items), cells=len(report.keys),
+                    )
+                if loop is not None:
+                    loop.stop()
+            finally:
+                span.__exit__(*sys.exc_info())
+                if own_tmp:
+                    shutil.rmtree(run_dir, ignore_errors=True)
 
     # -- internals ------------------------------------------------------------
 
@@ -432,20 +438,17 @@ class ClusterExecutor:
                     break
         return alive, restarts_left
 
-    def _serve(self, source: RunSource, worker_id: str, workers: int) -> None:
-        """Serve at most one item, at one of ``workers`` processes' BLAS share.
+    @staticmethod
+    def _serve(loop: ServeLoop, workers: int) -> None:
+        """One round of the loop, at one of ``workers`` processes' BLAS share.
 
-        Nothing to claim (every item leased, backing off or lost) costs a
-        wait of about one poll, never a spin.
+        It serves at most one item.  Nothing to claim (every item leased,
+        backing off or lost) costs a wait of about one poll, never a spin.
         """
         threads = _threads.blas_threads()
         _threads.set_worker_threads(workers)
         try:
-            serve(
-                source, worker_id, poll_interval=self.poll_interval,
-                max_poll=self.poll_interval, max_idle=self.poll_interval,
-                max_items=1, exit_when_drained=False,
-            )
+            loop.round()
         finally:
             _threads.set_blas_threads(threads)
 

@@ -6,8 +6,9 @@ Run one per process/host against a shared run directory::
 
 :func:`serve` is the only claim loop: cluster workers (:func:`worker_loop`)
 run it over one run directory, a one-tenant :class:`RunSource`, and service
-workers (:mod:`repro.service.worker`) over a registry of tenants.  Each
-round it
+workers (:mod:`repro.service.worker`) over a registry of tenants.  The
+cluster coordinator runs the same rounds, one per poll, on a
+:class:`ServeLoop` it keeps for the run.  Each round it
 
 1. refreshes the worker's liveness beacon, requeues expired leases of
    crashed peers and snapshots each runnable tenant's queue (one
@@ -71,8 +72,8 @@ from repro.utils.rng import derived_seed, new_rng
 from repro.utils.serialization import append_jsonl, atomic_write_text, jsonl_line
 
 __all__ = [
-    "WorkerStats", "ServiceWorkerStats", "RunHandle", "RunSource", "serve",
-    "worker_loop", "default_worker_id", "live_worker_ids", "remove_beacons",
+    "WorkerStats", "ServiceWorkerStats", "RunHandle", "RunSource", "ServeLoop",
+    "serve", "worker_loop", "default_worker_id", "live_worker_ids", "remove_beacons",
 ]
 
 
@@ -210,11 +211,13 @@ def live_worker_ids(run_dir: str, ttl: float) -> List[str]:
 class RunHandle:
     """A worker's cached handles for one run directory (one tenant).
 
-    The manifest knobs and the queue are cheap and always held; the pickled
-    context loads lazily — *having it loaded* is what "warm" means to the
-    fair-share scheduler.  ``plan`` is the process-wide fault schedule (the
-    caller's installed plan, else :data:`~repro.faults.FAULTS_ENV`); without
-    one the manifest's applies.  ``lease_timeout`` overrides the manifest's.
+    The manifest knobs and the queue are cheap and always held (a field
+    this worker does not read, such as the injection chunk size older
+    submissions recorded, is ignored); the pickled context loads lazily —
+    *having it loaded* is what "warm" means to the fair-share scheduler.
+    ``plan`` is the process-wide fault schedule (the caller's installed
+    plan, else :data:`~repro.faults.FAULTS_ENV`); without one the
+    manifest's applies.  ``lease_timeout`` overrides the manifest's.
     """
 
     def __init__(self, run_dir: str, plan=None, lease_timeout: Optional[float] = None):
@@ -222,8 +225,6 @@ class RunHandle:
         manifest = read_manifest(self.run_dir) or {}
         if lease_timeout is None:
             lease_timeout = float(manifest.get("lease_timeout") or DEFAULT_LEASE_TIMEOUT)
-        chunk = manifest.get("chunk_size")
-        self.chunk_size = int(chunk) if chunk is not None else None
         self.checksum = bool(manifest.get("checksums"))
         self.telemetry = bool(manifest.get("telemetry"))
         retry = RetryPolicy.from_manifest(manifest.get("retry"))
@@ -386,11 +387,96 @@ def _dispatch(source, handles, pick, warm, stats: ServiceWorkerStats) -> bool:
         tenant_stats = stats.tenant_stats(tenant_id)
         _execute_item(
             handle.queue, context, item, handle.shard_path(worker_id), worker_id,
-            handle.chunk_size, handle.heartbeat_interval, tenant_stats,
+            handle.heartbeat_interval, tenant_stats,
             checksum=handle.checksum,
         )
         span.note(items=tenant_stats.items)
     return True
+
+
+class ServeLoop:
+    """One worker's claim loop over ``source``: the state kept between rounds.
+
+    :func:`serve` drives it until an exit rule fires; the cluster
+    coordinator keeps one for a whole run and calls :meth:`round` once per
+    poll.  :meth:`start` and :meth:`stop` bracket the worker's lifetime:
+    one ``worker.start`` and one ``worker.exit`` event, and on exit either
+    one metrics snapshot into the caller's recorder or the close of the
+    worker's own sink.
+    """
+
+    def __init__(self, source, worker_id: str, poll_interval: float,
+                 max_poll: Optional[float]):
+        self.source = source
+        self.stats = ServiceWorkerStats(worker_id=worker_id)
+        self.caller_recorder = telemetry.get_recorder()
+        plan = faults.current()
+        self.plan = faults.plan_from_env() if plan is None else plan
+        self.poll_interval = poll_interval
+        self.max_poll = max(poll_interval, 2.0) if max_poll is None else float(max_poll)
+        self.warm: Optional[str] = None
+        self.idle_rng = new_rng(derived_seed("worker-idle", worker_id))
+        self.idle_polls, self.idle_since = 0, time.monotonic()
+        self.outstanding: Dict[str, int] = {}
+        self.priorities: Dict[str, float] = {}
+        self.leased = 0
+
+    def scan(self) -> None:
+        self.outstanding, self.priorities, self.leased = _scan(
+            self.source, self.source.handles, self.plan, self.stats
+        )
+
+    def start(self) -> None:
+        """Scan once (which may open the worker's own sink), then say so."""
+        self.scan()
+        telemetry.get_recorder().event(
+            "worker.start", worker=self.stats.worker_id, root=self.source.root
+        )
+
+    def pick(self) -> Optional[Tuple[str, str]]:
+        return self.source.pick(self.outstanding, self.priorities, self.warm)
+
+    def dispatch(self, pick: Optional[Tuple[str, str]]) -> bool:
+        """Serve ``pick``; ``True`` if an item ran (which resets the backoff)."""
+        if pick is None or not _dispatch(
+            self.source, self.source.handles, pick, self.warm, self.stats
+        ):
+            return False
+        self.warm = pick[0]
+        self.idle_polls, self.idle_since = 0, time.monotonic()
+        return True
+
+    def back_off(self) -> None:
+        """Sleep one step of the capped exponential idle backoff.
+
+        The jitter in [0.5, 1.5) is deterministic per worker id: idle fleets
+        poll ever more gently, but any deferred (backing-off) item is
+        revisited within ``max_poll``.
+        """
+        delay = min(self.poll_interval * 2.0 ** min(self.idle_polls, 16), self.max_poll)
+        time.sleep(delay * (0.5 + self.idle_rng.random()))
+        self.idle_polls += 1
+
+    def round(self) -> None:
+        """Rescan, then serve one pick or back off once."""
+        self.scan()
+        if not self.dispatch(self.pick()):
+            self.back_off()
+
+    def stop(self) -> None:
+        stats = self.stats
+        stats.fold()
+        rec = telemetry.get_recorder()
+        rec.event(
+            "worker.exit", worker=stats.worker_id, items=stats.items, cells=stats.cells,
+            failures=stats.failures, lost_leases=stats.lost_leases,
+            locality_hits=stats.locality_hits, steals=stats.steals,
+            finalized=len(stats.finalized),
+        )
+        if rec is self.caller_recorder:
+            rec.flush_metrics()
+        else:
+            telemetry.disable()  # the worker's own sink: flush and close it
 
 
 def serve(source, worker_id: str, poll_interval: float = 0.2,
@@ -406,54 +492,25 @@ def serve(source, worker_id: str, poll_interval: float = 0.2,
     that :attr:`~RunSource.waits_on_leases`, nothing leased either.  The
     caller's fault plan and telemetry recorder are in place on return.
     """
-    stats = ServiceWorkerStats(worker_id=worker_id)
-    caller_recorder = telemetry.get_recorder()
-    plan = faults.current()
-    if plan is None:
-        plan = faults.plan_from_env()
-    handles = source.handles
-    warm: Optional[str] = None
-    max_poll = max(poll_interval, 2.0) if max_poll is None else float(max_poll)
-    idle_rng = new_rng(derived_seed("worker-idle", worker_id))
-    idle_polls, idle_since = 0, time.monotonic()
+    loop = ServeLoop(source, worker_id, poll_interval, max_poll)
     try:
-        outstanding, priorities, leased = _scan(source, handles, plan, stats)
-        telemetry.get_recorder().event("worker.start", worker=worker_id, root=source.root)
+        loop.start()
         while True:
-            pick = source.pick(outstanding, priorities, warm)
+            pick = loop.pick()
             if pick is None and exit_when_drained and not (
-                leased and source.waits_on_leases
+                loop.leased and source.waits_on_leases
             ):
-                return stats
-            if pick is not None and _dispatch(source, handles, pick, warm, stats):
-                warm = pick[0]
-                idle_polls, idle_since = 0, time.monotonic()
-            elif max_idle is not None and time.monotonic() - idle_since > max_idle:
-                return stats
-            else:
-                # Capped exponential backoff with deterministic jitter in
-                # [0.5, 1.5): idle fleets poll ever more gently, but any
-                # deferred (backing-off) item is revisited within max_poll.
-                delay = min(poll_interval * 2.0 ** min(idle_polls, 16), max_poll)
-                time.sleep(delay * (0.5 + idle_rng.random()))
-                idle_polls += 1
-            outstanding, priorities, leased = _scan(source, handles, plan, stats)
-            stats.fold()
-            if max_items is not None and stats.items >= max_items:
-                return stats
+                return loop.stats
+            if not loop.dispatch(pick):
+                if max_idle is not None and time.monotonic() - loop.idle_since > max_idle:
+                    return loop.stats
+                loop.back_off()
+            loop.scan()
+            loop.stats.fold()
+            if max_items is not None and loop.stats.items >= max_items:
+                return loop.stats
     finally:
-        stats.fold()
-        rec = telemetry.get_recorder()
-        rec.event(
-            "worker.exit", worker=worker_id, items=stats.items, cells=stats.cells,
-            failures=stats.failures, lost_leases=stats.lost_leases,
-            locality_hits=stats.locality_hits, steals=stats.steals,
-            finalized=len(stats.finalized),
-        )
-        if rec is caller_recorder:
-            rec.flush_metrics()
-        else:
-            telemetry.disable()  # the worker's own sink: flush and close it
+        loop.stop()
 
 
 def worker_loop(
@@ -488,9 +545,7 @@ def worker_loop(
         Exit after this many seconds without claiming anything (``None``: no
         idle limit).
     max_items:
-        Execute at most this many items (``None``: no limit).  The cluster
-        coordinator calls :func:`serve` with ``1`` once per poll, over a
-        :class:`RunSource` it keeps for the run.
+        Execute at most this many items (``None``: no limit).
     exit_when_drained:
         Exit as soon as the queue holds no pending or leased items (the
         default — right for one-shot fleets and coordinator-spawned
@@ -520,7 +575,6 @@ def _execute_item(
     item: WorkItem,
     shard_path: str,
     worker_id: str,
-    chunk_size: Optional[int],
     heartbeat_interval: float,
     stats: WorkerStats,
     checksum: bool = False,
@@ -543,7 +597,7 @@ def _execute_item(
             faults.fire("claim", item.item_id)
             with _Heartbeat(queue, item.item_id, heartbeat_interval):
                 faults.fire("execute", item.item_id)
-                output = execute_group(context, jobs, chunk_size=chunk_size)
+                output = execute_group(context, jobs)
             records = []
             for key, cell in output:
                 job = jobs_by_key.get(key)

@@ -224,8 +224,9 @@ class DeltaWeightPatcher:
         """Like :meth:`patched`, gathering the delta codes from ``corrupted``.
 
         For callers that already hold the full corrupted
-        :class:`QuantizedWeights` (batched/chunked injection, profiled
-        chips); only the ``O(touched)`` gather and decode are paid here.
+        :class:`QuantizedWeights`, such as the sweep engine's per-chip
+        stream (:func:`repro.biterror.random_errors.iter_apply_fields_batch`);
+        only the ``O(touched)`` gather and decode are paid here.
         """
         if corrupted.num_weights != self.num_weights:
             raise ValueError(

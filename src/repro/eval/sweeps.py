@@ -8,7 +8,7 @@ profiled chip across cell fault rates and memory placements (Table 5).
 Every driver builds an explicit :class:`~repro.runtime.spec.SweepSpec` — one
 job per (model, rate, field-or-offset) cell — and executes it through
 :func:`repro.runtime.engine.run_sweep`.  That buys three things on top of
-the PR-1 hoisting (quantize once, clean-evaluate once per sweep):
+the hoisting (quantize once, clean-evaluate once per sweep):
 
 * **sharding** — pass ``executor=ClusterExecutor(max_workers=...)`` (or the
   name ``"cluster"``) to spread the cells over worker processes, on this
@@ -16,8 +16,6 @@ the PR-1 hoisting (quantize once, clean-evaluate once per sweep):
   :class:`SerialExecutor` reproduces the pre-engine results bit for bit);
 * **caching / resumability** — pass ``store=<run_dir or ResultStore>`` and
   re-running a sweep only executes cells missing from the run directory;
-* **batched injection** — all fields of a cell scatter their XOR masks
-  through the backend seam in one pass;
 * **subsampled evaluation** — pass ``subsample=n`` and every cell evaluates
   a reproducible ``n``-example subset drawn from its derived per-job seed
   (collision-free across the grid; cache keys include the subsample size).

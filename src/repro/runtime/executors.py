@@ -4,10 +4,9 @@ The unit of execution is a **job group** (see
 :attr:`repro.runtime.spec.EvalJob.group_key`), sized to the work jobs can
 share:
 
-* a ``field`` group is one whole spec cell — it injects *all* of its chips'
-  XOR masks through the backend seam in one scatter pass
-  (:func:`repro.biterror.random_errors.apply_fields_batch`) before running
-  the perturbed forward passes;
+* a ``field`` group is one whole spec cell — it corrupts its chips one at
+  a time (:func:`repro.biterror.random_errors.iter_apply_fields_batch`),
+  each just before that chip's perturbed forward passes;
 * ``chip`` jobs share nothing across memory offsets, so each offset is its
   own group and parallel sharding reaches individual placements.
 
@@ -22,7 +21,7 @@ results cell for cell.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -106,17 +105,13 @@ def subsample_plan(context: SweepContext, job: EvalJob):
     return BatchPlan(context.dataset.subset(indices), context.batch_size)
 
 
-def execute_group(
-    context: SweepContext,
-    group: Sequence[EvalJob],
-    chunk_size: Optional[int] = None,
-) -> GroupOutput:
+def execute_group(context: SweepContext, group: Sequence[EvalJob]) -> GroupOutput:
     """Execute one job group against the shipped context.
 
-    Pure function of ``(context, group, chunk_size)``; the serial executor
-    and every cluster worker (forked daemon, external host or the
-    coordinator itself) funnel through here, which is what
-    guarantees serial/distributed equivalence.
+    Pure function of ``(context, group)``; the serial executor and every
+    cluster worker (forked daemon, external host or the coordinator itself)
+    funnel through here, which is what guarantees serial/distributed
+    equivalence.
     The evaluation runs the fused hot path — mini-batches cut once per
     process (:meth:`~repro.runtime.spec.SweepContext.batch_plan`), the
     model's clean de-quantization decoded and its delta patcher built once
@@ -125,12 +120,9 @@ def execute_group(
     patching of only the touched weights (profiled chips included, via
     :meth:`~repro.biterror.patterns.ChipProfile.delta_apply`) — which is
     bit-identical to the historical full-de-quantization flow (enforced by
-    the legacy-parity tests).  ``chunk_size`` bounds how many chips'
-    corrupted codes a ``field`` group materializes at once (``None``: the
-    whole cell, the historical peak); results are identical for every value.
-    With ``context.subsample`` set, each job evaluates its own derived-seed
-    subset instead of the shared full-dataset plan (see
-    :func:`subsample_plan`).
+    the legacy-parity tests).  With ``context.subsample`` set, each job
+    evaluates its own derived-seed subset instead of the shared full-dataset
+    plan (see :func:`subsample_plan`).
 
     When telemetry is enabled the group records one ``engine.group`` span
     (kind, model, job and cell counts — cells/sec falls out of the span's
@@ -140,12 +132,12 @@ def execute_group(
     group = list(group)
     rec = telemetry.get_recorder()
     if not rec.enabled:
-        return _execute_group_hot(context, group, chunk_size)
+        return _execute_group_hot(context, group)
     first = group[0]
     with rec.span(
         "engine.group", kind=first.kind, model=first.model_key, jobs=len(group)
     ) as span:
-        out = _execute_group_hot(context, group, chunk_size)
+        out = _execute_group_hot(context, group)
         span.note(cells=len(out))
     rec.count("engine.groups")
     rec.count("engine.cells", len(out))
@@ -153,11 +145,7 @@ def execute_group(
 
 
 @hot_path
-def _execute_group_hot(
-    context: SweepContext,
-    group: List[EvalJob],
-    chunk_size: Optional[int],
-) -> GroupOutput:
+def _execute_group_hot(context: SweepContext, group: List[EvalJob]) -> GroupOutput:
     first = group[0]
     entry = context.models[first.model_key]
     clean = entry.clean_weights()
@@ -174,13 +162,7 @@ def _execute_group_hot(
     if first.kind == "field":
         fields = context.field_sets[first.source_key]
         selected = [fields[job.index] for job in group]
-        stream = iter_apply_fields_batch(
-            selected,
-            entry.quantized,
-            first.rate,
-            chunk_size=chunk_size,
-            return_positions=True,
-        )
+        stream = iter_apply_fields_batch(selected, entry.quantized, first.rate)
         for job, (corrupted, touched) in zip(group, stream):
             with patcher.patched_quantized(corrupted, touched) as weights:
                 error, confidence = _evaluate(
@@ -208,26 +190,16 @@ class SerialExecutor:
 
     ``run`` yields each group's results as soon as the group finishes, so
     the engine can persist completed cells incrementally — an interrupted
-    sweep keeps everything executed so far.  ``chunk_size`` bounds how many
-    chips' corrupted codes a field group materializes at once (see
-    :func:`execute_group`); results are identical for every value.
+    sweep keeps everything executed so far.
     """
 
     max_workers = 1
-    #: Class-level default so subclasses overriding ``__init__`` without
-    #: chaining up keep the historical (unchunked) behaviour.
-    chunk_size: Optional[int] = None
-
-    def __init__(self, chunk_size: Optional[int] = None):
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-        self.chunk_size = chunk_size
 
     def run(
         self, context: SweepContext, groups: Sequence[Sequence[EvalJob]]
     ) -> Iterator[GroupOutput]:
         for group in groups:
-            yield execute_group(context, group, chunk_size=self.chunk_size)
+            yield execute_group(context, group)
 
 
 def resolve_executor(executor: Union[None, str, object]):

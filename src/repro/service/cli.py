@@ -60,7 +60,6 @@ def _cmd_submit(args) -> int:
         args.tenant,
         spec,
         priority=args.priority,
-        chunk_size=args.chunk_size,
         lease_timeout=args.lease_timeout,
     )
     print(
@@ -181,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="path to a pickled SweepSpec")
     p.add_argument("--priority", type=float, default=1.0,
                    help="fair-share weight (2.0 = twice the service rate)")
-    p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT)
     p.set_defaults(func=_cmd_submit)
 

@@ -141,8 +141,8 @@ class ServiceRegistry:
 
         The heavy lifting is the ordinary broker submission into the
         tenant's run directory (``**submit_kwargs`` pass straight through to
-        :func:`repro.cluster.broker.submit_spec` — ``chunk_size``,
-        ``lease_timeout``, ``retry``, ``fault_plan``, ...).  Resubmitting an
+        :func:`repro.cluster.broker.submit_spec` — ``lease_timeout``,
+        ``retry`` and ``fault_plan``).  Resubmitting an
         existing tenant is the broker's idempotent resubmission:
         already-queued items are skipped, warm cells are cached, and a
         ``done`` tenant with new work returns to ``queued``.

@@ -1,5 +1,7 @@
 """Tests for the pluggable injection backends (dense vs. sparse)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from repro.biterror import (
     SparseFieldBackend,
     make_backend,
 )
-from repro.biterror.backends import batch_apply, xor_from_bit_positions
+from repro.biterror.backends import xor_from_bit_positions
+from repro.biterror.random_errors import iter_apply_fields_batch
+from repro.quant.fixed_point import QuantizedWeights
 
 
 def test_xor_from_bit_positions_matches_bruteforce(rng):
@@ -175,42 +179,6 @@ def test_sparse_field_deterministic_given_rng():
     np.testing.assert_array_equal(a._sorted_thresholds, b._sorted_thresholds)
 
 
-# -- batched multi-chip injection (one scatter pass) -------------------------
-
-
-def test_batch_apply_matches_per_chip_apply(rng):
-    from repro.biterror.backends import batch_apply
-
-    num_weights, precision = 600, 8
-    codes = rng.integers(0, 256, size=num_weights).astype(np.uint8)
-    for make in (
-        lambda i: DenseFieldBackend(num_weights, precision, np.random.default_rng(i)),
-        lambda i: SparseFieldBackend(
-            num_weights, precision, np.random.default_rng(i), max_rate=0.05
-        ),
-    ):
-        backends = [make(i) for i in range(4)]
-        for p in (0.0, 0.005, 0.05):
-            batch = batch_apply(backends, codes, p)
-            assert batch.shape == (4, num_weights)
-            assert batch.dtype == codes.dtype
-            for i, backend in enumerate(backends):
-                np.testing.assert_array_equal(batch[i], backend.apply(codes, p))
-
-
-def test_batch_apply_validation(rng):
-    from repro.biterror.backends import batch_apply
-
-    codes = rng.integers(0, 256, size=100).astype(np.uint8)
-    with pytest.raises(ValueError, match="at least one"):
-        batch_apply([], codes, 0.01)
-    mixed = [DenseFieldBackend(100, 8), DenseFieldBackend(50, 8)]
-    with pytest.raises(ValueError, match="geometry"):
-        batch_apply(mixed, codes, 0.01)
-    with pytest.raises(ValueError, match="expected"):
-        batch_apply([DenseFieldBackend(100, 8)], codes[:50], 0.01)
-
-
 # -- delta apply (O(errors) corrupted-code deltas) ---------------------------
 
 
@@ -246,142 +214,61 @@ def test_delta_apply_zero_rate_is_empty(rng):
 @given(
     num_weights=st.integers(1, 400),
     precision=st.integers(1, 16),
-    rates=st.lists(st.floats(0.0, 1.0), max_size=4),
+    max_rate=st.floats(0.001, 1.0),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=4),
+    split=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**16),
 )
 def test_dense_and_sparse_injection_agree_over_random_cases(
-    num_weights, precision, rates, seed,
+    num_weights, precision, max_rate, fractions, split, seed,
 ):
-    """Differential test: random geometries and rates, p = 0 and p = 1 always.
+    """Differential test: random geometries and rates, p = 0, p = max_rate and
+    p = 1 always (the last on the dense chip, and on the sparse one when its
+    max_rate is 1).
 
     The two backends draw different chips, so they agree bit for bit only
     at the edges: p = 0 flips nothing and p = 1 flips every bit.  At every
-    rate each backend's delta and batched paths reproduce its ``apply``.
+    rate the sweep engine's per-chip stream yields, for each chip, exactly
+    its ``apply`` and the sorted weights that hold an erroneous bit, and
+    the chip's delta path reproduces both.
     """
     rng = np.random.default_rng(seed)
     dtype = np.dtype(np.uint8 if precision <= 8 else np.uint16)
     codes = rng.integers(0, 2**precision, size=num_weights).astype(dtype)
-    dense = DenseFieldBackend(num_weights, precision, rng)
-    sparse = SparseFieldBackend(num_weights, precision, rng, max_rate=1.0)
-    for p in sorted({0.0, 1.0, *rates}):
-        batch = batch_apply([dense, sparse], codes, p)
-        for row, backend in zip(batch, (dense, sparse)):
-            full = backend.apply(codes, p)
+    dense = BitErrorField(num_weights, precision, rng)
+    sparse = BitErrorField(num_weights, precision, rng, backend="sparse", max_rate=max_rate)
+    # Two tensors, so the stream's flatten and rebuild cross a boundary.  The
+    # codes are drawn, not quantized: the scheme only carries their width
+    # (QuantizationScheme itself starts at two bits).
+    cut = int(split * num_weights)
+    quantized = QuantizedWeights(
+        codes=[codes[:cut], codes[cut:]], ranges=[(-1.0, 1.0)] * 2,
+        scheme=SimpleNamespace(precision=precision),
+    )
+    rates = {0.0, max_rate, 1.0, *(fraction * max_rate for fraction in fractions)}
+    for p in sorted(rates):
+        chips = [dense, sparse] if p <= max_rate else [dense]
+        items = list(iter_apply_fields_batch(chips, quantized, p))
+        assert len(items) == len(chips)
+        for chip, (corrupted, touched) in zip(chips, items):
+            full = chip.apply(codes, p)
             assert full.dtype == dtype
-            np.testing.assert_array_equal(row, full)
-            touched, values = backend.delta_apply(codes, p)
+            np.testing.assert_array_equal(corrupted.flat_codes(), full)
+            # Rebuilt in the model's tensor shapes and dtype, in codes of its
+            # own: a consumer may write into a chip without touching the model.
+            for got, clean in zip(corrupted.codes, quantized.codes):
+                assert (got.shape, got.dtype) == (clean.shape, clean.dtype)
+                assert not np.shares_memory(got, clean)
+            assert corrupted.ranges == quantized.ranges
+            assert touched.dtype == np.int64
+            erroneous = np.flatnonzero(chip.error_mask(p).any(axis=1))
+            np.testing.assert_array_equal(touched, erroneous)
             np.testing.assert_array_equal(touched, np.flatnonzero(full != codes))
+            delta_touched, values = chip.delta_apply(codes, p)
+            np.testing.assert_array_equal(delta_touched, touched)
             np.testing.assert_array_equal(values, full[touched])
             if p == 0.0:
                 np.testing.assert_array_equal(full, codes)
                 assert touched.size == 0
             if p == 1.0:
                 np.testing.assert_array_equal(full, codes ^ dtype.type(2**precision - 1))
-
-
-# -- chunked / streaming batched injection -----------------------------------
-
-
-@pytest.mark.parametrize("chunk_size", [None, 1, 2, 3, 5, 7, 64])
-def test_batch_apply_chunk_sizes_are_result_identical(rng, chunk_size):
-    from repro.biterror.backends import batch_apply
-
-    num_weights, precision = 400, 8
-    codes = rng.integers(0, 256, size=num_weights).astype(np.uint8)
-    backends = [
-        SparseFieldBackend(num_weights, precision, np.random.default_rng(i))
-        for i in range(7)
-    ]
-    reference = batch_apply(backends, codes, 0.03)
-    np.testing.assert_array_equal(
-        batch_apply(backends, codes, 0.03, chunk_size=chunk_size), reference
-    )
-
-
-@pytest.mark.parametrize("chunk_size", [None, 1, 2, 4, 7])
-@pytest.mark.parametrize("return_positions", [False, True])
-def test_iter_batch_apply_streams_identical_rows(rng, chunk_size, return_positions):
-    from repro.biterror.backends import batch_apply, iter_batch_apply
-
-    num_weights, precision = 350, 8
-    codes = rng.integers(0, 256, size=num_weights).astype(np.uint8)
-    backends = [
-        DenseFieldBackend(num_weights, precision, np.random.default_rng(i))
-        for i in range(5)
-    ]
-    reference = batch_apply(backends, codes, 0.02)
-    items = list(
-        iter_batch_apply(
-            backends, codes, 0.02,
-            chunk_size=chunk_size, return_positions=return_positions,
-        )
-    )
-    assert len(items) == len(backends)
-    for i, item in enumerate(items):
-        if return_positions:
-            row, touched = item
-            np.testing.assert_array_equal(
-                touched, np.unique(backends[i].error_positions(0.02) // precision)
-            )
-        else:
-            row = item
-        np.testing.assert_array_equal(row, reference[i])
-
-
-def test_iter_batch_apply_validates_eagerly(rng):
-    from repro.biterror.backends import iter_batch_apply
-
-    codes = rng.integers(0, 256, size=100).astype(np.uint8)
-    # Errors surface at the call, not at first iteration.
-    with pytest.raises(ValueError, match="at least one"):
-        iter_batch_apply([], codes, 0.01)
-    with pytest.raises(ValueError, match="chunk_size"):
-        iter_batch_apply([DenseFieldBackend(100, 8)], codes, 0.01, chunk_size=0)
-    with pytest.raises(ValueError, match="bit error rate"):
-        iter_batch_apply([DenseFieldBackend(100, 8)], codes, 2.0)
-
-
-def test_batch_apply_chunk_size_validation(rng):
-    from repro.biterror.backends import batch_apply
-
-    codes = rng.integers(0, 256, size=100).astype(np.uint8)
-    with pytest.raises(ValueError, match="chunk_size"):
-        batch_apply([DenseFieldBackend(100, 8)], codes, 0.01, chunk_size=0)
-
-
-@pytest.mark.slow
-def test_iter_batch_apply_streaming_peak_is_o_of_chunk(rng):
-    """Consuming the stream row by row holds O(chunk_size * W) peak memory."""
-    import tracemalloc
-
-    from repro.biterror.backends import batch_apply, iter_batch_apply
-
-    num_weights, precision, n_chips = 400_000, 8, 16
-    codes = rng.integers(0, 256, size=num_weights).astype(np.uint8)
-    backends = [
-        SparseFieldBackend(
-            num_weights, precision, np.random.default_rng(i), max_rate=0.01
-        )
-        for i in range(n_chips)
-    ]
-
-    def materialized():
-        return batch_apply(backends, codes, 0.005).sum()
-
-    def streaming():
-        total = 0
-        for row in iter_batch_apply(backends, codes, 0.005, chunk_size=1):
-            total += row.sum()
-        return total
-
-    checksums = []
-    peaks = {}
-    for name, fn in (("full", materialized), ("chunked", streaming)):
-        tracemalloc.start()
-        checksums.append(fn())
-        _, peaks[name] = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-    assert checksums[0] == checksums[1]
-    # 16 chips materialized vs. 1 chip in flight: demand at least a 4x
-    # reduction (generous margin over the ~16x ideal for allocator noise).
-    assert peaks["chunked"] < peaks["full"] / 4, peaks

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_chip_touched
 from repro.biterror import ChipProfile, make_profiled_chips
 from repro.quant import FixedPointQuantizer, rquant
 
@@ -218,51 +219,36 @@ def test_make_profiled_chips_sparse_twins_match():
         np.testing.assert_array_equal(a.flat_codes(), b.flat_codes())
 
 
-def test_chip_apply_to_quantized_return_positions(rng):
-    quantizer = FixedPointQuantizer(rquant(8))
+@pytest.mark.parametrize("precision", [2, 4, 8, 12, 16])
+def test_chip_delta_apply_matches_full_corruption(rng, precision):
+    """delta_apply reports exactly the full corruption at the touched weights:
+    at every code width, the oracle's weights (the chip's own
+    touched_weight_indices too), in the codes' dtype, no bit above the width."""
+    quantizer = FixedPointQuantizer(rquant(precision))
     quantized = quantizer.quantize([rng.normal(size=(12, 10)), rng.normal(size=200)])
-    for backend in ("dense", "sparse"):
-        chip = ChipProfile(rows=64, columns=32, column_alignment=0.4,
-                           seed=5, backend=backend)
-        for rate, offset in ((0.0, 0), (0.02, 0), (0.02, 777)):
-            reference = chip.apply_to_quantized(quantized, rate, offset=offset)
-            corrupted, touched = chip.apply_to_quantized(
-                quantized, rate, offset=offset, return_positions=True
-            )
-            for a, b in zip(corrupted.codes, reference.codes):
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(
-                touched,
-                chip.touched_weight_indices(
-                    quantized.num_weights, 8, rate, offset=offset
-                ),
-            )
-            # touched is a superset of the weights whose codes changed.
-            changed = np.flatnonzero(corrupted.flat_codes() != quantized.flat_codes())
-            assert np.isin(changed, touched).all()
-
-
-def test_chip_delta_apply_matches_full_corruption(rng):
-    """delta_apply reports exactly the full corruption at the touched weights."""
-    quantizer = FixedPointQuantizer(rquant(8))
-    quantized = quantizer.quantize([rng.normal(size=(12, 10)), rng.normal(size=200)])
+    flat = quantized.flat_codes()
     for backend in ("dense", "sparse"):
         chip = ChipProfile(rows=64, columns=32, column_alignment=0.4,
                            seed=5, backend=backend,
                            stuck_at_one_fraction=0.7)
         for rate, offset in ((0.0, 0), (0.02, 0), (0.02, 777), (0.05, 123)):
             touched, values = chip.delta_apply(quantized, rate, offset=offset)
-            reference, ref_touched = chip.apply_to_quantized(
-                quantized, rate, offset=offset, return_positions=True
+            reference = chip.apply_to_quantized(quantized, rate, offset=offset).flat_codes()
+            expected = oracle_chip_touched(
+                chip, quantized.num_weights, precision, rate, offset=offset
             )
-            np.testing.assert_array_equal(touched, ref_touched)
-            np.testing.assert_array_equal(values, reference.flat_codes()[touched])
-            assert values.dtype == quantized.flat_codes().dtype
+            np.testing.assert_array_equal(touched, expected)
+            np.testing.assert_array_equal(
+                chip.touched_weight_indices(
+                    quantized.num_weights, precision, rate, offset=offset
+                ),
+                expected,
+            )
+            np.testing.assert_array_equal(values, reference[touched])
+            assert values.dtype == reference.dtype == flat.dtype
             # Nothing outside the touched set may be implied to change.
-            changed = np.flatnonzero(
-                reference.flat_codes() != quantized.flat_codes()
-            )
-            assert np.isin(changed, touched).all()
+            assert np.isin(np.flatnonzero(reference != flat), touched).all()
+            assert int(reference.max()) < 2**precision
 
 
 def test_chip_delta_apply_zero_rate_is_empty(rng):

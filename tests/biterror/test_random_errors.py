@@ -22,16 +22,21 @@ def count_bit_flips(a, b, precision):
     return sum(int(((diff >> j) & 1).sum()) for j in range(precision))
 
 
-def test_p_zero_is_identity(rng):
-    codes = rng.integers(0, 256, size=100).astype(np.uint8)
-    out = inject_random_bit_errors(codes, 0.0, 8, rng)
+@pytest.mark.parametrize("precision", [1, 8, 9, 16])
+def test_p_zero_is_identity(rng, precision):
+    codes = rng.integers(0, 2**32, size=100, dtype=np.uint32)
+    out = inject_random_bit_errors(codes, 0.0, precision, rng)
     np.testing.assert_array_equal(out, codes)
+    assert not np.shares_memory(out, codes)
 
 
-def test_p_one_flips_every_bit(rng):
-    codes = rng.integers(0, 256, size=100).astype(np.uint8)
-    out = inject_random_bit_errors(codes, 1.0, 8, rng)
-    np.testing.assert_array_equal(out, codes ^ 0xFF)
+@pytest.mark.parametrize("precision", [1, 8, 9, 16])
+def test_p_one_flips_every_bit(rng, precision):
+    """p = 1 inverts exactly the low ``precision`` bits; the bits above never
+    change."""
+    codes = rng.integers(0, 2**32, size=100, dtype=np.uint32)
+    out = inject_random_bit_errors(codes, 1.0, precision, rng)
+    np.testing.assert_array_equal(out, codes ^ np.uint32(2**precision - 1))
 
 
 def test_flip_count_matches_expectation(rng):
@@ -283,40 +288,62 @@ def test_inject_rejects_unsupported_precision(rng):
         inject_random_bit_errors(np.zeros(4, dtype=np.uint64), 0.1, 60, rng)
 
 
-def test_apply_fields_batch_matches_per_field_path(rng):
-    from repro.biterror import apply_fields_batch, make_error_fields
-    from repro.quant import FixedPointQuantizer, rquant
-
-    quantizer = FixedPointQuantizer(rquant(8))
-    quantized = quantizer.quantize([rng.normal(size=300), rng.normal(size=100)])
-    for backend in ("dense", "sparse"):
-        fields = make_error_fields(
-            quantized.num_weights, 8, 3, seed=7, backend=backend
-        )
-        for p in (0.0, 0.01, 0.05):
-            batch = apply_fields_batch(fields, quantized, p)
-            assert len(batch) == 3
-            for fld, corrupted in zip(fields, batch):
-                reference = fld.apply_to_quantized(quantized, p)
-                for a, b in zip(corrupted.codes, reference.codes):
-                    np.testing.assert_array_equal(a, b)
-    assert apply_fields_batch([], quantized, 0.01) == []
+def two_tensor_quantized(rng, precision):
+    """Real codes of ``precision`` bits over two tensors (248 weights)."""
+    quantizer = FixedPointQuantizer(rquant(precision))
+    return quantizer.quantize([rng.normal(size=(12, 9)), rng.normal(size=140)])
 
 
-def test_apply_fields_batch_rejects_precision_mismatch(rng):
-    import pytest
-
-    from repro.biterror import apply_fields_batch, make_error_fields
-    from repro.quant import FixedPointQuantizer, rquant
-
-    quantizer = FixedPointQuantizer(rquant(8))
-    quantized = quantizer.quantize([rng.normal(size=50)])
-    fields = make_error_fields(quantized.num_weights, 4, 2, seed=0)
-    with pytest.raises(ValueError, match="precision"):
-        apply_fields_batch(fields, quantized, 0.01)
+# -- the dense training draw: one uniform per stored bit (Alg. 1) -------------
 
 
-# -- fused evaluation seams: positions, delta apply, streaming chunks --------
+@pytest.mark.parametrize("precision", [1, 4, 8, 16])
+def test_dense_draw_flips_every_bit_plane_at_rate_p(precision):
+    """Each of the ``m`` bit planes flips at rate ``p``, none favoured, and no
+    bit above the code width flips (the codes' dtype has room for them)."""
+    codes = np.zeros(20000, dtype=np.uint32)
+    p = 0.05
+    out = inject_random_bit_errors(codes, p, precision, np.random.default_rng(precision))
+    assert out.dtype == codes.dtype
+    assert out.max() < 2**precision
+    sigma = np.sqrt(codes.size * p * (1 - p))
+    for bit in range(precision):
+        flips = int(((out >> bit) & 1).sum())
+        assert abs(flips - codes.size * p) < 5 * sigma, (bit, flips)
+
+
+@pytest.mark.parametrize("p", [0.01, 1.0])
+def test_dense_draw_consumes_one_uniform_per_stored_bit(rng, p):
+    """Every draw takes exactly ``W * m`` uniforms, however many bits flip,
+    so a seeded run's later draws do not depend on its earlier flips (the
+    golden trajectories rest on this)."""
+    codes = rng.integers(0, 256, size=300).astype(np.uint8)
+    drawn = np.random.default_rng(5)
+    inject_random_bit_errors(codes, p, 8, drawn)
+    reference = np.random.default_rng(5)
+    reference.random(codes.size * 8)
+    np.testing.assert_array_equal(drawn.random(4), reference.random(4))
+
+
+@pytest.mark.parametrize("precision", [2, 8, 16])
+def test_inject_into_quantized_is_the_flat_draw(rng, precision):
+    """The training path draws over the model's flat codes: with one seed it
+    is the flat draw, split back into the tensors in the codes' dtype; the
+    ranges and the scheme ride along unchanged."""
+    quantized = two_tensor_quantized(rng, precision)
+    perturbed = inject_into_quantized(quantized, 0.03, np.random.default_rng(9))
+    flat = inject_random_bit_errors(
+        quantized.flat_codes(), 0.03, precision, np.random.default_rng(9)
+    )
+    np.testing.assert_array_equal(perturbed.flat_codes(), flat)
+    assert [(c.shape, c.dtype) for c in perturbed.codes] == [
+        (c.shape, c.dtype) for c in quantized.codes
+    ]
+    assert perturbed.ranges == quantized.ranges
+    assert perturbed.scheme == quantized.scheme
+
+
+# -- fused evaluation seams: positions, delta apply, the per-chip stream ------
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
@@ -345,20 +372,14 @@ def test_field_delta_apply_matches_apply(rng):
     np.testing.assert_array_equal(values, field.apply(flat, 0.02)[touched])
 
 
-@pytest.mark.parametrize("chunk_size", [None, 1, 2, 5])
-def test_iter_apply_fields_batch_matches_materialized(rng, chunk_size):
-    from repro.biterror import apply_fields_batch, make_error_fields
+def test_iter_apply_fields_batch_matches_materialized(rng):
     from repro.biterror.random_errors import iter_apply_fields_batch
 
     quantizer = FixedPointQuantizer(rquant(8))
     quantized = quantizer.quantize([rng.normal(size=250), rng.normal(size=(10, 8))])
     fields = make_error_fields(quantized.num_weights, 8, 4, seed=17, backend="sparse")
-    reference = apply_fields_batch(fields, quantized, 0.02)
-    items = list(
-        iter_apply_fields_batch(
-            fields, quantized, 0.02, chunk_size=chunk_size, return_positions=True
-        )
-    )
+    reference = [fld.apply_to_quantized(quantized, 0.02) for fld in fields]
+    items = list(iter_apply_fields_batch(fields, quantized, 0.02))
     assert len(items) == len(fields)
     for fld, (corrupted, touched), ref in zip(fields, items, reference):
         for a, b in zip(corrupted.codes, ref.codes):
@@ -380,15 +401,84 @@ def test_iter_apply_fields_batch_empty_and_validation(rng):
         iter_apply_fields_batch(mismatched, quantized, 0.01)
 
 
-@pytest.mark.parametrize("chunk_size", [1, 3])
-def test_apply_fields_batch_chunked_matches_default(rng, chunk_size):
-    from repro.biterror import apply_fields_batch, make_error_fields
+@pytest.mark.parametrize("geometries, p, match", [
+    pytest.param([(60, 8)] * 2, -0.01, "bit error rate", id="negative-rate"),
+    pytest.param([(60, 8)] * 2, 1.5, "bit error rate", id="rate-above-one"),
+    pytest.param([(60, 8)] * 2, float("nan"), "bit error rate", id="nan-rate"),
+    pytest.param([(60, 4)] * 2, 0.01, "precision", id="precision"),
+    pytest.param([(50, 8)] * 2, 0.01, "expected 50 codes", id="weight-count"),
+    pytest.param([(60, 8), (60, 8), (61, 8)], 0.01, "expected 61 codes",
+                 id="last-of-several"),
+])
+def test_iter_apply_fields_batch_validates_eagerly(rng, geometries, p, match):
+    """A bad rate, or any chip that does not fit the model's codes, raises
+    at the call, before a single chip is corrupted."""
+    from repro.biterror.random_errors import iter_apply_fields_batch
+
+    quantized = FixedPointQuantizer(rquant(8)).quantize([rng.normal(size=60)])
+    fields = [
+        BitErrorField(num_weights, precision, np.random.default_rng(seed))
+        for seed, (num_weights, precision) in enumerate(geometries)
+    ]
+    with pytest.raises(ValueError, match=match):
+        iter_apply_fields_batch(fields, quantized, p)
+
+
+@pytest.mark.parametrize("as_iterable", [list, iter], ids=["list", "one-shot-iterator"])
+def test_iter_apply_fields_batch_corrupts_one_chip_per_item(rng, monkeypatch, as_iterable):
+    """Validation does not use up the fields, and each chip is corrupted
+    only when its item is pulled."""
+    from repro.biterror.random_errors import iter_apply_fields_batch
+
+    quantized = two_tensor_quantized(rng, 8)
+    fields = make_error_fields(quantized.num_weights, 8, 3, seed=2)
+    corrupted = []
+    apply = BitErrorField.apply_to_quantized
+
+    def recorded(self, *args, **kwargs):
+        corrupted.append(self)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(BitErrorField, "apply_to_quantized", recorded)
+    stream = iter_apply_fields_batch(as_iterable(fields), quantized, 0.02)
+    assert corrupted == []
+    for pulled in range(1, len(fields) + 1):
+        next(stream)
+        assert corrupted == fields[:pulled]
+    assert next(stream, None) is None
+
+
+@pytest.mark.slow
+def test_iter_apply_fields_batch_holds_one_chip_at_a_time(rng):
+    """Consuming the stream chip by chip holds O(W) peak memory, not the
+    O(n * W) of every chip's corrupted codes held at once."""
+    import tracemalloc
+
+    from repro.biterror.random_errors import iter_apply_fields_batch
 
     quantizer = FixedPointQuantizer(rquant(8))
-    quantized = quantizer.quantize([rng.normal(size=320)])
-    fields = make_error_fields(quantized.num_weights, 8, 5, seed=29)
-    reference = apply_fields_batch(fields, quantized, 0.03)
-    chunked = apply_fields_batch(fields, quantized, 0.03, chunk_size=chunk_size)
-    for a, b in zip(chunked, reference):
-        for x, y in zip(a.codes, b.codes):
-            np.testing.assert_array_equal(x, y)
+    quantized = quantizer.quantize([rng.normal(size=400_000)])
+    fields = make_error_fields(
+        quantized.num_weights, 8, 16, seed=3, backend="sparse", max_rate=0.01
+    )
+
+    def materialized():
+        chips = [fld.apply_to_quantized(quantized, 0.005) for fld in fields]
+        return sum(int(chip.flat_codes(copy=False).sum()) for chip in chips)
+
+    def streamed():
+        return sum(
+            int(chip.flat_codes(copy=False).sum())
+            for chip, _ in iter_apply_fields_batch(fields, quantized, 0.005)
+        )
+
+    checksums, peaks = [], {}
+    for name, fn in (("materialized", materialized), ("streamed", streamed)):
+        tracemalloc.start()
+        checksums.append(fn())
+        _, peaks[name] = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert checksums[0] == checksums[1]
+    # 16 chips held vs. 1 chip in flight: demand at least a 4x reduction
+    # (generous margin over the ~16x ideal for allocator noise).
+    assert peaks["streamed"] < peaks["materialized"] / 4, peaks

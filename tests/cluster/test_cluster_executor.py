@@ -99,9 +99,8 @@ def test_resubmit_after_an_in_process_forward_is_accepted(grid, blob_data, tmp_p
 def test_manifest_records_run_parameters(grid, tmp_path):
     run_dir = str(tmp_path)
     spec = grid()
-    submission = submit_spec(run_dir, spec, chunk_size=2, lease_timeout=7.0)
+    submission = submit_spec(run_dir, spec, lease_timeout=7.0)
     manifest = read_manifest(run_dir)
-    assert manifest["chunk_size"] == 2
     assert manifest["lease_timeout"] == 7.0
     assert set(manifest["expected_keys"]) == {j.content_key for j in spec.jobs}
     assert set(submission.expected_keys) == set(manifest["expected_keys"])
@@ -118,6 +117,40 @@ def test_a_manifest_recording_the_filesystem_backend_still_runs(grid, tmp_path):
     serial = run_sweep(grid(), executor=SerialExecutor())
     assert all(store.get(key) == cell for key, cell in serial.items())
     assert verify_run_dir(run_dir).clean
+
+
+def test_a_manifest_recording_a_chunk_size_drains_to_the_serial_store(grid, tmp_path):
+    """Older submissions recorded how many chips a field group corrupted at
+    once; no result depended on it, so a worker ignores the field."""
+    run_dir = str(tmp_path)
+    submission = submit_spec(run_dir, grid())
+    manifest = read_manifest(run_dir)
+    manifest["chunk_size"] = 3
+    atomic_write_json(os.path.join(run_dir, "manifest.json"), manifest)
+    stats = worker_loop(run_dir, worker_id="w0")
+    assert stats.items == len(submission.enqueued)
+    merge_shards(run_dir)
+    store = ResultStore(run_dir)
+    serial = run_sweep(grid(), executor=SerialExecutor())
+    assert len(store) == len(serial)
+    assert all(store.get(key) == cell for key, cell in serial.items())
+    assert verify_run_dir(run_dir).clean
+
+
+def test_submit_cli_refuses_the_retired_chunk_size_flag(grid, tmp_path, capsys):
+    """The flag went with the option: passing it is a usage error that
+    submits nothing, rather than a setting silently dropped."""
+    spec_path = str(tmp_path / "spec.pkl")
+    with open(spec_path, "wb") as handle:
+        pickle.dump(grid(), handle)
+    run_dir = str(tmp_path / "run")
+    with pytest.raises(SystemExit) as exit_info:
+        cluster_main(["submit", run_dir, "--spec", spec_path, "--chunk-size", "2"])
+    assert exit_info.value.code == 2
+    assert "--chunk-size" in capsys.readouterr().err
+    assert not os.path.exists(run_dir)
+    assert cluster_main(["submit", run_dir, "--spec", spec_path]) == 0
+    assert "chunk_size" not in read_manifest(run_dir)
 
 
 def test_a_run_submitted_on_the_kv_backend_is_refused(grid, tmp_path):
@@ -207,6 +240,53 @@ def test_a_finished_run_leaves_no_live_worker(grid, tmp_path):
     assert left == [f"local-{os.getpid()}-0.log"]
 
 
+def test_a_failing_closing_telemetry_write_still_reaps_the_daemons(
+    grid, tmp_path, monkeypatch
+):
+    """The coordinator's closing ``worker.exit`` write may fail (a full
+    disk): the run raises, but its daemon is terminated and no beacon of
+    the run looks live."""
+    import errno
+    import signal
+    import time
+
+    from repro.cluster import coordinator
+    from repro.cluster.worker import ServeLoop
+
+    pids = []
+    spawn = coordinator.spawn_local_worker
+
+    def recorded(*args, **kwargs):
+        process = spawn(*args, **kwargs)
+        pids.append(process.pid)
+        return process
+
+    def full_disk(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    # A daemon that never claims, so it is alive when the coordinator,
+    # having served every item itself, closes the run.
+    monkeypatch.setattr(coordinator, "_serve_forked", lambda *args: time.sleep(60))
+    monkeypatch.setattr(coordinator, "spawn_local_worker", recorded)
+    monkeypatch.setattr(ServeLoop, "stop", full_disk)
+    run_dir = str(tmp_path)
+    executor = ClusterExecutor(run_dir=run_dir, max_workers=2, lease_timeout=10.0,
+                               poll_interval=0.02)
+    try:
+        with pytest.raises(OSError, match="No space"):
+            run_sweep(grid(), executor=executor)
+        assert len(pids) == 1
+        with pytest.raises(ProcessLookupError):
+            os.kill(pids[0], 0)  # terminated and reaped
+        assert live_worker_ids(run_dir, ttl=executor.lease_timeout) == []
+    finally:
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
 def test_a_killed_beacon_writers_temp_file_is_not_a_live_worker(tmp_path):
     """A daemon terminated inside its first beacon write leaves the atomic
     write's temp file behind; it names no worker."""
@@ -281,8 +361,6 @@ def test_cluster_executor_validation():
         ClusterExecutor(max_workers=0)
     with pytest.raises(ValueError, match="lease_timeout"):
         ClusterExecutor(lease_timeout=0)
-    with pytest.raises(ValueError, match="chunk_size"):
-        ClusterExecutor(chunk_size=0)
 
 
 def test_context_round_trips_through_pickle_without_caches(grid, tmp_path):

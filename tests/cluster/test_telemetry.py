@@ -10,15 +10,17 @@ on the loser), never zero and never two from the same worker.
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
 
 import repro.cluster.worker as cluster_worker
 from repro import telemetry
-from repro.cluster import JobQueue, merge_shards, submit_spec, worker_loop
+from repro.cluster import ClusterExecutor, JobQueue, merge_shards, submit_spec, worker_loop
 from repro.cluster.cli import main as cluster_main, run_status
 from repro.cluster.queue import DONE, LEASED
+from repro.runtime import group_jobs
 from repro.telemetry.report import load_run_records, merged_run_metrics
 
 
@@ -141,6 +143,69 @@ def test_caller_installed_recorder_wins_over_the_manifest_flag(grid, tmp_path):
         assert telemetry.get_recorder() is rec  # not replaced mid-loop
     # Every worker span landed in the caller's sink, not the run dir's.
     assert {s["sink"] for s in worker_item_spans(str(tmp_path / "own"))} == {"mine"}
+
+
+def test_the_coordinator_records_one_start_and_exit_however_many_polls(
+    grid, tmp_path, monkeypatch
+):
+    """The coordinator runs one round of the worker loop per poll, yet its
+    sink holds one ``worker.start`` and one ``worker.exit`` for the run and
+    no metrics snapshot per poll.  The run polls for a couple of seconds: a
+    dead peer holds the last item's lease until it expires."""
+    run_dir = str(tmp_path)
+    spec = grid()
+    groups = group_jobs(spec.jobs)
+    submit_spec(run_dir, spec, lease_timeout=2.0)
+    JobQueue(run_dir, lease_timeout=2.0).claim("dead-peer")
+    scans = []
+    scan = cluster_worker._scan
+
+    def counted(*args):
+        scans.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(cluster_worker, "_scan", counted)
+    executor = ClusterExecutor(run_dir=run_dir, max_workers=1, lease_timeout=2.0,
+                               poll_interval=0.02)
+    with telemetry.recording(run_dir, name="caller", echo=None):
+        outputs = list(executor.run(spec.context(), groups))
+    assert len(outputs) == len(groups)
+    assert len(scans) > 20  # many polls while the dead peer's lease ran out
+
+    coordinator = f"coordinator-{os.getpid()}"
+    records = [r for r in load_run_records(run_dir) if r["sink"] == "caller"]
+    lifetime = [r for r in records if r["type"] == "event"
+                and r["name"] in ("worker.start", "worker.exit")]
+    assert [(r["name"], r["worker"]) for r in lifetime] == [
+        ("worker.start", coordinator), ("worker.exit", coordinator)]
+    assert lifetime[1]["items"] == len(groups)  # the whole run's count
+    # Each item flushes its counters twice (before it publishes, after it
+    # completes); the coordinator adds one snapshot at exit and the
+    # recording one at close.
+    snapshots = [r for r in records if r["type"] == "metrics"]
+    assert len(snapshots) <= 2 * len(groups) + 2
+
+
+def test_worker_loop_records_one_start_and_exit_per_call(grid, tmp_path):
+    """An external worker's lifetime is one ``worker_loop`` call: two calls
+    over one run record two start/exit pairs, each exit with its own call's
+    items."""
+    run_dir = str(tmp_path)
+    submission = submit_spec(run_dir, grid())
+    with telemetry.recording(run_dir, name="caller", echo=None):
+        first = worker_loop(run_dir, worker_id="w0", max_items=2)
+        second = worker_loop(run_dir, worker_id="w0")
+    assert first.items == 2
+    assert first.items + second.items == len(submission.enqueued)
+    lifetime = [
+        (r["name"], r.get("items")) for r in load_run_records(run_dir)
+        if r["sink"] == "caller" and r["type"] == "event"
+        and r["name"] in ("worker.start", "worker.exit")
+    ]
+    assert lifetime == [
+        ("worker.start", None), ("worker.exit", first.items),
+        ("worker.start", None), ("worker.exit", second.items),
+    ]
 
 
 def test_status_json_surfaces_queue_results_and_lease_counters(grid, tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.biterror import BitErrorField
+from repro.biterror import BitErrorField, ChipProfile
 from repro.data import ArrayDataset
 from repro.eval.fast_eval import BatchPlan, DeltaWeightPatcher, evaluate_on_plan
 from repro.models import MLP
@@ -149,6 +149,29 @@ def test_patched_delta_codes_match_patched_quantized(setup):
     with patcher.patched_quantized(corrupted, touched) as via_quantized:
         for a, b in zip(snapshot, via_quantized):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_patched_chip_delta_matches_full_dequantize(setup, backend):
+    """A profiled chip's ``delta_apply`` pair, patched, is bit-identical to
+    de-quantizing the chip's full corruption at every rate and placement,
+    stuck-at faults included, and is undone exactly after each draw."""
+    model, quantizer, quantized, _ = setup
+    clean = quantizer.dequantize(quantized)
+    snapshot = [w.copy() for w in clean]
+    chip = ChipProfile(rows=64, columns=32, column_alignment=0.4, seed=5,
+                       backend=backend, stuck_at_one_fraction=0.7)
+    patcher = DeltaWeightPatcher(quantized, clean)
+    for rate, offset in ((0.0, 0), (0.02, 0), (0.02, 777), (0.05, 123)):
+        touched, values = chip.delta_apply(quantized, rate, offset=offset)
+        expected = quantizer.dequantize(
+            chip.apply_to_quantized(quantized, rate, offset=offset)
+        )
+        with patcher.patched(touched, values) as weights:
+            for patched, full in zip(weights, expected):
+                np.testing.assert_array_equal(patched, full)
+        for restored, original in zip(patcher.weights, snapshot):
+            np.testing.assert_array_equal(restored, original)
 
 
 def test_patcher_restores_on_exception(setup):

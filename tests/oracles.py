@@ -11,6 +11,9 @@ select:
 * :func:`unfused_robust_error` evaluates every draw by de-quantizing the
   whole corrupted model and batching the dataset afresh, the data flow that
   the fused RErr loop and the sweep engine must reproduce exactly.
+* :func:`oracle_chip_touched` reads the weights a profiled chip can perturb
+  off its dense fault map, the set
+  :meth:`repro.biterror.patterns.ChipProfile.delta_apply` must report.
 """
 
 from __future__ import annotations
@@ -83,3 +86,16 @@ def unfused_robust_error(
         perturbed_confidences.append(confidence)
     result.confidence_perturbed = float(np.mean(perturbed_confidences))
     return result
+
+
+def oracle_chip_touched(chip, num_weights: int, precision: int, rate: float, offset: int = 0):
+    """Sorted weights with a payload bit on a cell faulty at ``rate``.
+
+    The ``num_weights * precision`` payload bits sit on cells ``(offset + i)
+    % capacity``, as :meth:`~repro.biterror.patterns.ChipProfile.apply_to_bits`
+    lays them out.  A superset of the weights whose codes change: a stuck-at
+    fault only shows where the stored bit disagrees with it.
+    """
+    faulty = chip.fault_map(rate).faulty
+    cells = (offset + np.arange(num_weights * precision)) % chip.capacity
+    return np.unique(np.flatnonzero(faulty[cells]) // precision)

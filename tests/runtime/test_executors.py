@@ -1,6 +1,5 @@
 """Tests for the serial executor, job grouping and the cluster executor's parity."""
 
-import errno
 import os
 
 import numpy as np
@@ -58,42 +57,6 @@ def test_group_jobs_partitions_by_granularity_and_dedupes(grid):
     assert group_jobs(spec.jobs + spec.jobs) == groups
 
 
-@pytest.mark.parametrize("chunk_size", [1, 2, 3])
-def test_chunked_injection_is_result_identical(grid, chunk_size):
-    reference = run_sweep(grid(), executor=SerialExecutor())
-    chunked = run_sweep(grid(), executor=SerialExecutor(chunk_size=chunk_size))
-    assert chunked == reference
-
-
-@pytest.mark.slow
-def test_cluster_chunked_matches_serial(grid):
-    """``chunk_size`` reaches the forked daemons through the manifest."""
-    chunked = run_sweep(grid(), executor=ClusterExecutor(max_workers=2, chunk_size=1))
-    assert chunked == run_sweep(grid(), executor=SerialExecutor())
-
-
-def test_chunk_size_reaches_the_coordinators_own_items(grid, monkeypatch, tmp_path):
-    """A host that refuses the fork leaves every group to the coordinator,
-    which reads the executor's ``chunk_size`` back from the manifest."""
-    chunk_sizes = []
-    execute_group = cluster_worker.execute_group
-
-    def recorded(context, jobs, **kwargs):
-        chunk_sizes.append(kwargs.get("chunk_size"))
-        return execute_group(context, jobs, **kwargs)
-
-    def refuse():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(cluster_worker, "execute_group", recorded)
-    monkeypatch.setattr(os, "fork", refuse)
-    executor = ClusterExecutor(run_dir=str(tmp_path), max_workers=4, chunk_size=2,
-                               lease_timeout=5.0, poll_interval=0.01)
-    chunked = run_sweep(grid(), executor=executor)
-    assert chunked == run_sweep(grid(), executor=SerialExecutor())
-    assert chunk_sizes == [2] * len(group_jobs(grid().jobs))
-
-
 def test_every_serving_process_loads_the_runs_context_once(grid, monkeypatch, tmp_path):
     """Work items carry job records only: each serving process, the
     coordinator included, unpickles the run's context once and runs every
@@ -123,9 +86,54 @@ def test_every_serving_process_loads_the_runs_context_once(grid, monkeypatch, tm
     assert {record["contexts"] for record in records} == {1}
 
 
-def test_executor_chunk_size_validation():
-    with pytest.raises(ValueError, match="chunk_size"):
-        SerialExecutor(chunk_size=0)
+def test_groups_inject_through_the_module_level_names(grid, monkeypatch):
+    """A field group makes one call to the module-level
+    ``iter_apply_fields_batch`` with its chips in job order and patches each
+    yielded ``(QuantizedWeights, touched)`` pair through
+    ``DeltaWeightPatcher.patched_quantized``; a chip job patches through
+    ``DeltaWeightPatcher.patched``.  Profilers wrap exactly these names to
+    time the injection, and the results stay those of the unwrapped run."""
+    from repro.eval.fast_eval import DeltaWeightPatcher
+    from repro.quant.fixed_point import QuantizedWeights
+
+    reference = run_sweep(grid(), executor=SerialExecutor())
+    streams, patches = [], []
+    stream = executors_module.iter_apply_fields_batch
+
+    def recorded_stream(fields, quantized, p):
+        streams.append((list(fields), p))
+        return stream(fields, quantized, p)
+
+    patched, patched_quantized = DeltaWeightPatcher.patched, DeltaWeightPatcher.patched_quantized
+
+    def recorded_patched(self, touched, code_values):
+        patches.append(("patched", type(touched), np.asarray(touched).size))
+        return patched(self, touched, code_values)
+
+    def recorded_patched_quantized(self, corrupted, touched):
+        patches.append(("patched_quantized", type(corrupted), np.asarray(touched).size))
+        return patched_quantized(self, corrupted, touched)
+
+    monkeypatch.setattr(executors_module, "iter_apply_fields_batch", recorded_stream)
+    monkeypatch.setattr(DeltaWeightPatcher, "patched", recorded_patched)
+    monkeypatch.setattr(DeltaWeightPatcher, "patched_quantized", recorded_patched_quantized)
+    spec = grid()
+    assert run_sweep(spec, executor=SerialExecutor()) == reference
+
+    fields = spec.field_sets["f"]
+    groups = group_jobs(spec.jobs)
+    field_groups = [group for group in groups if group[0].kind == "field"]
+    assert streams == [
+        ([fields[job.index] for job in group], group[0].rate) for group in field_groups
+    ]
+    chip_jobs = sum(len(group) for group in groups if group[0].kind == "chip")
+    field_jobs = sum(len(group) for group in field_groups)
+    assert [name for name, _, _ in patches].count("patched_quantized") == field_jobs
+    assert [name for name, _, _ in patches].count("patched") == chip_jobs
+    assert all(
+        kind is QuantizedWeights for name, kind, _ in patches if name == "patched_quantized"
+    )
+    assert any(size > 0 for _, _, size in patches)
 
 
 def test_model_entry_clean_weights_memoized_and_not_pickled(grid):

@@ -247,6 +247,44 @@ def test_cli_refuses_a_path_that_is_not_a_service_dir(tmp_path, command, capsys)
     assert not os.path.exists(missing)
 
 
+def test_submit_cli_refuses_the_retired_chunk_size_flag(registry, grid, tmp_path, capsys):
+    """The flag went with the option: passing it is a usage error that
+    registers no tenant."""
+    spec_path = str(tmp_path / "spec.pkl")
+    with open(spec_path, "wb") as handle:
+        pickle.dump(grid(), handle)
+    service_dir = registry.service_dir
+    with pytest.raises(SystemExit) as exit_info:
+        service_main(["submit", service_dir, "alice", "--spec", spec_path,
+                      "--chunk-size", "2"])
+    assert exit_info.value.code == 2
+    assert "--chunk-size" in capsys.readouterr().err
+    assert registry.get("alice") is None
+    assert service_main(["submit", service_dir, "alice", "--spec", spec_path]) == 0
+    assert registry.get("alice").state == "queued"
+
+
+def test_a_tenant_whose_manifest_records_a_chunk_size_drains_to_the_solo_store(
+    registry, grid
+):
+    """Older submissions recorded how many chips a field group corrupted at
+    once; no result depended on it, so a service worker ignores the field."""
+    registry.submit("alice", grid())
+    run_dir = registry.tenant_run_dir("alice")
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    manifest["chunk_size"] = 3
+    atomic_write_json(manifest_path, manifest)
+    stats = service_worker_loop(registry.service_dir, worker_id="w0", seed=0)
+    assert stats.failures == 0 and stats.finalized == ["alice"]
+    assert registry.get("alice").state == "done"
+    store = ResultStore(run_dir)
+    solo = run_sweep(grid(), executor=SerialExecutor())
+    assert len(store) == len(solo)
+    assert all(store.get(key) == cell for key, cell in solo.items())
+
+
 def test_cli_end_to_end(registry, grid, tmp_path, capsys):
     spec_path = str(tmp_path / "spec.pkl")
     with open(spec_path, "wb") as handle:
