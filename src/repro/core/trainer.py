@@ -222,8 +222,6 @@ class Trainer:
     ) -> EvalResult:
         """Clean test error of the (quantized, if configured) model."""
         batch_size = batch_size or self.config.batch_size
-        was_training = self.model.training
-        self.model.eval()
         weights = model_weight_arrays(self.model)
         if self.quantizer is not None:
             weights = self.quantizer.quantize_dequantize(weights)
@@ -232,17 +230,23 @@ class Trainer:
         losses = []
         confidence_sum = 0.0
         loss_fn = CrossEntropyLoss()
-        with swap_weights(self.model, weights):
-            for start in range(0, len(dataset), batch_size):
-                inputs, labels = dataset[np.arange(start, min(start + batch_size, len(dataset)))]
-                logits = self.model(inputs)
-                loss, _ = loss_fn(logits, labels)
-                losses.append(loss)
-                predictions = logits.argmax(axis=1)
-                errors += int((predictions != labels).sum())
-                total += labels.shape[0]
-                confidence_sum += float(confidences(logits).sum())
-        self.model.train(was_training)
+        was_training = self.model.training
+        self.model.eval()
+        try:
+            with swap_weights(self.model, weights):
+                for start in range(0, len(dataset), batch_size):
+                    inputs, labels = dataset[
+                        np.arange(start, min(start + batch_size, len(dataset)))
+                    ]
+                    logits = self.model(inputs)
+                    loss, _ = loss_fn(logits, labels)
+                    losses.append(loss)
+                    predictions = logits.argmax(axis=1)
+                    errors += int((predictions != labels).sum())
+                    total += labels.shape[0]
+                    confidence_sum += float(confidences(logits).sum())
+        finally:
+            self.model.train(was_training)
         return EvalResult(
             error=errors / max(total, 1),
             loss=float(np.mean(losses)) if losses else float("nan"),

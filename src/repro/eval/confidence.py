@@ -32,12 +32,14 @@ def _collect_logits(
     outputs = []
     was_training = model.training
     model.eval()
-    with swap_weights(model, weights):
-        for start in range(0, len(dataset), batch_size):
-            index = np.arange(start, min(start + batch_size, len(dataset)))
-            inputs, _ = dataset[index]
-            outputs.append(model(inputs))
-    model.train(was_training)
+    try:
+        with swap_weights(model, weights):
+            for start in range(0, len(dataset), batch_size):
+                index = np.arange(start, min(start + batch_size, len(dataset)))
+                inputs, _ = dataset[index]
+                outputs.append(model(inputs))
+    finally:
+        model.train(was_training)
     return np.concatenate(outputs, axis=0)
 
 

@@ -102,14 +102,16 @@ def evaluate_on_plan(
     confidence_sum = 0.0
     was_training = model.training
     model.eval()
-    with swap_weights(model, weights):
-        for inputs, labels in plan:
-            logits = model(inputs)
-            predictions = logits.argmax(axis=1)
-            errors += int((predictions != labels).sum())
-            total += labels.shape[0]
-            confidence_sum += float(confidences(logits).sum())
-    model.train(was_training)
+    try:
+        with swap_weights(model, weights):
+            for inputs, labels in plan:
+                logits = model(inputs)
+                predictions = logits.argmax(axis=1)
+                errors += int((predictions != labels).sum())
+                total += labels.shape[0]
+                confidence_sum += float(confidences(logits).sum())
+    finally:
+        model.train(was_training)
     return errors / max(total, 1), confidence_sum / max(total, 1)
 
 

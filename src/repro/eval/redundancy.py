@@ -52,15 +52,17 @@ def relu_relevance(model: Module, dataset: ArrayDataset, batch_size: int = 64) -
     total_count = 0
     was_training = model.training
     model.eval()
-    for start in range(0, len(dataset), batch_size):
-        index = np.arange(start, min(start + batch_size, len(dataset)))
-        inputs, _ = dataset[index]
-        model(inputs)
-        activations = final_relu._input
-        if activations is not None:
-            total_nonzero += int(np.count_nonzero(activations > 0))
-            total_count += int(activations.size)
-    model.train(was_training)
+    try:
+        for start in range(0, len(dataset), batch_size):
+            index = np.arange(start, min(start + batch_size, len(dataset)))
+            inputs, _ = dataset[index]
+            model(inputs)
+            activations = final_relu._input
+            if activations is not None:
+                total_nonzero += int(np.count_nonzero(activations > 0))
+                total_count += int(activations.size)
+    finally:
+        model.train(was_training)
     if total_count == 0:
         return float("nan")
     return total_nonzero / total_count

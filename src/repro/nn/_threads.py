@@ -9,11 +9,15 @@ set, the budget is 1.
 :func:`spread` runs one layer pass as a region.  The batch is cut into
 tiles of whole samples exactly as without threads; the tiles are grouped
 into one contiguous run per thread of the budget; the calling thread takes
-the first run and a lazily created pool the others, while BLAS is pinned to
-one thread; BLAS's count is restored afterwards.  Every tile is computed by
-the same code wherever it runs, and cross-sample reductions stay with the
-caller, after the region, so results are bit-identical at every budget.  A
-budget of 1, or a single tile, runs the work inline on the calling thread.
+the first run and a lazily created pool the others.  BLAS is pinned to one
+thread around every pass, a single run included (a budget of 1, or a single
+tile, which runs inline on the calling thread), and its count is restored
+afterwards.  A single run needs the pin too: a GEMM run at BLAS's own count
+leaves OpenBLAS's worker busy-waiting for new work (its ``THREAD_TIMEOUT``)
+on a core the next region's tile threads need, so a single-tile pass at a
+budget above 1 gets one thread.  Every tile is computed by the same code
+wherever it runs, and cross-sample reductions stay with the caller, after
+the region, so results are bit-identical at every budget.
 
 Only one region runs at a time: one opened while another is running (from
 another thread, or from inside a tile) runs inline.  A forked child drops
@@ -162,23 +166,24 @@ def spread(n: int, tile: int, work: Callable[[int, int], None]) -> None:
     Tiles are ``tile`` samples long and start at multiples of ``tile``; each
     run covers whole tiles, so ``work`` walks the same tile boundaries
     whatever the budget.  Runs share nothing but the arrays the caller hands
-    them, and write disjoint sample ranges of them.  Every run finishes
-    before this returns, and the first exception raised in any of them
-    reaches the caller.
+    them, and write disjoint sample ranges of them.  Every run, a single one
+    included, sees BLAS pinned to one thread, and BLAS's count is restored
+    when the region ends, on an exception too.  Every run finishes before
+    this returns, and the first exception raised in any of them reaches the
+    caller.
     """
     tiles = -(-n // tile)
-    if tiles <= 1 or not _region.acquire(blocking=False):
+    if not _region.acquire(blocking=False):
         work(0, n)
         return
     try:
-        budget = blas_threads()
-        runs = min(budget, tiles)
-        if runs <= 1:
-            work(0, n)
-            return
-        bounds = [min(n, tile * (tiles * run // runs)) for run in range(runs + 1)]
-        set_blas_threads(1)
+        budget = set_blas_threads(1)
         try:
+            runs = min(budget, tiles)
+            if runs <= 1:
+                work(0, n)
+                return
+            bounds = [min(n, tile * (tiles * run // runs)) for run in range(runs + 1)]
             pool = _executor(runs - 1)
             futures = [pool.submit(work, bounds[run], bounds[run + 1])
                        for run in range(1, runs)]

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.biterror import BitErrorField, ChipProfile
+from repro.core import Trainer, TrainerConfig
 from repro.data import ArrayDataset
+from repro.eval import confidence_statistics
 from repro.eval.fast_eval import BatchPlan, DeltaWeightPatcher, evaluate_on_plan
+from repro.eval.redundancy import relu_relevance
 from repro.models import MLP
 from repro.nn.losses import confidences
 from repro.quant import FixedPointQuantizer, rquant
-from repro.quant.qat import quantize_model, swap_weights
+from repro.quant.qat import model_weight_arrays, quantize_model, swap_weights
 
 
 @pytest.fixture
@@ -95,6 +98,35 @@ def test_evaluate_on_plan_restores_training_mode(setup):
     model.eval()
     evaluate_on_plan(model, weights, plan)
     assert not model.training
+
+
+class ForwardFails(MLP):
+    def forward(self, x):
+        raise RuntimeError("forward failed")
+
+
+EVALUATIONS = {
+    "evaluate_on_plan": lambda model, test: evaluate_on_plan(
+        model, model_weight_arrays(model), BatchPlan(test, batch_size=32)),
+    "Trainer.evaluate": lambda model, test: Trainer(
+        model, FixedPointQuantizer(rquant(8)), TrainerConfig()).evaluate(test),
+    "confidence_statistics": lambda model, test: confidence_statistics(model, None, test),
+    "relu_relevance": lambda model, test: relu_relevance(model, test),
+}
+
+
+@pytest.mark.parametrize("evaluation", sorted(EVALUATIONS))
+def test_an_evaluation_restores_training_mode_when_a_forward_raises(evaluation, blob_data):
+    _, test = blob_data
+    model = ForwardFails(in_features=test.input_shape[0], num_classes=test.num_classes,
+                         hidden=(16,), rng=np.random.default_rng(0))
+    weights = [p.data for p in model.parameters()]
+    for training in (True, False):
+        model.train(training)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            EVALUATIONS[evaluation](model, test)
+        assert all(m.training == training for m in model.modules())
+        assert all(p.data is w for p, w in zip(model.parameters(), weights))
 
 
 def test_empty_dataset_plan_evaluates_to_zero(setup):
