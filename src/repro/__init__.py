@@ -17,6 +17,7 @@ builds on and contributes:
 
 Quick start::
 
+    from repro.biterror import make_error_fields
     from repro.data import synthetic_cifar10, train_test_split
     from repro.core import train_robust_model
     from repro.eval import evaluate_robust_error
@@ -25,8 +26,10 @@ Quick start::
     train, test = train_test_split(data, test_fraction=0.25)
     result = train_robust_model(train, test, model_name="simplenet",
                                 clip_w_max=0.1, bit_error_rate=0.01, epochs=10)
+    chips = make_error_fields(result.quantized_weights.num_weights,
+                              result.quantizer.precision, 10, seed=0)
     report = evaluate_robust_error(result.model, result.quantizer, test,
-                                   bit_error_rate=0.01, num_samples=10)
+                                   bit_error_rate=0.01, error_fields=chips)
     print(result.summary(), report.mean_error)
 """
 

@@ -2,10 +2,11 @@
 
 Where the repository keeps an optimized hot path next to a reference
 implementation behind a keyword flag — ``backend=`` on the injection
-constructors and on ``evaluate_robust_error``, ``error_draw=`` on the
-training configs — parity tests pin the two sides bit-identical.  Those
-tests are the *only* thing holding the twins together: delete one and the
-optimized path can drift from the reference silently.  The flag vocabulary
+constructors (``make_error_fields``, ``make_profiled_chips``, ...),
+``error_draw=`` on the training configs — parity tests pin the two sides
+bit-identical.  Those tests are the *only* thing holding the twins
+together: delete one and the optimized path can drift from the reference
+silently.  The flag vocabulary
 (:class:`~repro.analysis.config.Rep004Config`) also names ``fused``, which
 no source defines today, so a twin added behind it needs a parity test too.
 
@@ -14,7 +15,7 @@ any function, method or dataclass field whose name (or whose defaulted
 keyword parameter) is a twin flag; for an ``__init__`` parameter or a
 dataclass field the seam is addressed by the *class* name.  Each seam must
 then be referenced by at least one call in the test tree that passes the
-flag explicitly (``evaluate_robust_error(..., backend="sparse")``,
+flag explicitly (``make_error_fields(..., backend="sparse")``,
 ``RandBETConfig(error_draw="sparse")``, ...).  A seam nobody tests with the
 flag spelled out is an unpinned twin — a finding at the definition site.
 """

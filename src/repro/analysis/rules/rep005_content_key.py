@@ -4,8 +4,7 @@ A cell's content key is the cache identity of its result: the store serves
 a hit whenever keys match, across processes, hosts and re-runs.  Any field
 of :class:`~repro.runtime.spec.EvalJob` or :class:`SweepSpec` that affects
 a result but is *not* hashed therefore produces silent cache corruption —
-two different evaluations sharing one key (the bug class PR 5's
-``subsample`` fold-in existed to prevent).
+two different evaluations sharing one key.
 
 The rule reads the spec module's AST and cross-checks three sets:
 

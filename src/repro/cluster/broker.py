@@ -96,7 +96,10 @@ def read_manifest(run_dir: str) -> Optional[Dict[str, object]]:
 
     Raises ``ValueError`` for a run submitted on the removed ``kv`` queue
     backend: its items live outside ``queue/``, so a worker would find the
-    queue empty and call the run drained without running anything.
+    queue empty and call the run drained without running anything.  It also
+    raises for a run whose cells were evaluated on per-cell example subsets:
+    their content keys fold the subset size in, and serving them on the full
+    dataset would store wrong numbers under them.
     """
     path = os.path.join(run_dir, MANIFEST_FILENAME)
     if not os.path.exists(path):
@@ -108,6 +111,12 @@ def read_manifest(run_dir: str) -> Optional[Dict[str, object]]:
         raise ValueError(
             f"run directory {run_dir!r} was submitted on queue_backend "
             f"{backend!r}; only the filesystem queue is supported"
+        )
+    size = (manifest or {}).get("subsample")
+    if size is not None:
+        raise ValueError(
+            f"run directory {run_dir!r} was submitted with subsample={size}; "
+            "per-cell example subsets are no longer supported"
         )
     return manifest
 
@@ -175,7 +184,6 @@ def prepare_run_dir(
         {
             "context": digest,
             "lease_timeout": float(lease_timeout),
-            "subsample": context.subsample,
             "expected_keys": expected,
             # Submitting with telemetry enabled asks every worker serving
             # this run directory to record its own sink here too (see

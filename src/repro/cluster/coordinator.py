@@ -85,12 +85,16 @@ def spawn_local_worker(
     copy of this process, so it starts without a new interpreter or a single
     import.  It first sheds what a freshly started worker would not have:
     its stdout and stderr go to ``<run_dir>/workers/<worker_id>.log``,
-    SIGTERM and SIGINT get their default handlers (the installed fault plan
-    and telemetry recorder are dropped at every fork), and BLAS gets the
-    thread count of :func:`repro.nn._threads.set_worker_threads` for one of
-    ``workers`` processes serving the run.  It then runs ``python -m
-    repro.cluster worker <run_dir> --id <worker_id> --poll <poll_interval>``
-    and exits with its code.  ``OSError`` means the host refused the fork.
+    SIGINT gets its default handler (the installed fault plan and telemetry
+    recorder are dropped at every fork), and BLAS gets the thread count of
+    :func:`repro.nn._threads.set_worker_threads` for one of ``workers``
+    processes serving the run.  SIGTERM, which the coordinator sends once
+    the run's last cells merge, raises ``SystemExit`` wherever the daemon
+    is (mid back-off sleep, usually), so the worker loop still records its
+    ``worker.exit`` and closes its telemetry sink.  It then runs ``python
+    -m repro.cluster worker <run_dir> --id <worker_id> --poll
+    <poll_interval>`` and exits with its code (143 when terminated).
+    ``OSError`` means the host refused the fork.
     """
     os.makedirs(os.path.join(run_dir, WORKERS_DIRNAME), exist_ok=True)
     # A daemonic process is terminated, not waited for, if this interpreter
@@ -118,12 +122,24 @@ def _serve_forked(run_dir: str, worker_id: str, poll_interval: float, workers: i
     # The interpreter's own streams write to descriptors 1 and 2; the ones
     # installed now may be a caller's (a test runner's capture).
     sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     signal.signal(signal.SIGINT, signal.default_int_handler)
     _threads.set_worker_threads(workers)
-    code = cli.main(["worker", run_dir, "--id", worker_id, "--poll", str(poll_interval)])
+    try:
+        code = cli.main(["worker", run_dir, "--id", worker_id, "--poll", str(poll_interval)])
+    except SystemExit as stop:  # terminated: the loop's finally has run
+        code = stop.code
     sys.stdout.flush()
     os._exit(code)
+
+
+def _exit_on_sigterm(signum, frame):
+    """Unwind a forked daemon as an exception would, not a bare exit.
+
+    Raising (rather than setting a flag) also cuts short a back-off sleep
+    of up to ``max_poll``, so the coordinator's reap does not wait on it.
+    """
+    raise SystemExit(128 + signum)
 
 
 class ClusterExecutor:

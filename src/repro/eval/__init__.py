@@ -15,17 +15,10 @@ from repro.eval.redundancy import (
 from repro.eval.robust_error import (
     RobustErrorResult,
     evaluate_clean_error,
-    evaluate_profiled_error,
     evaluate_robust_error,
     model_error_and_confidence,
 )
-from repro.eval.sweeps import (
-    ProfiledCurve,
-    RErrCurve,
-    compare_models,
-    profiled_sweep,
-    rerr_sweep,
-)
+from repro.eval.sweeps import ProfiledCurve, RErrCurve, profiled_sweep, rerr_sweep
 
 __all__ = [
     "BatchPlan",
@@ -34,7 +27,6 @@ __all__ = [
     "RobustErrorResult",
     "evaluate_clean_error",
     "evaluate_robust_error",
-    "evaluate_profiled_error",
     "model_error_and_confidence",
     "confidence_statistics",
     "logit_statistics",
@@ -52,6 +44,5 @@ __all__ = [
     "RErrCurve",
     "ProfiledCurve",
     "rerr_sweep",
-    "compare_models",
     "profiled_sweep",
 ]

@@ -14,8 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.biterror.patterns import ChipProfile
-from repro.biterror.random_errors import BitErrorField, make_error_fields
+from repro.biterror.random_errors import BitErrorField
 from repro.data.datasets import ArrayDataset
 from repro.eval.fast_eval import BatchPlan, DeltaWeightPatcher, evaluate_on_plan
 from repro.nn.module import Module
@@ -27,7 +26,6 @@ __all__ = [
     "model_error_and_confidence",
     "evaluate_clean_error",
     "evaluate_robust_error",
-    "evaluate_profiled_error",
 ]
 
 
@@ -116,15 +114,12 @@ def evaluate_robust_error(
     quantizer: FixedPointQuantizer,
     dataset: ArrayDataset,
     bit_error_rate: float,
-    num_samples: int = 10,
-    error_fields: Optional[Sequence[BitErrorField]] = None,
-    seed: int = 0,
+    error_fields: Sequence[BitErrorField],
     batch_size: int = 64,
-    backend: str = "dense",
     quantized: Optional[QuantizedWeights] = None,
     clean_stats: Optional[tuple] = None,
 ) -> RobustErrorResult:
-    """Average RErr of ``model`` under random bit errors at ``bit_error_rate``.
+    """Average RErr of ``model`` over the chips ``error_fields`` at ``bit_error_rate``.
 
     Each draw runs the fused per-draw loop: the clean de-quantization is
     computed once, every draw reports only its touched weights
@@ -138,22 +133,20 @@ def evaluate_robust_error(
 
     Parameters
     ----------
-    num_samples:
-        Number of independent error patterns ("chips"); ignored when
-        ``error_fields`` is supplied.
     error_fields:
-        Pre-determined :class:`BitErrorField` instances.  Passing the same
+        The pre-drawn :class:`BitErrorField` instances ("chips"), at least
+        one (see :func:`repro.biterror.make_error_fields`).  Passing the same
         fields for every model and every rate reproduces the paper's protocol
         (fixed patterns, subset property across rates).
-    backend:
-        Injection backend used when ``error_fields`` is auto-created
-        (``"dense"`` or ``"sparse"``; see :mod:`repro.biterror.backends`).
     quantized, clean_stats:
         Pre-computed quantized weights and ``(clean_error, clean_confidence)``
         pair.  Sweep drivers (:func:`repro.eval.sweeps.rerr_sweep`) pass
         these so the model is quantized and clean-evaluated once per sweep
         instead of once per rate.
     """
+    error_fields = list(error_fields)
+    if not error_fields:
+        raise ValueError("a field set requires at least one field")
     if quantized is None:
         quantized = quantize_model(model, quantizer)
     plan = BatchPlan(dataset, batch_size)
@@ -170,26 +163,10 @@ def evaluate_robust_error(
     if bit_error_rate <= 0.0:
         # Every chip is the clean model (injection at p = 0 is an exact
         # no-op), so each draw reports the clean evaluation.
-        draws = num_samples if error_fields is None else len(error_fields)
-        result.errors = [clean_error] * draws
+        result.errors = [clean_error] * len(error_fields)
         result.confidence_perturbed = clean_confidence
         return result
 
-    if error_fields is None:
-        # max_rate deliberately stays at the backend default (0.05, the
-        # paper's largest rate) rather than tracking ``bit_error_rate``:
-        # auto-created fields must be a function of the seed only so that
-        # separate per-rate calls see the same chips and keep the subset
-        # property (App. F).  Sparse evaluation above 0.05 requires passing
-        # explicit ``error_fields`` (or the dense backend) — the backend
-        # raises a descriptive error in that case.
-        error_fields = make_error_fields(
-            quantized.num_weights,
-            quantizer.precision,
-            num_samples,
-            seed=seed,
-            backend=backend,
-        )
     if clean_weights is None:
         # clean_stats were hoisted by the caller; the patcher still needs
         # the clean decode, computed once for all draws.
@@ -208,49 +185,3 @@ def evaluate_robust_error(
         perturbed_confidences.append(confidence)
     result.confidence_perturbed = float(np.mean(perturbed_confidences))
     return result
-
-
-def evaluate_profiled_error(
-    model: Module,
-    quantizer: FixedPointQuantizer,
-    dataset: ArrayDataset,
-    chip: ChipProfile,
-    rate: float,
-    offsets: Sequence[int] = (0,),
-    batch_size: int = 64,
-    quantized: Optional[QuantizedWeights] = None,
-    clean_stats: Optional[tuple] = None,
-    executor=None,
-    store=None,
-) -> RobustErrorResult:
-    """RErr of ``model`` whose weights are stored on a (simulated) profiled chip.
-
-    ``offsets`` simulates different weight-to-memory mappings; the result
-    averages over them as in App. C.1.
-
-    The evaluation is the single-rate case of
-    :func:`repro.eval.sweeps.profiled_sweep` and delegates to it: each offset
-    is one engine cell, shardable via ``executor`` and cachable via
-    ``store``.  Callers sweeping several rates/voltages hoist the
-    rate-independent work by passing precomputed ``quantized`` weights and
-    ``clean_stats`` (a ``(clean_error, clean_confidence)`` pair) — or call
-    ``profiled_sweep`` directly, which does that once for a whole grid.
-    """
-    # Imported lazily: the sweep drivers depend on this module for the
-    # evaluation primitive, so a module-level import would be circular.
-    from repro.eval.sweeps import profiled_sweep
-
-    curve = profiled_sweep(
-        model,
-        quantizer,
-        dataset,
-        chip,
-        [rate],
-        offsets=offsets,
-        batch_size=batch_size,
-        quantized=quantized,
-        clean_stats=clean_stats,
-        executor=executor,
-        store=store,
-    )
-    return curve.results[0]

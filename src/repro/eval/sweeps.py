@@ -1,13 +1,15 @@
 """Reusable experiment sweeps, routed through the sweep-execution engine.
 
 Convenience wrappers used by the examples and benchmark harnesses: evaluate
-one model's RErr across a range of bit error rates (a "curve" of Fig. 7),
-compare several models on the same pre-determined error fields, or sweep a
-profiled chip across cell fault rates and memory placements (Table 5).
+one model's RErr across a range of bit error rates on the chips it is given
+(a "curve" of Fig. 7), or sweep a profiled chip across cell fault rates and
+memory placements (Table 5).  A comparison of several models on the same
+chips is one :class:`~repro.runtime.spec.SweepSpec` with every model
+registered beside one shared field set.
 
 Every driver builds an explicit :class:`~repro.runtime.spec.SweepSpec` — one
 job per (model, rate, field-or-offset) cell — and executes it through
-:func:`repro.runtime.engine.run_sweep`.  That buys three things on top of
+:func:`repro.runtime.engine.run_sweep`.  That buys two things on top of
 the hoisting (quantize once, clean-evaluate once per sweep):
 
 * **sharding** — pass ``executor=ClusterExecutor(max_workers=...)`` (or the
@@ -15,15 +17,12 @@ the hoisting (quantize once, clean-evaluate once per sweep):
   host or on several (:class:`~repro.cluster.ClusterExecutor`; the default
   :class:`SerialExecutor` reproduces the pre-engine results bit for bit);
 * **caching / resumability** — pass ``store=<run_dir or ResultStore>`` and
-  re-running a sweep only executes cells missing from the run directory;
-* **subsampled evaluation** — pass ``subsample=n`` and every cell evaluates
-  a reproducible ``n``-example subset drawn from its derived per-job seed
-  (collision-free across the grid; cache keys include the subsample size).
+  re-running a sweep only executes cells missing from the run directory.
 
-Fields are created through the pluggable injection backend seam
-(:mod:`repro.biterror.backends`) — pass ``backend="sparse"`` to evaluate
+The chips are drawn by the caller, once, with
+:func:`repro.biterror.make_error_fields` (``backend="sparse"`` evaluates
 long sweeps at small rates in ``O(p * W * m)`` per injection instead of
-``O(W * m)``.
+``O(W * m)``), so every call scores exactly the chips it is handed.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.biterror.patterns import ChipProfile
-from repro.biterror.random_errors import BitErrorField, make_error_fields
+from repro.biterror.random_errors import BitErrorField
 from repro.data.datasets import ArrayDataset
 from repro.eval.robust_error import RobustErrorResult
 from repro.nn.module import Module
@@ -45,24 +44,8 @@ __all__ = [
     "RErrCurve",
     "ProfiledCurve",
     "rerr_sweep",
-    "compare_models",
     "profiled_sweep",
 ]
-
-
-def _sweep_max_rate(backend: str, rates: Sequence[float]) -> Optional[float]:
-    """``max_rate`` for auto-created sparse sweep fields.
-
-    ``None`` (the backend's seed-only default of 0.05) whenever the rate grid
-    fits in it, so sweeps with the same seed see the same chips regardless of
-    the grid; only grids exceeding 0.05 widen the field — which makes the
-    patterns a function of the grid, so cross-sweep comparability above 0.05
-    requires passing explicit ``error_fields``.
-    """
-    if backend != "sparse":
-        return None
-    top = max((r for r in rates if r > 0), default=0.0)
-    return top if top > 0.05 else None
 
 
 @dataclass
@@ -137,30 +120,21 @@ def rerr_sweep(
     quantizer: FixedPointQuantizer,
     dataset: ArrayDataset,
     rates: Sequence[float],
-    error_fields: Optional[Sequence[BitErrorField]] = None,
-    num_fields: int = 5,
-    seed: int = 0,
+    error_fields: Sequence[BitErrorField],
     name: str = "model",
     batch_size: int = 64,
-    backend: str = "dense",
     quantized: Optional[QuantizedWeights] = None,
     clean_stats=None,
     executor=None,
     store=None,
-    subsample: Optional[int] = None,
 ) -> RErrCurve:
-    """Evaluate RErr at every rate in ``rates`` using shared error fields.
+    """Evaluate RErr at every rate in ``rates`` on the chips ``error_fields``.
 
     The model is quantized and its clean error evaluated exactly once for the
     whole sweep (pass precomputed ``quantized`` weights and/or ``clean_stats``
     — a ``(clean_error, clean_confidence)`` pair — to hoist even that across
     several sweeps of the same model); per-rate
-    work is limited to injection and perturbed evaluation.  ``backend`` only
-    applies when the fields are auto-created — explicit ``error_fields``
-    carry their own backends and take precedence.  For auto-created sparse
-    fields, ``max_rate`` stays at the seed-only default (0.05) whenever the
-    grid fits in it, and widens to the largest swept rate otherwise (see
-    :func:`_sweep_max_rate`).
+    work is limited to injection and perturbed evaluation.
 
     ``executor`` and ``store`` are forwarded to
     :func:`repro.runtime.engine.run_sweep`: the default serial executor
@@ -168,23 +142,11 @@ def rerr_sweep(
     :class:`~repro.cluster.ClusterExecutor` (or ``executor="cluster"``)
     shards the grid over worker processes, and a store (run directory path
     or :class:`~repro.runtime.store.ResultStore`) makes the sweep resumable.
-    ``subsample=n`` evaluates every cell on a reproducible ``n``-example
-    subset drawn from its derived per-job seed (see
-    :func:`repro.runtime.executors.subsample_plan`).
     """
     rates = list(rates)
     if quantized is None:
         quantized = quantize_model(model, quantizer)
-    if error_fields is None:
-        error_fields = make_error_fields(
-            quantized.num_weights,
-            quantizer.precision,
-            num_fields,
-            seed=seed,
-            backend=backend,
-            max_rate=_sweep_max_rate(backend, rates),
-        )
-    spec = SweepSpec(dataset, batch_size=batch_size, subsample=subsample)
+    spec = SweepSpec(dataset, batch_size=batch_size)
     spec.add_model("model", model, quantizer, quantized, clean_stats=clean_stats)
     spec.add_field_set("fields", error_fields)
     for rate in rates:
@@ -196,62 +158,6 @@ def rerr_sweep(
             assemble_robust_result(spec, results, "model", "fields", rate)
         )
     return curve
-
-
-def compare_models(
-    models: Dict[str, tuple],
-    dataset: ArrayDataset,
-    rates: Sequence[float],
-    num_fields: int = 5,
-    seed: int = 0,
-    backend: str = "dense",
-    batch_size: int = 64,
-    executor=None,
-    store=None,
-    subsample: Optional[int] = None,
-) -> Dict[str, RErrCurve]:
-    """Sweep several ``{name: (model, quantizer)}`` pairs over the same rates.
-
-    Models sharing a precision share the same pre-determined error fields so
-    their curves are directly comparable (the paper's protocol).  All models'
-    cells live in **one** :class:`~repro.runtime.spec.SweepSpec`, so a
-    parallel executor shards the whole comparison — every (model, rate) cell
-    — across workers at once.
-    """
-    rates = list(rates)
-    spec = SweepSpec(dataset, batch_size=batch_size, subsample=subsample)
-    field_set_by_precision: Dict[int, str] = {}
-    for name, (model, quantizer) in models.items():
-        precision = quantizer.precision
-        quantized = quantize_model(model, quantizer)
-        if precision not in field_set_by_precision:
-            key = f"precision{precision}"
-            spec.add_field_set(
-                key,
-                make_error_fields(
-                    quantized.num_weights,
-                    precision,
-                    num_fields,
-                    seed=seed + precision,
-                    backend=backend,
-                    max_rate=_sweep_max_rate(backend, rates),
-                ),
-            )
-            field_set_by_precision[precision] = key
-        spec.add_model(name, model, quantizer, quantized)
-        for rate in rates:
-            spec.add_field_jobs(name, field_set_by_precision[precision], rate)
-    results = run_sweep(spec, executor=executor, store=store)
-    curves: Dict[str, RErrCurve] = {}
-    for name, (model, quantizer) in models.items():
-        source = field_set_by_precision[quantizer.precision]
-        curve = RErrCurve(name=name, rates=rates)
-        for rate in rates:
-            curve.results.append(
-                assemble_robust_result(spec, results, name, source, rate)
-            )
-        curves[name] = curve
-    return curves
 
 
 def profiled_sweep(
@@ -267,7 +173,6 @@ def profiled_sweep(
     clean_stats=None,
     executor=None,
     store=None,
-    subsample: Optional[int] = None,
 ) -> ProfiledCurve:
     """RErr of ``model`` on a profiled ``chip`` across cell fault rates.
 
@@ -276,15 +181,14 @@ def profiled_sweep(
     sweep; pass precomputed ``quantized`` / ``clean_stats`` to hoist them
     across several chips' sweeps of the same model), each (rate, offset)
     pair becomes one engine cell, and the result at every rate averages over
-    the memory placements, exactly like repeated
-    :func:`repro.eval.robust_error.evaluate_profiled_error` calls — but
-    without re-quantizing per rate, and shardable/cachable via ``executor`` /
-    ``store``.
+    the memory placements (App. C.1).  Cells are shardable and cachable via
+    ``executor`` / ``store``; a single rate is ``profiled_sweep(...,
+    [rate]).results[0]``.
     """
     rates = list(rates)
     if quantized is None:
         quantized = quantize_model(model, quantizer)
-    spec = SweepSpec(dataset, batch_size=batch_size, subsample=subsample)
+    spec = SweepSpec(dataset, batch_size=batch_size)
     spec.add_model("model", model, quantizer, quantized, clean_stats=clean_stats)
     spec.add_chip("chip", chip)
     for rate in rates:

@@ -6,21 +6,20 @@ and executes it fast:
 
 * :mod:`repro.runtime.spec` — :class:`SweepSpec` / :class:`EvalJob`:
   enumerate (model, quantizer, rate-or-chip, field/offset) cells with
-  content-addressed cache keys and deterministic per-job seeds;
+  content-addressed cache keys;
 * :mod:`repro.runtime.executors` — :class:`SerialExecutor` (in-process
   reference semantics, bit-identical to the pre-engine loops) and
-  :func:`execute_group`, the one group primitive every executor runs (a
-  chip set's XOR masks scatter in one batched pass); parallel sweeps run
-  on :class:`repro.cluster.ClusterExecutor`;
+  :func:`execute_group`, the one group primitive every executor runs (it
+  streams a cell's chips through the model one at a time); parallel sweeps
+  run on :class:`repro.cluster.ClusterExecutor`;
 * :mod:`repro.runtime.store` — :class:`ResultStore`: JSONL + content-hash
   cache under a run directory, giving resumable, shareable sweeps;
 * :mod:`repro.runtime.engine` — :func:`run_sweep` orchestration plus result
   assembly back into :class:`~repro.eval.robust_error.RobustErrorResult`.
 
-The sweep drivers in :mod:`repro.eval.sweeps` and
-:func:`repro.eval.robust_error.evaluate_profiled_error` all route through
-this engine; later scaling work (memmapped fields, distributed backends,
->100M-weight models) plugs into the executor seam.
+The sweep drivers in :mod:`repro.eval.sweeps` route through this engine;
+later scaling work (memmapped fields, distributed backends, >100M-weight
+models) plugs into the executor seam.
 """
 
 from repro.runtime.engine import assemble_robust_result, clean_stats_for, run_sweep
@@ -29,7 +28,6 @@ from repro.runtime.executors import (
     execute_group,
     group_jobs,
     resolve_executor,
-    subsample_plan,
 )
 from repro.runtime.spec import (
     CellResult,
@@ -50,7 +48,6 @@ __all__ = [
     "SerialExecutor",
     "execute_group",
     "group_jobs",
-    "subsample_plan",
     "resolve_executor",
     "SweepSpec",
     "EvalJob",

@@ -2,9 +2,7 @@
 
 :func:`run_sweep` is the single entry point every sweep driver routes
 through (:func:`repro.eval.sweeps.rerr_sweep`,
-:func:`~repro.eval.sweeps.compare_models`,
-:func:`~repro.eval.sweeps.profiled_sweep`,
-:func:`repro.eval.robust_error.evaluate_profiled_error`).  It
+:func:`~repro.eval.sweeps.profiled_sweep`).  It
 
 1. resolves every job of a :class:`~repro.runtime.spec.SweepSpec` against an
    optional :class:`~repro.runtime.store.ResultStore` (warm cells execute

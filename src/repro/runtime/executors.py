@@ -23,19 +23,15 @@ from __future__ import annotations
 
 from typing import Iterator, List, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro import telemetry
 from repro.biterror.random_errors import iter_apply_fields_batch
 from repro.runtime.spec import CellResult, EvalJob, SweepContext
 from repro.utils.markers import hot_path
-from repro.utils.rng import new_rng
 
 __all__ = [
     "SerialExecutor",
     "execute_group",
     "group_jobs",
-    "subsample_plan",
     "resolve_executor",
 ]
 
@@ -64,7 +60,7 @@ def group_jobs(jobs: Sequence[EvalJob]) -> List[List[EvalJob]]:
     return [grouped[key] for key in order]
 
 
-def _evaluate(context: SweepContext, model, weights, plan=None) -> Tuple[float, float]:
+def _evaluate(context: SweepContext, model, weights, plan) -> Tuple[float, float]:
     # Looked up through the module (not imported at module load) so the
     # once-per-sweep spy tests — and any instrumentation — that patch
     # ``repro.eval.robust_error.model_error_and_confidence`` observe every
@@ -73,36 +69,8 @@ def _evaluate(context: SweepContext, model, weights, plan=None) -> Tuple[float, 
     from repro.eval import robust_error
 
     return robust_error.model_error_and_confidence(
-        model,
-        weights,
-        context.dataset if plan is None else plan,
-        context.batch_size,
+        model, weights, plan, context.batch_size
     )
-
-
-def subsample_plan(context: SweepContext, job: EvalJob):
-    """The per-job evaluation :class:`~repro.eval.fast_eval.BatchPlan`.
-
-    With ``context.subsample`` unset this is the process-wide memoized
-    full-dataset plan.  With ``subsample=n`` set, every job evaluates its
-    own reproducible ``n``-example subset: the indices are drawn without
-    replacement from ``repro.utils.rng.new_rng(job.derived_seed)`` and kept in
-    sorted (dataset) order.  The derived seed is a function of the content
-    key — which folds in the subsample size — so re-runs draw identical
-    subsets, distinct cells draw independent ones, and cached results can
-    never be served across different subset sizes.  A subsample at least as
-    large as the dataset degrades to the full plan (natural order).
-    """
-    if context.subsample is None:
-        return context.batch_plan()
-    n = len(context.dataset)
-    if context.subsample >= n:
-        return context.batch_plan()
-    from repro.eval.fast_eval import BatchPlan
-
-    rng = new_rng(job.derived_seed)
-    indices = np.sort(rng.choice(n, size=context.subsample, replace=False))
-    return BatchPlan(context.dataset.subset(indices), context.batch_size)
 
 
 def execute_group(context: SweepContext, group: Sequence[EvalJob]) -> GroupOutput:
@@ -120,9 +88,7 @@ def execute_group(context: SweepContext, group: Sequence[EvalJob]) -> GroupOutpu
     patching of only the touched weights (profiled chips included, via
     :meth:`~repro.biterror.patterns.ChipProfile.delta_apply`) — which is
     bit-identical to the historical full-de-quantization flow (enforced by
-    the legacy-parity tests).  With ``context.subsample`` set, each job
-    evaluates its own derived-seed subset instead of the shared full-dataset
-    plan (see :func:`subsample_plan`).
+    the legacy-parity tests).
 
     When telemetry is enabled the group records one ``engine.group`` span
     (kind, model, job and cell counts — cells/sec falls out of the span's
@@ -149,12 +115,11 @@ def _execute_group_hot(context: SweepContext, group: List[EvalJob]) -> GroupOutp
     first = group[0]
     entry = context.models[first.model_key]
     clean = entry.clean_weights()
+    plan = context.batch_plan()
     if first.kind == "clean":
         out = []
         for job in group:
-            error, confidence = _evaluate(
-                context, entry.model, clean, subsample_plan(context, job)
-            )
+            error, confidence = _evaluate(context, entry.model, clean, plan)
             out.append((job.content_key, CellResult(error, confidence)))
         return out
     patcher = entry.patcher()
@@ -165,9 +130,7 @@ def _execute_group_hot(context: SweepContext, group: List[EvalJob]) -> GroupOutp
         stream = iter_apply_fields_batch(selected, entry.quantized, first.rate)
         for job, (corrupted, touched) in zip(group, stream):
             with patcher.patched_quantized(corrupted, touched) as weights:
-                error, confidence = _evaluate(
-                    context, entry.model, weights, subsample_plan(context, job)
-                )
+                error, confidence = _evaluate(context, entry.model, weights, plan)
             out.append((job.content_key, CellResult(error, confidence)))
         return out
     if first.kind == "chip":
@@ -177,9 +140,7 @@ def _execute_group_hot(context: SweepContext, group: List[EvalJob]) -> GroupOutp
                 entry.quantized, job.rate, offset=job.offset
             )
             with patcher.patched(touched, values) as weights:
-                error, confidence = _evaluate(
-                    context, entry.model, weights, subsample_plan(context, job)
-                )
+                error, confidence = _evaluate(context, entry.model, weights, plan)
             out.append((job.content_key, CellResult(error, confidence)))
         return out
     raise ValueError(f"unknown job kind {first.kind!r}")

@@ -11,16 +11,12 @@ Each job carries a **content key**: a SHA-256 digest over everything the
 cell's result is a pure function of — the quantized codes and scheme, the
 model architecture and buffers, the dataset, the batch size, the specific
 error field or chip (hashed by *state*, not by name) and the rate/offset.
-Content keys serve three purposes:
+Content keys serve two purposes:
 
 * they are the cache keys of :class:`repro.runtime.store.ResultStore`, so a
   re-run only executes cells the store has not seen;
 * identical cells inside one spec (duplicate rates, aliased models) are
-  deduplicated before execution;
-* :attr:`EvalJob.derived_seed` derives a deterministic per-job seed from the
-  key, so any future stochastic per-cell work (e.g. subsampled evaluation)
-  stays reproducible and collision-free across the grid without threading a
-  seed through every layer.
+  deduplicated before execution.
 
 Specs are pure data; execution lives in :mod:`repro.runtime.executors` and
 orchestration in :mod:`repro.runtime.engine`.
@@ -88,11 +84,6 @@ class EvalJob:
     offset: int  # chip cell offset (kind == "chip" only)
     content_key: str
 
-    @property
-    def derived_seed(self) -> int:
-        """Deterministic per-job seed derived from the content key."""
-        return int(self.content_key[:16], 16) % (2**31 - 1)
-
     def to_record(self) -> Dict[str, object]:
         """JSON-safe dict round-trippable through :meth:`from_record`.
 
@@ -133,11 +124,10 @@ class EvalJob:
     def group_key(self) -> Tuple:
         """Execution-granularity key: jobs sharing it form one executor task.
 
-        ``field`` jobs group per cell — the whole chip set's XOR masks
-        scatter in one batched pass, so splitting them would forfeit the
-        shared injection work.  ``chip`` jobs share nothing across offsets
-        (each offset corrupts independently), so every offset is its own
-        group and a ``ClusterExecutor`` shards offsets too.
+        ``field`` jobs group per cell: one task streams the cell's chips
+        through one model at one rate, one chip at a time.  ``chip`` jobs
+        group per offset, so a ``ClusterExecutor`` shards memory placements
+        too.
         """
         if self.kind == "chip":
             return (self.model_key, self.kind, self.source_key, self.rate, self.index)
@@ -211,20 +201,13 @@ class ModelEntry:
 
 @dataclass
 class SweepContext:
-    """The heavy, picklable payload shipped once per executor worker.
-
-    ``subsample`` (when set) is the per-cell evaluation subset size: every
-    job evaluates ``subsample`` examples drawn reproducibly from its
-    :attr:`EvalJob.derived_seed` instead of the full dataset (see
-    :func:`repro.runtime.executors.subsample_plan`).
-    """
+    """The heavy, picklable payload shipped once per executor worker."""
 
     dataset: object
     batch_size: int
     models: Dict[str, ModelEntry]
     field_sets: Dict[str, List[BitErrorField]]
     chips: Dict[str, ChipProfile]
-    subsample: Optional[int] = None
 
     def batch_plan(self):
         """The full-dataset :class:`~repro.eval.fast_eval.BatchPlan`, memoized.
@@ -374,18 +357,11 @@ class SweepSpec:
     evaluation are hoisted out of every rate/offset loop by construction.
     """
 
-    def __init__(
-        self, dataset, batch_size: int = 64, subsample: Optional[int] = None
-    ):
+    def __init__(self, dataset, batch_size: int = 64):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if subsample is not None:
-            subsample = int(subsample)
-            if subsample < 1:
-                raise ValueError(f"subsample must be at least 1, got {subsample}")
         self.dataset = dataset
         self.batch_size = int(batch_size)
-        self.subsample = subsample
         self.models: Dict[str, ModelEntry] = {}
         self.field_sets: Dict[str, List[BitErrorField]] = {}
         self.chips: Dict[str, ChipProfile] = {}
@@ -498,8 +474,8 @@ class SweepSpec:
         """Add one job per memory ``offset`` for ``chip_key`` at ``rate``.
 
         Zero-rate chip jobs are executed (a fault-free chip still reads back
-        the clean payload), matching the reference ``evaluate_profiled_error``
-        semantics exactly.  Idempotent per (model, chip, rate) cell — but
+        the clean payload), matching the reference per-offset loop
+        exactly.  Idempotent per (model, chip, rate) cell — but
         only for the *same* placements: re-adding the cell with different
         ``offsets`` raises instead of silently answering for the old ones.
         """
@@ -553,14 +529,26 @@ class SweepSpec:
         return list(self._jobs_by_cell.get((model_key, kind, source_key, float(rate)), []))
 
     def context(self) -> SweepContext:
-        """The resource payload executors ship once per worker."""
+        """The resource payload executors ship once per worker.
+
+        Raises ``ValueError`` for a spec unpickled from an older version that
+        evaluated every cell on a per-cell example subset: its content keys
+        fold the subset size in, and serving them on the full dataset would
+        store wrong numbers under them.
+        """
+        size = self.__dict__.get("subsample")  # set only by such old specs
+        if size is not None:
+            raise ValueError(
+                f"this sweep spec was built with subsample={size}; per-cell "
+                "example subsets are no longer supported, so rebuild the spec "
+                "on the full dataset"
+            )
         return SweepContext(
             dataset=self.dataset,
             batch_size=self.batch_size,
             models=self.models,
             field_sets=self.field_sets,
             chips=self.chips,
-            subsample=self.subsample,
         )
 
     @property
@@ -581,12 +569,5 @@ class SweepSpec:
             "dataset": self._dataset_digest,
             "batch_size": self.batch_size,
         }
-        if self.subsample is not None:
-            # Only folded in when set, so full-dataset sweeps keep their
-            # historical keys (warm result stores stay warm across this
-            # feature).  The derived per-job seed — and through it the drawn
-            # example subset — follows the key, so distinct cells draw
-            # collision-free subsets and re-runs draw identical ones.
-            payload["subsample"] = self.subsample
         payload.update(extra)
         return _sha(payload)

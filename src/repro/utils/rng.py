@@ -91,11 +91,11 @@ def sample_seeds(rng: np.random.Generator, n: int) -> Sequence[int]:
 def derived_seed(*tokens: object) -> int:
     """A stable 63-bit seed derived from string-able ``tokens`` (SHA-256).
 
-    The infrastructure's analogue of :attr:`EvalJob.derived_seed`: anywhere a
-    component needs randomness that must be reproducible across processes and
-    hosts (retry-backoff jitter, idle-poll jitter, fault-schedule rolls), it
-    derives a seed from its identifying tokens and feeds it to
-    :func:`new_rng` instead of consuming ambient entropy.
+    Anywhere the infrastructure needs randomness that must be reproducible
+    across processes and hosts (retry-backoff jitter, idle-poll jitter,
+    fault-schedule rolls, fair-share tie-breaks), it derives a seed from its
+    identifying tokens and feeds it to :func:`new_rng` instead of consuming
+    ambient entropy.
     """
     joined = "\x1f".join(str(token) for token in tokens)
     digest = hashlib.sha256(joined.encode("utf-8")).digest()

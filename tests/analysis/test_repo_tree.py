@@ -23,19 +23,19 @@ def test_repository_tree_is_clean():
 
 
 def test_rep004_fires_when_the_backend_parity_test_is_deleted():
-    """Dropping tests/eval from the scan simulates deleting the parity tests
-    for `evaluate_robust_error`: its backend= seam must surface as REP004."""
+    """Dropping tests/biterror from the scan simulates deleting the parity
+    test for `make_profiled_chips`: its backend= seam must surface as REP004."""
     tests_dir = os.path.join(REPO_ROOT, "tests")
     kept = sorted(
         os.path.join("tests", entry)
         for entry in os.listdir(tests_dir)
-        if entry != "eval" and os.path.isdir(os.path.join(tests_dir, entry))
+        if entry != "biterror" and os.path.isdir(os.path.join(tests_dir, entry))
     )
     config = default_config(REPO_ROOT, test_paths=kept)
     report = run_analysis(config, use_baseline=False)
     rep004 = [f for f in report.new_findings if f.rule_id == "REP004"]
     assert any(
-        "evaluate_robust_error(backend=...)" in finding.message for finding in rep004
+        "make_profiled_chips(backend=...)" in finding.message for finding in rep004
     ), "\n" + report.render_text()
 
 

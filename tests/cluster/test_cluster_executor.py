@@ -189,6 +189,38 @@ def test_every_manifest_reader_refuses_a_kv_run(grid, tmp_path, reader):
     assert not os.path.exists(os.path.join(run_dir, "results.jsonl"))
 
 
+def test_a_run_submitted_with_a_subsample_size_is_refused(grid, tmp_path):
+    """Its cells' keys folded the subset size in: a worker serving them on
+    the full dataset would store wrong numbers under them."""
+    run_dir = str(tmp_path)
+    submission = submit_spec(run_dir, grid())
+    manifest = read_manifest(run_dir)
+    assert "subsample" not in manifest  # new runs record none
+    manifest["subsample"] = 8
+    atomic_write_json(os.path.join(run_dir, "manifest.json"), manifest)
+    with pytest.raises(ValueError, match="subsample=8"):
+        worker_loop(run_dir, worker_id="w0")
+    with pytest.raises(ValueError, match="subsample=8"):
+        verify_run_dir(run_dir)
+    assert JobQueue(run_dir).pending_ids() == sorted(submission.enqueued)
+
+
+def test_a_manifest_recording_no_subsample_size_still_runs(grid, tmp_path):
+    """Full-dataset runs recorded ``"subsample": null``; they drain as before."""
+    run_dir = str(tmp_path)
+    submission = submit_spec(run_dir, grid())
+    manifest = read_manifest(run_dir)
+    manifest["subsample"] = None
+    atomic_write_json(os.path.join(run_dir, "manifest.json"), manifest)
+    stats = worker_loop(run_dir, worker_id="w0")
+    assert stats.items == len(submission.enqueued)
+    merge_shards(run_dir)
+    store = ResultStore(run_dir)
+    serial = run_sweep(grid(), executor=SerialExecutor())
+    assert all(store.get(key) == cell for key, cell in serial.items())
+    assert verify_run_dir(run_dir).clean
+
+
 def test_worker_shards_are_single_writer_and_durable(grid, tmp_path):
     run_dir = str(tmp_path)
     submit_spec(run_dir, grid())

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import repro.cluster.coordinator as coordinator
 import repro.cluster.worker as cluster_worker
 from repro import faults, telemetry
 from repro.cluster import (
@@ -208,8 +209,8 @@ def test_a_refused_fork_leaves_every_item_to_the_coordinator(grid, tmp_path, mon
 
 def test_a_forked_daemon_starts_clean(grid, tmp_path, monkeypatch):
     """A daemon forked from this process keeps none of its per-process
-    state: no fault plan, telemetry recorder or SIGTERM handler, and its
-    output goes to its own log."""
+    state: no fault plan, telemetry recorder or SIGTERM handler (it installs
+    its own), and its output goes to its own log."""
     seen = str(tmp_path / "seen.jsonl")
     execute_group = cluster_worker.execute_group
 
@@ -218,7 +219,7 @@ def test_a_forked_daemon_starts_clean(grid, tmp_path, monkeypatch):
             "pid": os.getpid(),
             "plan": faults.current() is not None,
             "sink": telemetry.get_recorder().path if telemetry.enabled() else None,
-            "sigterm": signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+            "sigterm": signal.getsignal(signal.SIGTERM) is coordinator._exit_on_sigterm,
         }])
         return execute_group(context, jobs, **kwargs)
 

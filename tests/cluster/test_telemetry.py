@@ -20,7 +20,7 @@ from repro import telemetry
 from repro.cluster import ClusterExecutor, JobQueue, merge_shards, submit_spec, worker_loop
 from repro.cluster.cli import main as cluster_main, run_status
 from repro.cluster.queue import DONE, LEASED
-from repro.runtime import group_jobs
+from repro.runtime import group_jobs, run_sweep
 from repro.telemetry.report import load_run_records, merged_run_metrics
 
 
@@ -184,6 +184,38 @@ def test_the_coordinator_records_one_start_and_exit_however_many_polls(
     # recording one at close.
     snapshots = [r for r in records if r["type"] == "metrics"]
     assert len(snapshots) <= 2 * len(groups) + 2
+
+
+def test_every_daemon_that_starts_records_its_exit(grid, tmp_path, monkeypatch):
+    """The coordinator terminates its daemon once the last cells merge; the
+    daemon, backing off while the coordinator serves that last item, still
+    records its ``worker.exit``.  The coordinator's items are slowed so that
+    it holds the last one in nearly every drain."""
+    coordinator_pid = os.getpid()
+    execute_group = cluster_worker.execute_group
+
+    def slow_in_the_coordinator(context, jobs):
+        if os.getpid() == coordinator_pid:
+            time.sleep(0.06)
+        return execute_group(context, jobs)
+
+    monkeypatch.setattr(cluster_worker, "execute_group", slow_in_the_coordinator)
+    started = 0
+    for drain in range(6):
+        run_dir = str(tmp_path / f"drain-{drain}")
+        executor = ClusterExecutor(run_dir=run_dir, max_workers=2, lease_timeout=10.0,
+                                   poll_interval=0.02)
+        with telemetry.recording(run_dir, name="caller", echo=None):
+            run_sweep(grid(), executor=executor)
+        lifetimes = {}
+        for record in load_run_records(run_dir):
+            if (record["sink"].startswith("worker-local-") and record["type"] == "event"
+                    and record["name"] in ("worker.start", "worker.exit")):
+                lifetimes.setdefault(record["sink"], []).append(record["name"])
+        for sink, names in lifetimes.items():
+            assert names == ["worker.start", "worker.exit"], (drain, sink, names)
+        started += len(lifetimes)
+    assert started >= 3  # the daemon got going in most drains
 
 
 def test_worker_loop_records_one_start_and_exit_per_call(grid, tmp_path):

@@ -12,8 +12,8 @@ from repro.data import ArrayDataset
 from repro.eval import (
     RobustErrorResult,
     evaluate_clean_error,
-    evaluate_profiled_error,
     evaluate_robust_error,
+    profiled_sweep,
 )
 from repro.models import MLP
 from repro.quant import FixedPointQuantizer, QuantizationScheme, rquant
@@ -36,7 +36,9 @@ def test_clean_error_matches_zero_rate_result(trained, blob_data):
     _, test = blob_data
     model, quantizer = trained
     clean = evaluate_clean_error(model, quantizer, test)
-    result = evaluate_robust_error(model, quantizer, test, bit_error_rate=0.0)
+    fields = make_error_fields(model.num_parameters(), 8, 10, seed=0)
+    result = evaluate_robust_error(model, quantizer, test, bit_error_rate=0.0,
+                                   error_fields=fields)
     assert np.isclose(result.clean_error, clean)
     assert result.errors == [result.clean_error] * 10  # one per chip
     assert result.mean_error == result.clean_error
@@ -55,8 +57,9 @@ def test_equal_draws_average_to_their_value_exactly():
 def test_robust_error_fields_and_statistics(trained, blob_data):
     _, test = blob_data
     model, quantizer = trained
+    fields = make_error_fields(model.num_parameters(), 8, 6, seed=3)
     result = evaluate_robust_error(
-        model, quantizer, test, bit_error_rate=0.01, num_samples=6, seed=3
+        model, quantizer, test, bit_error_rate=0.01, error_fields=fields
     )
     assert len(result.errors) == 6
     assert result.mean_error >= 0.0
@@ -87,9 +90,9 @@ def test_profiled_evaluation_over_offsets(trained, blob_data):
     _, test = blob_data
     model, quantizer = trained
     chip = ChipProfile(rows=256, columns=128, column_alignment=0.5, seed=9)
-    result = evaluate_profiled_error(
-        model, quantizer, test, chip, rate=0.02, offsets=(0, 1000, 2000)
-    )
+    result = profiled_sweep(
+        model, quantizer, test, chip, [0.02], offsets=(0, 1000, 2000)
+    ).results[0]
     assert len(result.errors) == 3
     assert result.mean_error >= 0.0
 
@@ -219,25 +222,33 @@ def test_fused_evaluation_with_hoisted_inputs_matches_reference(trained, blob_da
 
 
 def test_sparse_backend_consistent_with_dense(trained, blob_data):
-    """Auto-created fields: the sparse backend twin tracks the dense one."""
+    """Chips drawn on either backend: the sparse twin tracks the dense one."""
     _, test = blob_data
     model, quantizer = trained
-    dense = evaluate_robust_error(
-        model, quantizer, test, 0.02, num_samples=5, seed=13, backend="dense"
-    )
-    sparse = evaluate_robust_error(
-        model, quantizer, test, 0.02, num_samples=5, seed=13, backend="sparse"
-    )
+
+    def rerr(backend):
+        fields = make_error_fields(model.num_parameters(), 8, 5, seed=13,
+                                   backend=backend)
+        return evaluate_robust_error(model, quantizer, test, 0.02, error_fields=fields)
+
+    dense, sparse = rerr("dense"), rerr("sparse")
     # The clean evaluation never touches the injection backend.
     assert sparse.clean_error == dense.clean_error
     assert sparse.confidence_clean == dense.confidence_clean
     # Both backends draw from the same flip-set distribution.
     assert abs(sparse.mean_error - dense.mean_error) < 0.2
     # The sparse twin is a pure function of the seed.
-    again = evaluate_robust_error(
-        model, quantizer, test, 0.02, num_samples=5, seed=13, backend="sparse"
-    )
-    assert again.errors == sparse.errors
+    assert rerr("sparse").errors == sparse.errors
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.02])
+def test_an_empty_chip_list_is_refused_at_every_rate(trained, blob_data, rate):
+    """No chips means no RErr: neither the clean error nor a NaN confidence
+    stands in for one, as rerr_sweep's field set already refuses."""
+    _, test = blob_data
+    model, quantizer = trained
+    with pytest.raises(ValueError, match="at least one field"):
+        evaluate_robust_error(model, quantizer, test, rate, error_fields=[])
 
 
 def test_fused_evaluation_leaves_model_weights_clean(trained, blob_data):
@@ -245,7 +256,8 @@ def test_fused_evaluation_leaves_model_weights_clean(trained, blob_data):
     _, test = blob_data
     model, quantizer = trained
     before = [param.data.copy() for param in model.parameters()]
-    evaluate_robust_error(model, quantizer, test, 0.02, num_samples=3, seed=31)
+    fields = make_error_fields(model.num_parameters(), 8, 3, seed=31)
+    evaluate_robust_error(model, quantizer, test, 0.02, error_fields=fields)
     for param, original in zip(model.parameters(), before):
         np.testing.assert_array_equal(param.data, original)
 
@@ -265,10 +277,12 @@ def test_batch_size_must_be_positive(trained, blob_data):
     _, test = blob_data
     model, quantizer = trained
     weights = model_weight_arrays(model)
+    fields = make_error_fields(model.num_parameters(), 8, 1, seed=2)
     for bad in (0, -4):
         with pytest.raises(ValueError, match="batch_size"):
             model_error_and_confidence(model, weights, test, bad)
         with pytest.raises(ValueError, match="batch_size"):
             evaluate_clean_error(model, quantizer, test, batch_size=bad)
         with pytest.raises(ValueError, match="batch_size"):
-            evaluate_robust_error(model, quantizer, test, 0.01, batch_size=bad)
+            evaluate_robust_error(model, quantizer, test, 0.01, error_fields=fields,
+                                  batch_size=bad)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.biterror import make_error_fields
 from repro.core import Trainer, TrainerConfig
-from repro.eval import compare_models, rerr_sweep
+from repro.eval import rerr_sweep
 from repro.models import MLP
 from repro.quant import FixedPointQuantizer, rquant
 
@@ -25,7 +26,8 @@ def test_rerr_sweep_structure(trained, blob_data):
     _, test = blob_data
     model, quantizer = trained
     rates = [0.0, 0.01, 0.05]
-    curve = rerr_sweep(model, quantizer, test, rates, num_fields=3, seed=2, name="m")
+    fields = make_error_fields(model.num_parameters(), 8, 3, seed=2)
+    curve = rerr_sweep(model, quantizer, test, rates, error_fields=fields, name="m")
     assert curve.rates == rates
     assert len(curve.results) == 3
     assert len(curve.mean_errors()) == 3
@@ -39,7 +41,8 @@ def test_rerr_sweep_structure(trained, blob_data):
 def test_rerr_sweep_zero_rate_matches_clean(trained, blob_data):
     _, test = blob_data
     model, quantizer = trained
-    curve = rerr_sweep(model, quantizer, test, [0.0], num_fields=2)
+    fields = make_error_fields(model.num_parameters(), 8, 2, seed=0)
+    curve = rerr_sweep(model, quantizer, test, [0.0], error_fields=fields)
     assert curve.mean_errors()[0] == curve.clean_error
     assert curve.results[0].errors == [curve.clean_error] * 2  # one per chip
 
@@ -74,22 +77,13 @@ def test_rerr_sweep_quantizes_and_clean_evaluates_once(trained, blob_data, monke
 
     rates = [0.0, 0.01, 0.02]
     num_fields = 3
-    curve = sweeps_module.rerr_sweep(
-        model, quantizer, test, rates, num_fields=num_fields, seed=0
-    )
+    fields = make_error_fields(model.num_parameters(), 8, num_fields, seed=0)
+    curve = sweeps_module.rerr_sweep(model, quantizer, test, rates, error_fields=fields)
     assert quantize_calls["n"] == 1
     # Exactly one clean evaluation plus one perturbed evaluation per
     # (non-zero rate, field) pair — nothing is re-done per rate.
     assert eval_calls["n"] == 1 + 2 * num_fields
     assert len(curve.results) == len(rates)
-
-    # compare_models quantizes each model exactly once, sharing the result
-    # between field creation and the sweep itself.
-    quantize_calls["n"] = 0
-    sweeps_module.compare_models(
-        {"a": (model, quantizer), "b": (model, quantizer)}, test, rates=[0.01]
-    )
-    assert quantize_calls["n"] == 2
 
 
 @pytest.mark.slow
@@ -97,61 +91,29 @@ def test_rerr_sweep_sparse_backend_consistent_with_dense(trained, blob_data):
     _, test = blob_data
     model, quantizer = trained
     rates = [0.0, 0.01, 0.05]
-    dense = rerr_sweep(
-        model, quantizer, test, rates, num_fields=4, seed=3, backend="dense"
-    )
-    sparse = rerr_sweep(
-        model, quantizer, test, rates, num_fields=4, seed=3, backend="sparse"
-    )
+
+    def sweep(backend):
+        fields = make_error_fields(model.num_parameters(), 8, 4, seed=3, backend=backend)
+        return rerr_sweep(model, quantizer, test, rates, error_fields=fields)
+
+    dense, sparse = sweep("dense"), sweep("sparse")
     # Zero rate is the clean model in both backends — exactly equal.
     assert sparse.mean_errors()[0] == dense.mean_errors()[0]
     assert sparse.clean_error == dense.clean_error
     np.testing.assert_allclose(sparse.mean_errors(), dense.mean_errors(), atol=0.2)
 
 
-def test_sparse_sweep_fields_are_seed_only_across_grids(trained, blob_data):
-    """Same seed + different sub-0.05 rate grids must evaluate the same chips."""
+def test_given_chips_are_scored_the_same_on_any_rate_grid(trained, blob_data):
+    """The chips are the caller's, so 1 % scores the same chips whichever
+    other rates share the grid, a wide sparse grid included."""
     _, test = blob_data
     model, quantizer = trained
-    a = rerr_sweep(model, quantizer, test, [0.0, 0.01], num_fields=3, seed=4,
-                   backend="sparse")
-    b = rerr_sweep(model, quantizer, test, [0.01, 0.02], num_fields=3, seed=4,
-                   backend="sparse")
-    assert a.results[1].errors == b.results[0].errors
-
-
-def test_compare_models_shares_fields_per_precision(trained, blob_data):
-    _, test = blob_data
-    model, quantizer = trained
-    curves = compare_models(
-        {"a": (model, quantizer), "b": (model, quantizer)},
-        test,
-        rates=[0.02],
-        num_fields=3,
-        seed=5,
-    )
-    assert set(curves) == {"a", "b"}
-    # Identical model + identical shared fields -> identical results.
-    np.testing.assert_allclose(curves["a"].mean_errors(), curves["b"].mean_errors())
-
-
-def test_compare_models_sparse_backend_consistent_with_dense(trained, blob_data):
-    _, test = blob_data
-    model, quantizer = trained
-    pairs = {"a": (model, quantizer)}
-    dense = compare_models(pairs, test, rates=[0.0, 0.02], num_fields=3, seed=5,
-                           backend="dense")
-    sparse = compare_models(pairs, test, rates=[0.0, 0.02], num_fields=3, seed=5,
-                            backend="sparse")
-    # Zero rate is the clean model in both backends — exactly equal.
-    assert sparse["a"].mean_errors()[0] == dense["a"].mean_errors()[0]
-    np.testing.assert_allclose(
-        sparse["a"].mean_errors(), dense["a"].mean_errors(), atol=0.2
-    )
-    # The sparse twin is a pure function of the seed.
-    again = compare_models(pairs, test, rates=[0.0, 0.02], num_fields=3, seed=5,
-                           backend="sparse")
-    assert again["a"].results[1].errors == sparse["a"].results[1].errors
+    fields = make_error_fields(model.num_parameters(), 8, 3, seed=4,
+                               backend="sparse", max_rate=0.1)
+    alone = rerr_sweep(model, quantizer, test, [0.01], error_fields=fields)
+    wide = rerr_sweep(model, quantizer, test, [0.01, 0.1], error_fields=fields)
+    assert alone.results[0].errors == wide.results[0].errors
+    assert alone.results[0].confidence_perturbed == wide.results[0].confidence_perturbed
 
 
 def test_profiled_sweep_quantizes_and_clean_evaluates_once(
@@ -198,10 +160,11 @@ def test_profiled_sweep_quantizes_and_clean_evaluates_once(
     assert all(len(r.errors) == len(offsets) for r in curve.results)
 
 
-def test_evaluate_profiled_error_accepts_hoisted_inputs(trained, blob_data):
+def test_profiled_sweep_accepts_hoisted_inputs(trained, blob_data):
     """Precomputed quantized weights / clean stats skip the per-call work."""
     import repro.eval.robust_error as robust_error
     from repro.biterror import ChipProfile
+    from repro.eval import profiled_sweep
     from repro.quant.qat import quantize_model
 
     _, test = blob_data
@@ -212,13 +175,13 @@ def test_evaluate_profiled_error_accepts_hoisted_inputs(trained, blob_data):
     clean_stats = robust_error.model_error_and_confidence(
         model, clean_weights, test, 64
     )
-    hoisted = robust_error.evaluate_profiled_error(
-        model, quantizer, test, chip, 0.02, offsets=(0, 500),
+    hoisted = profiled_sweep(
+        model, quantizer, test, chip, [0.02], offsets=(0, 500),
         quantized=quantized, clean_stats=clean_stats,
-    )
-    reference = robust_error.evaluate_profiled_error(
-        model, quantizer, test, chip, 0.02, offsets=(0, 500)
-    )
+    ).results[0]
+    reference = profiled_sweep(
+        model, quantizer, test, chip, [0.02], offsets=(0, 500)
+    ).results[0]
     assert hoisted.errors == reference.errors
     assert hoisted.clean_error == reference.clean_error
     assert hoisted.confidence_perturbed == reference.confidence_perturbed

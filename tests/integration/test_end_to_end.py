@@ -6,7 +6,7 @@ import pytest
 from repro.biterror import make_error_fields, make_profiled_chips
 from repro.core import train_robust_model
 from repro.data import SyntheticImageConfig, make_synthetic_images, train_test_split
-from repro.eval import evaluate_profiled_error, evaluate_robust_error
+from repro.eval import evaluate_robust_error, profiled_sweep
 from repro.models import build_model
 from repro.utils.serialization import load_state_dict, save_state_dict
 
@@ -48,11 +48,11 @@ def test_robust_error_pipeline_runs_at_multiple_rates(trained_cnn):
 def test_profiled_chip_evaluation(trained_cnn):
     result, test = trained_cnn
     chips = make_profiled_chips(seed=5)
-    report = evaluate_profiled_error(
-        result.model, result.quantizer, test, chips["chip2"], rate=0.02,
+    curve = profiled_sweep(
+        result.model, result.quantizer, test, chips["chip2"], [0.02],
         offsets=(0, 512, 1024),
     )
-    assert len(report.errors) == 3
+    assert len(curve.results[0].errors) == 3
 
 
 def test_serialization_round_trip_preserves_predictions(trained_cnn, tmp_path_factory):

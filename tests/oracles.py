@@ -14,6 +14,10 @@ select:
 * :func:`oracle_chip_touched` reads the weights a profiled chip can perturb
   off its dense fault map, the set
   :meth:`repro.biterror.patterns.ChipProfile.delta_apply` must report.
+* :func:`oracle_group_norm`, :func:`oracle_relu` and :func:`oracle_max_pool`
+  run one sample (and one group or window) at a time with the textbook
+  formulas, forward and backward, for the tiled layers of
+  :mod:`repro.nn` to match whatever their tiles and thread budget.
 """
 
 from __future__ import annotations
@@ -99,3 +103,65 @@ def oracle_chip_touched(chip, num_weights: int, precision: int, rate: float, off
     faulty = chip.fault_map(rate).faulty
     cells = (offset + np.arange(num_weights * precision)) % chip.capacity
     return np.unique(np.flatnonzero(faulty[cells]) // precision)
+
+
+def oracle_group_norm(x, num_groups, gamma, beta, eps, grad_out):
+    """GroupNorm's output and its input, ``gamma`` and ``beta`` gradients.
+
+    ``gamma`` is the scale the layer applies (its effective scale), so its
+    gradient is also the stored scale's under either parameterization.
+    """
+    n, c = x.shape[:2]
+    out = np.empty_like(x)
+    grad_x = np.empty_like(x)
+    grad_gamma = np.zeros(c)
+    grad_beta = np.zeros(c)
+    per_group = c // num_groups
+    for b in range(n):
+        for g in range(num_groups):
+            channels = slice(g * per_group, (g + 1) * per_group)
+            values = x[b, channels]
+            inv_std = 1.0 / np.sqrt(np.var(values) + eps)
+            x_hat = (values - np.mean(values)) * inv_std
+            scale = gamma[channels, None, None]
+            out[b, channels] = x_hat * scale + beta[channels, None, None]
+            grad = grad_out[b, channels]
+            grad_gamma[channels] += (grad * x_hat).sum(axis=(1, 2))
+            grad_beta[channels] += grad.sum(axis=(1, 2))
+            grad_x_hat = grad * scale
+            grad_x[b, channels] = inv_std * (
+                grad_x_hat - np.mean(grad_x_hat) - x_hat * np.mean(grad_x_hat * x_hat)
+            )
+    return out, grad_x, grad_gamma, grad_beta
+
+
+def oracle_relu(x, grad_out):
+    """ReLU's output and input gradient (zero where ``x <= 0``)."""
+    out = np.empty_like(x)
+    grad_x = np.empty_like(x)
+    for b in range(len(x)):
+        positive = x[b] > 0
+        out[b] = np.where(positive, x[b], 0.0)
+        grad_x[b] = np.where(positive, grad_out[b], 0.0)
+    return out, grad_x
+
+
+def oracle_max_pool(x, k, grad_out):
+    """Non-overlapping ``k`` max pooling and its input gradient.
+
+    Each window's gradient goes to its first maximum in row-major order,
+    where ``np.argmax`` finds it.
+    """
+    n, c, h, w = x.shape
+    out = np.empty((n, c, h // k, w // k))
+    grad_x = np.zeros_like(x)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(h // k):
+                for j in range(w // k):
+                    window = x[b, ch, i * k:(i + 1) * k, j * k:(j + 1) * k]
+                    first = np.argmax(window)
+                    out[b, ch, i, j] = window.flat[first]
+                    row, col = divmod(first, k)
+                    grad_x[b, ch, i * k + row, j * k + col] = grad_out[b, ch, i, j]
+    return out, grad_x

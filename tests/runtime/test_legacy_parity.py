@@ -2,8 +2,8 @@
 
 These tests re-implement the ad-hoc sweep loops the engine replaced (the
 exact code that shipped before the runtime subsystem; the pre-engine
-``evaluate_profiled_error`` body is ``oracles.unfused_robust_error`` over a
-chip's offsets) and assert **exact**
+profiled-chip loop is ``oracles.unfused_robust_error`` over a chip's
+offsets) and assert **exact**
 float equality against the engine-routed drivers on fixed seeds — not
 closeness.  Serial execution is the reference semantics; any divergence is a
 correctness bug, not noise.
@@ -15,17 +15,12 @@ import pytest
 from oracles import unfused_robust_error
 from repro.biterror import ChipProfile, make_error_fields
 from repro.core import Trainer, TrainerConfig
-from repro.eval import (
-    compare_models,
-    evaluate_profiled_error,
-    evaluate_robust_error,
-    profiled_sweep,
-    rerr_sweep,
-)
+from repro.eval import evaluate_robust_error, profiled_sweep, rerr_sweep
 from repro.eval.robust_error import RobustErrorResult, model_error_and_confidence
 from repro.models import MLP
 from repro.quant import FixedPointQuantizer, rquant
 from repro.quant.qat import quantize_model
+from repro.runtime import SweepSpec, assemble_robust_result, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -88,29 +83,23 @@ def test_rerr_sweep_duplicate_rates_match_legacy(trained, blob_data):
         assert_results_identical(ours, reference)
 
 
-def test_evaluate_profiled_error_is_bit_identical_to_legacy(trained, blob_data):
+@pytest.mark.parametrize(
+    "chip, rates, offsets",
+    [
+        (ChipProfile(rows=128, columns=64, seed=3), [0.0, 0.02], (0, 2000)),
+        # A column-aligned chip, a deeper offset and a higher rate.
+        (ChipProfile(rows=256, columns=64, column_alignment=0.5, seed=9),
+         [0.0, 0.01, 0.03], (0, 1000, 5000)),
+    ],
+    ids=["plain", "column-aligned"],
+)
+def test_profiled_sweep_matches_per_rate_evaluations(
+    trained, blob_data, chip, rates, offsets
+):
     _, test = blob_data
     model, quantizer = trained
-    chip = ChipProfile(rows=256, columns=64, column_alignment=0.5, seed=9)
-    offsets = (0, 1000, 5000)
-    for rate in (0.0, 0.01, 0.03):
-        legacy = unfused_robust_error(
-            model, quantizer, test, rate, chip=chip, offsets=offsets
-        )
-        ours = evaluate_profiled_error(
-            model, quantizer, test, chip, rate, offsets=offsets
-        )
-        assert_results_identical(ours, legacy)
-
-
-def test_profiled_sweep_matches_per_rate_evaluations(trained, blob_data):
-    _, test = blob_data
-    model, quantizer = trained
-    chip = ChipProfile(rows=128, columns=64, seed=3)
-    rates = [0.0, 0.02]
-    offsets = (0, 2000)
     curve = profiled_sweep(model, quantizer, test, chip, rates, offsets=offsets)
-    assert curve.rates == rates and curve.offsets == [0, 2000]
+    assert curve.rates == rates and curve.offsets == list(offsets)
     for rate, ours in zip(rates, curve.results):
         legacy = unfused_robust_error(
             model, quantizer, test, rate, chip=chip, offsets=offsets
@@ -118,19 +107,32 @@ def test_profiled_sweep_matches_per_rate_evaluations(trained, blob_data):
         assert_results_identical(ours, legacy)
 
 
-def test_compare_models_is_bit_identical_to_per_model_sweeps(trained, blob_data):
+def test_two_models_on_one_shared_field_set_match_per_model_sweeps(
+    trained, blob_data
+):
+    """A multi-model comparison is one spec whose models share one field
+    set; each model's curve equals its own rerr_sweep on those fields."""
     _, test = blob_data
     model, quantizer = trained
-    rates = [0.0, 0.01]
-    curves = compare_models(
-        {"a": (model, quantizer), "b": (model, quantizer)}, test, rates,
-        num_fields=3, seed=5,
+    other = MLP(
+        in_features=test.input_shape[0], num_classes=test.num_classes,
+        hidden=(24,), rng=np.random.default_rng(7),
     )
-    # The legacy protocol: fields per precision with seed `seed + precision`.
-    fields = make_error_fields(
-        model.num_parameters(), 8, 3, seed=5 + quantizer.precision
-    )
-    reference = legacy_rerr_sweep(model, quantizer, test, rates, fields)
-    for name in ("a", "b"):
-        for ours, ref in zip(curves[name].results, reference):
+    models = {"trained": model, "untrained": other}
+    rates = [0.0, 0.01, 0.03]
+    fields = make_error_fields(model.num_parameters(), 8, 3, seed=5)
+    spec = SweepSpec(test, batch_size=64)
+    spec.add_field_set("chips", fields)
+    for key, net in models.items():
+        spec.add_model(key, net, quantizer, quantize_model(net, quantizer))
+        for rate in rates:
+            spec.add_field_jobs(key, "chips", rate)
+    results = run_sweep(spec)
+    for key, net in models.items():
+        reference = rerr_sweep(net, quantizer, test, rates, error_fields=fields)
+        for rate, ref in zip(rates, reference.results):
+            ours = assemble_robust_result(spec, results, key, "chips", rate)
             assert_results_identical(ours, ref)
+    # The two models differ, so the shared chips score them apart.
+    assert (assemble_robust_result(spec, results, "trained", "chips", 0.01).errors
+            != assemble_robust_result(spec, results, "untrained", "chips", 0.01).errors)

@@ -1,5 +1,7 @@
 """Tests for SweepSpec / EvalJob content keys and job enumeration."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -36,9 +38,6 @@ def test_content_keys_are_stable_across_builds(setup):
     a = build_spec(setup)
     b = build_spec(setup)
     assert [j.content_key for j in a.jobs] == [j.content_key for j in b.jobs]
-    # ... and every job's derived seed follows the key deterministically.
-    assert [j.derived_seed for j in a.jobs] == [j.derived_seed for j in b.jobs]
-    assert all(0 <= j.derived_seed < 2**31 - 1 for j in a.jobs)
 
 
 def test_content_keys_separate_cells(setup):
@@ -192,3 +191,40 @@ def test_content_keys_include_engine_schema_version(setup, monkeypatch):
     monkeypatch.setattr(spec_module, "ENGINE_SCHEMA_VERSION", 2)
     after = [j.content_key for j in build_spec(setup).jobs]
     assert set(before).isdisjoint(after)
+
+
+def _unpickled_with_subsample(spec, size):
+    """The spec as an older version pickled it: with a ``subsample`` field."""
+    spec.__dict__["subsample"] = size
+    return pickle.loads(pickle.dumps(spec))
+
+
+def test_a_spec_unpickled_with_a_subsample_size_is_refused(setup, tmp_path):
+    """Its keys folded the subset size in: serving them on the full dataset
+    would store wrong numbers under them, through any entry point."""
+    from repro.cluster import submit_spec
+    from repro.runtime import run_sweep
+    from repro.service import ServiceRegistry
+
+    old = _unpickled_with_subsample(build_spec(setup), 8)
+    with pytest.raises(ValueError, match="subsample=8"):
+        old.context()
+    with pytest.raises(ValueError, match="subsample=8"):
+        run_sweep(old)
+    with pytest.raises(ValueError, match="subsample=8"):
+        submit_spec(str(tmp_path / "run"), old)
+    registry = ServiceRegistry(str(tmp_path / "service"))
+    with pytest.raises(ValueError, match="subsample=8"):
+        registry.submit("tenant", old)
+    assert registry.get("tenant") is None
+
+
+def test_a_spec_unpickled_with_no_subsample_size_still_runs(setup):
+    """Full-dataset specs recorded ``subsample=None`` and never folded it
+    into a key, so they keep their keys and results."""
+    from repro.runtime import run_sweep
+
+    fresh = build_spec(setup)
+    old = _unpickled_with_subsample(build_spec(setup), None)
+    assert [j.content_key for j in old.jobs] == [j.content_key for j in fresh.jobs]
+    assert run_sweep(old) == run_sweep(fresh)
