@@ -57,7 +57,7 @@ def relu_relevance(model: Module, dataset: ArrayDataset, batch_size: int = 64) -
             index = np.arange(start, min(start + batch_size, len(dataset)))
             inputs, _ = dataset[index]
             model(inputs)
-            activations = final_relu._input
+            activations = final_relu._output
             if activations is not None:
                 total_nonzero += int(np.count_nonzero(activations > 0))
                 total_count += int(activations.size)

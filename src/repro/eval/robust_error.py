@@ -149,6 +149,9 @@ def evaluate_robust_error(
         raise ValueError("a field set requires at least one field")
     if quantized is None:
         quantized = quantize_model(model, quantizer)
+    # Every rate, p = 0 included, refuses a chip of another precision or size.
+    for fld in error_fields:
+        fld._check_quantized(quantized)
     plan = BatchPlan(dataset, batch_size)
     clean_weights = None
     if clean_stats is None:
@@ -177,7 +180,6 @@ def evaluate_robust_error(
     # per draw would re-pay an O(W) concatenation per chip).
     flat = quantized.flat_codes(copy=False)
     for fld in error_fields:
-        fld._check_quantized(quantized)
         touched, values = fld.delta_apply(flat, bit_error_rate)
         with patcher.patched(touched, values) as weights:
             error, confidence = model_error_and_confidence(model, weights, plan, batch_size)

@@ -134,8 +134,12 @@ def scratch(size: int) -> np.ndarray:
     """``size`` float64s of this thread's scratch, kept across calls.
 
     One buffer per thread, grown to the largest request, serves every
-    layer's tiles.  A layer's tile work uses it for one tile at a time and
-    calls no other layer, so no two users on one thread overlap.
+    layer's tiles, and it has one user at a time: the tile loop of one
+    layer pass, or of one Conv2d → GroupNorm → ReLU walk
+    (:func:`repro.nn.module.conv_block_forward`).  That user takes the
+    buffer once per region run and hands disjoint slices of it to the tile
+    kernels it calls; a kernel never asks for scratch itself, so no two
+    users on one thread overlap.
     """
     buffer = getattr(_local, "buffer", None)
     if buffer is None or buffer.size < size:

@@ -18,17 +18,25 @@ _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 class ReLU(Module):
-    """Rectified linear unit, ``max(0, x)``."""
+    """Rectified linear unit, ``max(0, x)``.
 
-    _forward_caches = ("_input",)
+    The layer caches its output, not its input, as backward's mask:
+    ``out > 0`` holds exactly where ``x > 0`` does, because the inputs that
+    fail ``x > 0`` without being negative, NaN and -0.0, come out as +0.0,
+    which fails it too.  So the eval block walk
+    (:func:`repro.nn.module.conv_block_forward`), which never holds a whole
+    ReLU input, hands the layer its output, and
+    :func:`repro.eval.redundancy.relu_relevance` reads the same cache.
+    """
+
+    _forward_caches = ("_output",)
 
     def __init__(self) -> None:
         super().__init__()
-        self._input: Optional[np.ndarray] = None
+        self._output: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._input = x
         out = np.empty_like(x)
 
         def run(first: int, last: int) -> None:
@@ -37,30 +45,31 @@ class ReLU(Module):
             np.fmax(x[first:last], 0.0, out=out[first:last])
 
         _threads.spread(len(x), _threads.sample_tile(x, _TILE_BYTES), run)
+        self._output = out
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input is None:
+        if self._output is None:
             raise RuntimeError("backward() called before forward()")
-        x = self._input
+        y = self._output
         grad_output = np.asarray(grad_output, dtype=np.float64)
         grad_input = np.empty_like(grad_output)
         grad_bits, input_bits = grad_output.view(np.uint64), grad_input.view(np.uint64)
-        tile = _threads.sample_tile(x, _TILE_BYTES)
+        tile = _threads.sample_tile(y, _TILE_BYTES)
 
         def run(first: int, last: int) -> None:
-            # np.where(x > 0, grad, 0.0) as bit operations, which take no
+            # np.where(y > 0, grad, 0.0) as bit operations, which take no
             # branch per element: the gradient's bits ANDed with all ones
-            # where x > 0 and with zeros (+0.0) elsewhere.  Cache-sized
+            # where y > 0 and with zeros (+0.0) elsewhere.  Cache-sized
             # tiles keep the masks cached between the passes.
-            ones = _threads.scratch(x[first : first + tile].size).view(np.uint64)
+            ones = _threads.scratch(y[first : first + tile].size).view(np.uint64)
             for start in range(first, last, tile):
                 block = slice(start, min(start + tile, last))
-                mask = np.greater(x[block], 0.0)
+                mask = np.greater(y[block], 0.0)
                 bits = np.multiply(mask, _ALL_ONES, out=ones[: mask.size].reshape(mask.shape))
                 np.bitwise_and(grad_bits[block], bits, out=input_bits[block])
 
-        _threads.spread(len(x), tile, run)
+        _threads.spread(len(y), tile, run)
         return grad_input
 
 

@@ -14,7 +14,9 @@ sample), spread over the process's thread budget (see
 thread's scratch buffer, multiplies it by one ``(O, K) @ (K, m * P)`` GEMM
 into a second tile-sized buffer, and writes it with the bias add and the
 ``(O, m, P) -> (m, O, P)`` transpose into its slice of the C-contiguous
-output.  The layer caches its input, not its columns.  Backward gathers
+output; that is one tile kernel, which the eval walk of a Conv2d →
+GroupNorm → ReLU block (:func:`repro.nn.module.conv_block_forward`) calls
+too.  The layer caches its input, not its columns.  Backward gathers
 each tile again, runs the per-sample weight-gradient GEMMs into one
 ``(N, O, K)`` buffer, runs one ``(K, O) @ (O, m * P)`` input-gradient GEMM
 into the columns' scratch and scatters it with :func:`col2im` into the
@@ -199,52 +201,75 @@ class Conv2d(Module):
         return max(1, _TILE_BYTES // (rows * positions * 8))
 
     def _tiles(
-        self, x: np.ndarray, positions: int, first: int, last: int
-    ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
-        """Yield ``(start, stop, columns, spare)`` per tile of samples ``[first, last)``.
+        self, positions: int, first: int, last: int
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """Yield ``(start, stop, scratch)`` per tile of samples ``[first, last)``.
 
-        ``columns`` holds the tile's im2col matrix and ``spare`` has room for
-        an ``(O, m * P)`` matrix; both are views of this thread's scratch.
+        ``scratch`` is this thread's scratch, with room for one tile's
+        :meth:`_gather` output.
         """
-        k = self.kernel_size
-        rows = self.in_channels * k * k
+        rows = self.in_channels * self.kernel_size * self.kernel_size
         tile = self._samples_per_tile(positions)
         buffer = _threads.scratch(
             min(tile, last - first) * (rows + self.out_channels) * positions
         )
         for start in range(first, last, tile):
-            stop = min(start + tile, last)
-            width = (stop - start) * positions
-            cols = buffer[: rows * width].reshape(rows, width)
-            spare = buffer[rows * width : (rows + self.out_channels) * width]
-            im2col(x[start:stop], k, k, self.stride, self.padding, out=cols)
-            yield start, stop, cols, spare.reshape(self.out_channels, width)
+            yield start, min(start + tile, last), buffer
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _gather(
+        self, x: np.ndarray, positions: int, scratch: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """im2col of the samples ``x`` into the head of ``scratch``.
+
+        Returns the ``(K, m * P)`` columns and, right after them in
+        ``scratch``, room for an ``(O, m * P)`` matrix; ``scratch`` needs
+        ``m * (K + O) * P`` float64s.
+        """
+        k = self.kernel_size
+        rows = self.in_channels * k * k
+        width = len(x) * positions
+        cols = scratch[: rows * width].reshape(rows, width)
+        spare = scratch[rows * width : (rows + self.out_channels) * width]
+        im2col(x, k, k, self.stride, self.padding, out=cols)
+        return cols, spare.reshape(self.out_channels, width)
+
+    def _checked(self, x: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        """``x`` as float64 and the output's spatial size, or a ``ValueError``."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv2d expected input (N, {self.in_channels}, H, W), got {x.shape}"
             )
         k = self.kernel_size
-        out_h, out_w = _output_hw(x.shape, k, k, self.stride, self.padding)
+        return (x,) + _output_hw(x.shape, k, k, self.stride, self.padding)
+
+    def _forward_tile(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Convolve the samples ``x`` into ``out``, an ``(m, O, P)`` array.
+
+        The forward's tile kernel, shared by :meth:`forward` and the eval
+        block walk (:func:`repro.nn.module.conv_block_forward`): im2col into
+        ``scratch`` (see :meth:`_gather`), one ``(O, K) @ (K, m * P)`` BLAS
+        gemm into the room after the columns, then the bias add and the
+        ``(O, m, P) -> (m, O, P)`` transpose in one pass into ``out``.
+        ``out`` is C-contiguous: downstream reductions sum in memory order,
+        so a transposed view would change their last bits.
+        """
+        cols, product = self._gather(x, out.shape[2], scratch)
+        np.matmul(self.weight.data.reshape(self.out_channels, -1), cols, out=product)
+        by_sample = product.reshape(self.out_channels, len(x), -1).transpose(1, 0, 2)
+        if self.has_bias:
+            np.add(by_sample, self.bias.data[None, :, None], out=out)
+        else:
+            out[...] = by_sample
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x, out_h, out_w = self._checked(x)
         n, p = x.shape[0], out_h * out_w
-        weight_mat = self.weight.data.reshape(self.out_channels, -1)
         out = np.empty((n, self.out_channels, p))
 
         def run(first: int, last: int) -> None:
-            for start, stop, cols, product in self._tiles(x, p, first, last):
-                # One (O, K) @ (K, m * P) BLAS gemm per tile of m samples.
-                np.matmul(weight_mat, cols, out=product)
-                # Bias add and (O, m, P) -> (m, O, P) transpose in one pass,
-                # into the tile's slice of the C-contiguous output: downstream
-                # reductions sum in memory order, so a transposed view would
-                # change their last bits.
-                by_sample = product.reshape(self.out_channels, stop - start, p).transpose(1, 0, 2)
-                if self.has_bias:
-                    np.add(by_sample, self.bias.data[None, :, None], out=out[start:stop])
-                else:
-                    out[start:stop] = by_sample
+            for start, stop, scratch in self._tiles(p, first, last):
+                self._forward_tile(x[start:stop], out[start:stop], scratch)
 
         _threads.spread(n, self._samples_per_tile(p), run)
         self._cache = (x, x.shape)
@@ -265,7 +290,8 @@ class Conv2d(Module):
         grad_input = np.empty(input_shape)
 
         def run(first: int, last: int) -> None:
-            for start, stop, cols, grad_mat in self._tiles(x, p, first, last):
+            for start, stop, scratch in self._tiles(p, first, last):
+                cols, grad_mat = self._gather(x[start:stop], p, scratch)
                 grads = grad_by_sample[start:stop]
                 columns = cols.reshape(-1, stop - start, p)
                 # Per-sample (O, P) @ (P, K) weight-gradient gemms over strided

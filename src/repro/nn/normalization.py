@@ -81,48 +81,69 @@ class GroupNorm(Module):
             return 1.0 + self.scale.data
         return self.scale.data
 
+    def _check_channels(self, channels: int) -> None:
+        if channels != self.num_channels:
+            raise ValueError(f"expected {self.num_channels} channels, got {channels}")
+
+    def _normalize_tile(
+        self,
+        x: np.ndarray,
+        out: np.ndarray,
+        mean: np.ndarray,
+        inv_std: np.ndarray,
+        scratch: np.ndarray,
+    ) -> None:
+        """Normalize the samples ``x`` into ``out``, both ``(m, C, P)`` arrays.
+
+        The forward's tile kernel, shared by :meth:`forward` and the eval
+        block walk (:func:`repro.nn.module.conv_block_forward`), which passes
+        ``out=x`` to normalize in place.  The per-sample group statistics go
+        into ``mean`` and ``inv_std``, ``(m, G, 1)`` each; ``scratch`` holds
+        the centered values and their squares, ``2 * x.size`` float64s.  The
+        reductions ``mean()`` and ``var()`` run (sum / count, squares sum /
+        count), then x_hat goes straight into ``out`` and the affine map is
+        applied in place.  Statistics are per sample, so tiles of whole
+        samples change no bit.
+        """
+        size, g = len(x), self.num_groups
+        grouped = x.reshape(size, g, -1)
+        m = grouped.shape[2]
+        centered_buffer, squares_buffer = scratch[: 2 * x.size].reshape(2, size, g, m)
+        block_mean = np.divide(grouped.sum(axis=2, keepdims=True), m, out=mean)
+        centered = np.subtract(grouped, block_mean, out=centered_buffer)
+        squares = np.multiply(centered, centered, out=squares_buffer)
+        var = squares.sum(axis=2, keepdims=True) / m
+        block_inv_std = np.divide(1.0, np.sqrt(var + self.eps), out=inv_std)
+        np.multiply(centered, block_inv_std, out=out.reshape(size, g, m))
+        if self.affine:
+            out *= self.effective_scale()[None, :, None]
+            out += self.bias.data[None, :, None]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         n, c, h, w = x.shape
-        if c != self.num_channels:
-            raise ValueError(f"expected {self.num_channels} channels, got {c}")
+        self._check_channels(c)
         g = self.num_groups
-        grouped = x.reshape(n, g, -1)
-        m = grouped.shape[2]
         mean = np.empty((n, g, 1))
         inv_std = np.empty((n, g, 1))
-        out = np.empty((n, c, h, w))
-        if self.affine:
-            gamma = self.effective_scale()[None, :, None, None]
-            beta = self.bias.data[None, :, None, None]
+        by_sample = x.reshape(n, c, -1)
+        out = np.empty((n, c, h * w))
         tile = _threads.sample_tile(x, _TILE_BYTES)
 
-        # Statistics are per sample, so tiles of whole samples that stay in
-        # cache change no bit.  Per tile, the reductions ``mean()`` and
-        # ``var()`` run (sum / count, squares sum / count), then x_hat goes
-        # straight into the output and the affine map is applied in place.
-        # Only the output is batch-sized: backward recomputes x_hat from the
-        # cached input with the same two operations.
+        # Tiles of at most _TILE_BYTES keep the centered values and squares
+        # cached between the statistics and the output.  Only the output is
+        # batch-sized: backward recomputes x_hat from the cached input with
+        # the same two operations.
         def run(first: int, last: int) -> None:
-            scratch = _threads.scratch(2 * min(tile, last - first) * g * m)
-            centered_buffer, squares_buffer = scratch.reshape(2, -1, g, m)
+            scratch = _threads.scratch(2 * min(tile, last - first) * c * h * w)
             for start in range(first, last, tile):
-                stop = min(start + tile, last)
-                block, size = grouped[start:stop], stop - start
-                block_mean = np.divide(block.sum(axis=2, keepdims=True), m, out=mean[start:stop])
-                centered = np.subtract(block, block_mean, out=centered_buffer[:size])
-                squares = np.multiply(centered, centered, out=squares_buffer[:size])
-                var = squares.sum(axis=2, keepdims=True) / m
-                block_inv_std = np.divide(1.0, np.sqrt(var + self.eps), out=inv_std[start:stop])
-                block_out = out[start:stop]
-                np.multiply(centered, block_inv_std, out=block_out.reshape(size, g, m))
-                if self.affine:
-                    block_out *= gamma
-                    block_out += beta
+                block = slice(start, min(start + tile, last))
+                self._normalize_tile(by_sample[block], out[block], mean[block],
+                                     inv_std[block], scratch)
 
         _threads.spread(n, tile, run)
         self._cache = (x, mean, inv_std)
-        return out
+        return out.reshape(n, c, h, w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:

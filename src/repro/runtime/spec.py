@@ -437,14 +437,17 @@ class SweepSpec:
         """Add one job per field of ``field_set_key`` at ``rate``.
 
         A non-positive rate adds no jobs — its result is the clean cell
-        (random bit errors at rate 0 are an exact no-op).  Re-adding an
-        existing (model, field set, rate) cell is idempotent and returns the
-        previously created jobs.
+        (random bit errors at rate 0 are an exact no-op) — but the fields
+        must still match the model's quantized weights, at every rate.
+        Re-adding an existing (model, field set, rate) cell is idempotent
+        and returns the previously created jobs.
         """
         entry = self.models[model_key]
         cell = (model_key, "field", field_set_key, float(rate))
         if cell in self._jobs_by_cell:
             return self._jobs_by_cell[cell]
+        for field in self.field_sets[field_set_key]:
+            field._check_quantized(entry.quantized)
         if rate <= 0.0:
             return []
         jobs = []

@@ -5,9 +5,11 @@ import pytest
 
 from repro.biterror import inject_into_quantized
 from repro.core import Trainer, TrainerConfig
+from repro.data import ArrayDataset
 from repro.eval import confidence_statistics, logit_statistics, redundancy_metrics
 from repro.eval.redundancy import relative_absolute_error, relu_relevance, weight_relevance
-from repro.models import MLP
+from repro.models import MLP, LeNet, SimpleNet
+from repro.nn import ReLU
 from repro.quant import FixedPointQuantizer, rquant
 from repro.quant.qat import quantize_model
 
@@ -71,6 +73,33 @@ def test_relu_relevance_fraction(trained, blob_data):
     model, _ = trained
     fraction = relu_relevance(model, test)
     assert 0.0 <= fraction <= 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: SimpleNet(widths=(16, 32, 64), rng=rng),
+    lambda rng: LeNet(in_channels=3, width=4, rng=rng),
+], ids=["simplenet", "lenet"])
+def test_relu_relevance_counts_the_per_layer_chains_final_relu(build):
+    """An eval forward walks each conv block without materializing the ReLU
+    input; the final ReLU's cache must still hold this batch's activations,
+    not those of the training forward that ran before."""
+    rng = np.random.default_rng(5)
+    model = build(rng)
+    model(rng.normal(size=(6, 3, 16, 16)))  # stale activations in every cache
+    inputs = rng.normal(size=(20, 3, 16, 16))
+    dataset = ArrayDataset(inputs, rng.integers(0, 10, size=20), num_classes=10)
+    fraction = relu_relevance(model, dataset, batch_size=8)
+    layers = model.body.layers
+    final_relu = [layer for layer in layers if isinstance(layer, ReLU)][-1]
+    nonzero = count = 0
+    for start in range(0, 20, 8):
+        h = inputs[start : start + 8]
+        for layer in layers:  # each layer's own forward
+            h = layer(h)
+            if layer is final_relu:
+                nonzero += int(np.count_nonzero(h > 0))
+                count += h.size
+    assert fraction == nonzero / count
 
 
 def test_relative_absolute_error_positive(trained):

@@ -14,6 +14,7 @@ from repro.eval import (
     evaluate_clean_error,
     evaluate_robust_error,
     profiled_sweep,
+    rerr_sweep,
 )
 from repro.models import MLP
 from repro.quant import FixedPointQuantizer, QuantizationScheme, rquant
@@ -262,12 +263,20 @@ def test_fused_evaluation_leaves_model_weights_clean(trained, blob_data):
         np.testing.assert_array_equal(param.data, original)
 
 
-def test_fused_field_precision_mismatch_raises(trained, blob_data):
+@pytest.mark.parametrize("rate", [0.0, 0.01])
+@pytest.mark.parametrize("precision, extra_weights, match",
+                         [(4, 0, "field precision"), (8, 1, "codes")])
+def test_chips_that_do_not_fit_the_model_are_refused_at_every_rate(
+        trained, blob_data, rate, precision, extra_weights, match):
+    """At p = 0 no chip is read, yet one of another precision or size must
+    not pass for the clean model: both entry points refuse it at every rate."""
     _, test = blob_data
     model, quantizer = trained
-    wrong = make_error_fields(model.num_parameters(), 4, 1, seed=2)
-    with pytest.raises(ValueError, match="precision"):
-        evaluate_robust_error(model, quantizer, test, 0.01, error_fields=wrong)
+    wrong = make_error_fields(model.num_parameters() + extra_weights, precision, 3, seed=2)
+    with pytest.raises(ValueError, match=match):
+        evaluate_robust_error(model, quantizer, test, rate, error_fields=wrong)
+    with pytest.raises(ValueError, match=match):
+        rerr_sweep(model, quantizer, test, [rate], error_fields=wrong)
 
 
 def test_batch_size_must_be_positive(trained, blob_data):

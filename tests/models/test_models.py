@@ -125,3 +125,33 @@ def test_resnet_shortcut_on_channel_change(rng):
     assert out.shape == (2, 8, 4, 4)
     grad = block.backward(np.ones_like(out))
     assert grad.shape == x.shape
+
+
+#: Small constructor arguments for every registered model.
+SMALL = {
+    "mlp": dict(in_features=3 * 8 * 8, num_classes=10, hidden=(16, 8)),
+    "lenet": dict(in_channels=3, width=4),
+    "simplenet": dict(widths=(4, 8)),
+    "resnet": dict(widths=(4, 8)),
+    "wideresnet": dict(base_width=2, widen_factor=2),
+}
+#: Registered models that take no ``norm`` argument.
+NO_NORM = {"mlp"}
+
+
+@pytest.mark.parametrize("name, norm", [
+    (name, norm) for name in list_models()
+    for norm in ((None,) if name in NO_NORM else ("gn", "none"))
+])
+def test_eval_logits_equal_training_logits_bit_for_bit(name, norm):
+    """GroupNorm keeps no running statistics, so both modes compute the same
+    function: the eval forward (which walks each Conv2d → GroupNorm → ReLU
+    block tile by tile) must reproduce the per-layer training forward."""
+    kwargs = dict(SMALL[name], rng=np.random.default_rng(0))
+    if norm is not None:
+        kwargs["norm"] = norm
+    model = build_model(name, **kwargs)
+    x = np.random.default_rng(1).normal(size=(5, 3, 8, 8))
+    train_logits = model.train()(x)
+    eval_logits = model.eval()(x)
+    assert eval_logits.tobytes() == train_logits.tobytes()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import repro.nn.activations as activations_module
 import repro.nn.conv as conv_module
+import repro.nn.module as module_module
 import repro.nn.normalization as normalization_module
 import repro.nn.pooling as pooling_module
 from helpers import thread_budget
@@ -133,9 +134,11 @@ def test_an_exception_in_any_tile_reaches_the_caller_and_blas_is_restored(tile, 
 
 
 def test_simplenet_is_bit_identical_at_budget_4_under_constant_thread_switches(monkeypatch):
-    # One sample per tile in every layer, so every region spreads.
+    # One sample per tile in every layer and eval block walk, so every
+    # region spreads.
     for module in (conv_module, normalization_module, activations_module, pooling_module):
         monkeypatch.setattr(module, "_TILE_BYTES", 1)
+    monkeypatch.setattr(module_module, "_BLOCK_TILE_BYTES", 1)
     rng = np.random.default_rng(11)
     x = rng.normal(size=(8, 3, 16, 16))
     grad_logits = rng.normal(size=(8, 10))
@@ -147,9 +150,10 @@ def test_simplenet_is_bit_identical_at_budget_4_under_constant_thread_switches(m
         for budget in (1, 4, 4, 4):
             model = SimpleNet(widths=(8, 16), rng=np.random.default_rng(3))
             with thread_budget(budget):
-                logits = model(x)
+                eval_logits = model.eval()(x)
+                logits = model.train()(x)
                 grad_x = model.backward(grad_logits)
-            passes.append([logits, grad_x] + [p.grad for p in model.parameters()])
+            passes.append([eval_logits, logits, grad_x] + [p.grad for p in model.parameters()])
     finally:
         sys.setswitchinterval(interval)
     assert time.monotonic() - started < 60

@@ -155,6 +155,7 @@ FORK_AFTER_THREADS = textwrap.dedent("""
     import numpy as np
 
     import repro.nn.conv as conv_module
+    import repro.nn.module as module_module
     from repro.biterror import make_error_fields
     from repro.cluster import ClusterExecutor
     from repro.data import synthetic_cifar10
@@ -164,7 +165,8 @@ FORK_AFTER_THREADS = textwrap.dedent("""
     from repro.quant.qat import quantize_model
     from repro.runtime import SerialExecutor, SweepSpec, run_sweep
 
-    conv_module._TILE_BYTES = 1  # one-sample tiles: every conv pass spreads
+    # One-sample tiles: every conv pass and every eval conv-block walk spreads.
+    conv_module._TILE_BYTES = module_module._BLOCK_TILE_BYTES = 1
     if _threads._binding() is None:
         state = [2]
         fake = (lambda: state[0], lambda n: state.__setitem__(0, n))
